@@ -27,39 +27,49 @@ __all__ = [
 _MAX_BLOCK_SPAN = 0.25
 
 
-def _one_sided(w: np.ndarray, dx: float, block: int) -> np.ndarray:
-    """out[j] = sum_{i<j} w[i] * e^{-(j-i)*dx} via blocked prefix sums."""
-    n = w.size
-    out = np.empty(n)
-    grow = np.exp(np.arange(block) * dx)
-    shrink = np.exp(-np.arange(block) * dx)
-    carry = 0.0
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        m = stop - start
-        u = w[start:stop] * grow[:m]
-        prefix = np.concatenate(([0.0], np.cumsum(u)[:-1]))
-        out[start:stop] = shrink[:m] * (carry + prefix)
-        carry = math.exp(-m * dx) * (carry + float(np.sum(u)))
-    return out
-
-
 def exp_one_sided_sums(w: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]:
     """Left and right decayed sums for weights ``w`` at spacing ``dx``.
 
     Returns arrays L, R with
         L[j] = sum_{i<j} w[i] * e^{-(j-i)*dx}
         R[j] = sum_{i>j} w[i] * e^{-(i-j)*dx}
+
+    Both directions run in one pass: w and its reverse are zero-padded to
+    whole blocks and stacked as a (2, n_blocks, block) array, rescaled by
+    e^{k dx} inside each block and summed with one cumulative sum along the
+    block axis.  Only the per-block carries are a Python loop.
     """
     w = np.asarray(w, dtype=float)
     if dx <= 0:
         raise ValueError("dx must be positive")
-    if w.size == 0:
+    n = w.size
+    if n == 0:
         return np.zeros(0), np.zeros(0)
-    block = max(1, int(_MAX_BLOCK_SPAN / dx))
-    left = _one_sided(w, dx, block)
-    right = _one_sided(w[::-1], dx, block)[::-1]
-    return left, right
+    block = min(n, max(1, int(_MAX_BLOCK_SPAN / dx)))
+    n_blocks = -(-n // block)
+    k = np.arange(block) * dx
+    u = np.zeros((2, n_blocks * block))
+    u[0, :n] = w
+    u[1, :n] = w[::-1]
+    u = u.reshape(2, n_blocks, block)
+    u *= np.exp(k)
+    # exclusive prefix sums: each entry holds the sum of the block's earlier entries
+    prefix = np.empty_like(u)
+    prefix[:, :, 0] = 0.0
+    np.cumsum(u[:, :, :-1], axis=2, out=prefix[:, :, 1:])
+    totals = (prefix[:, :, -1] + u[:, :, -1]).tolist()
+    decay = math.exp(-block * dx)
+    carries = []
+    for sums in totals:
+        carry, row = 0.0, []
+        for s in sums:
+            row.append(carry)
+            carry = decay * (carry + s)
+        carries.append(row)
+    prefix += np.array(carries)[:, :, None]
+    prefix *= np.exp(-k)
+    out = prefix.reshape(2, -1)
+    return out[0, :n], out[1, n - 1 :: -1]
 
 
 def exp_velocity_scan(w: np.ndarray, dx: float) -> np.ndarray:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,7 +72,9 @@ class GridState:
     ``xmin`` is the left edge of the first cell; cell centers sit at
     xmin + (j + 1/2) dx.  Cell values are masses (density times dx).  On
     construction each species is snapped to its mass quantum; the quanta
-    ride along so subsequent steps stay on the same lattice.
+    ride along so subsequent steps stay on the same lattice.  Non-finite
+    input (NaN or inf in ``xmin``, ``dx`` or a cell mass) is rejected with
+    the name of the offending field.
     """
 
     xmin: float
@@ -87,10 +90,16 @@ class GridState:
         r2 = np.asarray(self.rho2, dtype=float).copy()
         if r1.shape != r2.shape or r1.ndim != 1 or r1.size == 0:
             raise ValueError("rho1 and rho2 must be 1-D arrays of equal nonzero length")
-        if np.any(r1 < 0) or np.any(r2 < 0):
-            raise ValueError("cell masses must be nonnegative")
-        if not self.dx > 0:
-            raise ValueError("dx must be positive")
+        for name, r in (("rho1", r1), ("rho2", r2)):
+            # a NaN or inf in any cell, or an overflowing total, makes the sum non-finite
+            if not math.isfinite(float(np.sum(r))):
+                raise ValueError(f"{name} holds a non-finite cell mass or total")
+            if np.min(r) < 0:
+                raise ValueError(f"{name}: cell masses must be nonnegative")
+        if not math.isfinite(self.xmin):
+            raise ValueError(f"xmin must be finite, got {self.xmin!r}")
+        if not (self.dx > 0 and math.isfinite(self.dx)):
+            raise ValueError(f"dx must be positive and finite, got {self.dx!r}")
         q1 = self.q1 if self.q1 >= 0 else mass_quantum(float(np.sum(r1)))
         q2 = self.q2 if self.q2 >= 0 else mass_quantum(float(np.sum(r2)))
         object.__setattr__(self, "rho1", _quantize(r1, q1))
@@ -101,6 +110,23 @@ class GridState:
     @property
     def n_cells(self) -> int:
         return self.rho1.size
+
+    @cached_property
+    def window(self) -> tuple[int, int]:
+        """(lo, hi): the first and one-past-last cell holding mass of either
+        species; (0, 0) for the empty state.  Every cell outside is zero.
+        Computed once per state, so the cell arrays must not be written to
+        after construction."""
+        occupied = (self.rho1 + self.rho2) != 0
+        lo = int(np.argmax(occupied))
+        if not occupied[lo]:
+            return 0, 0
+        return lo, self.n_cells - int(np.argmax(occupied[::-1]))
+
+    def _padded_window(self) -> tuple[int, int]:
+        """The window grown by one empty cell on each side, within the grid."""
+        lo, hi = self.window
+        return max(lo - 1, 0), min(hi + 1, self.n_cells)
 
     @property
     def centers(self) -> np.ndarray:
@@ -117,25 +143,23 @@ class GridState:
         return float(np.sum(self.rho1)), float(np.sum(self.rho2))
 
     def weighted_center(self, p: ModelParams) -> float:
-        x = self.centers
-        return (p.theta1 / p.chi1) * float(np.sum(x * self.rho1)) + (
+        lo, hi = self.window
+        x = self.xmin + (np.arange(lo, hi) + 0.5) * self.dx
+        return (p.theta1 / p.chi1) * float(np.sum(x * self.rho1[lo:hi])) + (
             p.theta2 / p.chi2
-        ) * float(np.sum(x * self.rho2))
+        ) * float(np.sum(x * self.rho2[lo:hi]))
 
 
 @dataclass(frozen=True)
 class FluxField:
-    """Velocity field and species interface fluxes for one time level.
+    """Velocity field for one time level.
 
-    ``a_hat`` is the chi-free velocity; each species moves at chi_a * a_hat.
-    ``F1``/``F2`` hold the chi-scaled fluxes at the N+1 interfaces (first and
-    last forced to zero: the domain must be large enough that no mass
-    reaches the boundary).
+    ``a_hat`` is the chi-free velocity on every cell of the grid; each
+    species moves at chi_a * a_hat, and ``step`` forms the upwind
+    interface transfers from it.
     """
 
     a_hat: np.ndarray
-    F1: np.ndarray
-    F2: np.ndarray
     chi1: float
     chi2: float
 
@@ -149,33 +173,36 @@ def assemble_velocity(
     ``method`` is "auto", "direct" (O(N^2)) or "scan" (O(N), exponential
     kernel only).  The two paths agree to 1e-12 relative; "auto" uses the
     scan for exponential kernels above 512 cells.
+
+    The scan runs only on the occupied window plus one empty cell on each
+    side.  Beyond those edge cells no mass remains on the far side, so the
+    velocity there is the edge value decaying by e^{-dx} per cell, and the
+    tails are filled exactly that way.  Hence max|a_hat| sits on the
+    scanned cells.
     """
-    w = p.theta1 * state.rho1 + p.theta2 * state.rho2
     if method == "auto":
         method = "scan" if kernel.kind == "exponential" and state.n_cells > _SCAN_THRESHOLD else "direct"
     if method == "scan":
         if kernel.kind != "exponential":
             raise ValueError("the linear-time scan is only valid for the exponential kernel")
-        return exp_velocity_scan(w, state.dx)
+        a, b = state._padded_window()
+        n = state.n_cells
+        a_hat = np.empty(n)
+        a_hat[a:b] = exp_velocity_scan(p.theta1 * state.rho1[a:b] + p.theta2 * state.rho2[a:b], state.dx)
+        decay = np.exp(-state.dx * np.arange(1, max(a, n - b) + 1))
+        a_hat[:a] = a_hat[a] * decay[:a][::-1]
+        a_hat[b:] = a_hat[b - 1] * decay[: n - b]
+        return a_hat
     if method == "direct":
-        return direct_velocity(state.centers, w, kernel)
+        return direct_velocity(state.centers, p.theta1 * state.rho1 + p.theta2 * state.rho2, kernel)
     raise ValueError(f"unknown velocity method {method!r}")
 
 
 def make_flux(
     state: GridState, kernel: PointyKernel, p: ModelParams, method: str = "auto"
 ) -> FluxField:
-    """Assemble the velocity and the chi-scaled upwind interface fluxes."""
-    a_hat = assemble_velocity(state, kernel, p, method)
-    ap = np.maximum(a_hat, 0.0)
-    an = np.minimum(a_hat, 0.0)
-    n = state.n_cells
-    flux = []
-    for chi, rho in ((p.chi1, state.rho1), (p.chi2, state.rho2)):
-        f = np.zeros(n + 1)
-        f[1:n] = chi * (ap[:-1] * rho[:-1] + an[1:] * rho[1:])
-        flux.append(f)
-    return FluxField(a_hat, flux[0], flux[1], p.chi1, p.chi2)
+    """Assemble the velocity field that ``step`` transports with."""
+    return FluxField(assemble_velocity(state, kernel, p, method), p.chi1, p.chi2)
 
 
 def cfl_dt(
@@ -222,11 +249,15 @@ def step(state: GridState, flux: FluxField, dt: float) -> GridState:
 
     All cell updates are exact float operations on multiples of the species
     quantum, so per-species mass is conserved to 0 ulp and no cell ever
-    goes negative.
+    goes negative.  Only the occupied window plus one cell on each side can
+    change, so the update runs on that slice; an empty cell sends nothing,
+    which makes the result bit-identical to the full-grid update.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    vmax = max(flux.chi1, flux.chi2) * float(np.max(np.abs(flux.a_hat))) if flux.a_hat.size else 0.0
+    a, b = state._padded_window()
+    a_win = flux.a_hat[a:b]
+    vmax = max(flux.chi1, flux.chi2) * float(np.max(np.abs(a_win)))
     if dt * vmax >= state.dx:
         raise ValueError(
             f"CFL violation: dt * max|chi a_hat| = {dt * vmax:.3e} >= dx = {state.dx:.3e}"
@@ -234,10 +265,14 @@ def step(state: GridState, flux: FluxField, dt: float) -> GridState:
     c = dt / state.dx
     new = []
     for chi, rho, q in ((flux.chi1, state.rho1, state.q1), (flux.chi2, state.rho2, state.q2)):
-        out_r, out_l = _quantized_outflows(rho, chi * flux.a_hat, c, q)
-        nxt = rho - out_r - out_l
-        nxt[1:] += out_r[:-1]
-        nxt[:-1] += out_l[1:]
+        # the outflows zero the slice's outer faces: at a grid end that is
+        # the boundary rule, and inside the grid those end cells are empty
+        out_r, out_l = _quantized_outflows(rho[a:b], chi * a_win, c, q)
+        nxt = rho.copy()
+        win = nxt[a:b]
+        win[:] = rho[a:b] - out_r - out_l
+        win[1:] += out_r[:-1]
+        win[:-1] += out_l[1:]
         new.append(nxt)
     return GridState(state.xmin, state.dx, new[0], new[1], state.time + dt, state.q1, state.q2)
 
@@ -258,6 +293,31 @@ def _runs(values: np.ndarray, floor: float) -> list[tuple[int, int]]:
     return list(zip(edges[::2], edges[1::2]))
 
 
+def _peaks(
+    state: GridState, values: np.ndarray, mass_threshold: float, cell_floor_frac: float, masses
+) -> list[Peak]:
+    """Peaks of ``values``, the per-cell masses on the state's window.
+
+    Cells above ``cell_floor_frac`` times the total form contiguous runs;
+    runs carrying strictly more than ``mass_threshold`` of the total become
+    peaks at their mass-weighted centroid, with per-species masses
+    ``masses(s, e, run_mass)`` for window cells [s, e).  Cell centres are
+    built for the cells of those runs only.
+    """
+    total = float(np.sum(values))
+    if total <= 0.0:
+        return []
+    lo = state.window[0]
+    peaks = []
+    for s, e in _runs(values, cell_floor_frac * total):
+        run_mass = float(np.sum(values[s:e]))
+        if run_mass > mass_threshold * total:
+            x = state.xmin + (np.arange(lo + s, lo + e) + 0.5) * state.dx
+            centroid = float(np.sum(x * values[s:e]) / run_mass)
+            peaks.append(Peak(centroid, *masses(s, e, run_mass)))
+    return peaks
+
+
 def extract_peaks(
     state: GridState, mass_threshold: float = 0.01, cell_floor_frac: float = 1e-9
 ) -> list[Peak]:
@@ -270,20 +330,12 @@ def extract_peaks(
     """
     if not 0.0 < mass_threshold < 1.0:
         raise ValueError("mass_threshold must lie in (0, 1)")
-    comb = state.rho1 + state.rho2
-    total = float(np.sum(comb))
-    if total <= 0.0:
-        return []
-    x = state.centers
-    peaks = []
-    for s, e in _runs(comb, cell_floor_frac * total):
-        run_mass = float(np.sum(comb[s:e]))
-        if run_mass > mass_threshold * total:
-            centroid = float(np.sum(x[s:e] * comb[s:e]) / run_mass)
-            peaks.append(
-                Peak(centroid, float(np.sum(state.rho1[s:e])), float(np.sum(state.rho2[s:e])))
-            )
-    return peaks
+    lo, hi = state.window
+    r1, r2 = state.rho1[lo:hi], state.rho2[lo:hi]
+    return _peaks(
+        state, r1 + r2, mass_threshold, cell_floor_frac,
+        lambda s, e, _: (float(np.sum(r1[s:e])), float(np.sum(r2[s:e]))),
+    )
 
 
 def species_peaks(
@@ -293,20 +345,12 @@ def species_peaks(
     cell_floor_frac: float = 1e-6,
 ) -> list[Peak]:
     """Peaks of a single species (runs computed on that species alone)."""
-    rho = state.rho1 if species == 1 else state.rho2
-    total = float(np.sum(rho))
-    if total <= 0.0:
-        return []
-    x = state.centers
-    peaks = []
-    for s, e in _runs(rho, cell_floor_frac * total):
-        run_mass = float(np.sum(rho[s:e]))
-        if run_mass > mass_threshold * total:
-            centroid = float(np.sum(x[s:e] * rho[s:e]) / run_mass)
-            m1 = run_mass if species == 1 else 0.0
-            m2 = run_mass if species == 2 else 0.0
-            peaks.append(Peak(centroid, m1, m2))
-    return peaks
+    lo, hi = state.window
+    rho = (state.rho1 if species == 1 else state.rho2)[lo:hi]
+    return _peaks(
+        state, rho, mass_threshold, cell_floor_frac,
+        lambda s, e, m: (m, 0.0) if species == 1 else (0.0, m),
+    )
 
 
 @dataclass(frozen=True)
@@ -405,7 +449,10 @@ def run(
     Snapshots are recorded at the nearest step boundary <= each requested
     time (actual times reported).  Aborts if the outermost cells accumulate
     more than ``boundary_tol`` of the total mass: the domain is supposed to
-    be large enough that the boundary stays empty.
+    be large enough that the boundary stays empty.  The per-step
+    diagnostics are read off the occupied window: ``max_velocity`` is
+    max|a_hat| over the window and its two neighbour cells, which for the
+    exponential kernel is the maximum over the whole grid.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
@@ -434,12 +481,16 @@ def run(
             )
 
     def record_diag(st: GridState, flux: FluxField):
+        lo, hi = st.window
+        a, b = st._padded_window()
         diag["t"].append(st.time)
-        diag["mass1"].append(float(np.sum(st.rho1)))
-        diag["mass2"].append(float(np.sum(st.rho2)))
+        diag["mass1"].append(float(np.sum(st.rho1[lo:hi])))
+        diag["mass2"].append(float(np.sum(st.rho2[lo:hi])))
         diag["weighted_center"].append(st.weighted_center(p))
-        diag["max_velocity"].append(float(np.max(np.abs(flux.a_hat))))
-        diag["min_cell"].append(float(min(np.min(st.rho1), np.min(st.rho2))))
+        diag["max_velocity"].append(float(np.max(np.abs(flux.a_hat[a:b]))))
+        # a window narrower than the grid leaves empty cells outside it
+        full = (lo, hi) == (0, st.n_cells)
+        diag["min_cell"].append(float(min(np.min(st.rho1), np.min(st.rho2))) if full else 0.0)
 
     def record_snapshots(st: GridState, limit: float):
         # every requested time in [st.time, limit) maps to this step boundary

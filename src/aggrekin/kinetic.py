@@ -20,13 +20,12 @@ exact, as in the finite-volume module.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .csvio import write_csv
 from .expconv import direct_potential, exp_potential_scan
 from .fv import GridState, mass_quantum
 from .fv import run as fv_run
@@ -375,22 +374,13 @@ def limit_experiment(
     return rows
 
 
-_FMT = "%.17g"
-
-
 def write_kinetic_snapshot_csv(path, state: KineticState, field: ChemoField) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "rho1", "J1", "rho2", "J2", "S", "dS"])
-        for row in zip(state.centers, state.rho1, state.J1, state.rho2, state.J2, field.S, field.dS):
-            writer.writerow([_FMT % v for v in row])
+    write_csv(
+        path,
+        ["x", "rho1", "J1", "rho2", "J2", "S", "dS"],
+        zip(state.centers, state.rho1, state.J1, state.rho2, state.J2, field.S, field.dS),
+    )
 
 
 def write_limit_csv(path, rows: list[tuple[float, float, float]]) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epsilon", "w2_species1", "w2_species2"])
-        for eps, d1, d2 in rows:
-            writer.writerow([_FMT % eps, _FMT % d1, _FMT % d2])
+    write_csv(path, ["epsilon", "w2_species1", "w2_species2"], rows)

@@ -9,13 +9,13 @@ chi1*theta2/(chi2*theta1) weight on the second component.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from .csvio import write_csv
 
 __all__ = [
     "CoarseGridWarning",
@@ -227,16 +227,8 @@ def sample_gaussian_bumps(
 
 # --- CSV serialization -------------------------------------------------
 
-_FMT = "%.17g"
-
-
 def write_measure_csv(path, m: DiscreteMeasure) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["position", "mass"])
-        for x, w in zip(m.positions, m.masses):
-            writer.writerow([_FMT % x, _FMT % w])
+    write_csv(path, ["position", "mass"], zip(m.positions, m.masses))
 
 
 def read_measure_csv(path) -> DiscreteMeasure:
@@ -250,12 +242,9 @@ def write_pair_csv(path, pair: SpeciesPair) -> None:
         pair.rho1.positions != pair.rho2.positions
     ):
         raise ValueError("pair CSV requires both species on one shared grid")
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["position", "mass1", "mass2"])
-        for x, w1, w2 in zip(pair.rho1.positions, pair.rho1.masses, pair.rho2.masses):
-            writer.writerow([_FMT % x, _FMT % w1, _FMT % w2])
+    write_csv(
+        path, ["position", "mass1", "mass2"], zip(pair.rho1.positions, pair.rho1.masses, pair.rho2.masses)
+    )
 
 
 def read_pair_csv(path) -> SpeciesPair:

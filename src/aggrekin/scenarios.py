@@ -11,7 +11,6 @@ produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -23,6 +22,7 @@ import numpy as np
 from . import fv as fv_mod
 from . import kinetic as kin_mod
 from . import particles as part_mod
+from .csvio import write_csv
 from .fv import GridState, extract_peaks
 from .kernel import PointyKernel, exponential_kernel, regularize
 from .measures import ModelParams, bump_mass_unit, sample_gaussian_bumps
@@ -403,14 +403,6 @@ class RunReport:
 _FMT = "%.17g"
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_FMT % v for v in row])
-
-
 def _write_json(path: Path, payload) -> None:
     with path.open("w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -453,7 +445,7 @@ def _run_particles(s: Scenario, kernel, out: Path) -> tuple[list[dict], dict, di
     for t, clusters in res.samples:
         for c in clusters:
             rows.append((t, c.id, c.position, c.m1, c.m2, 1.0 if c.glued else 0.0))
-    _write_csv(traj_path, ["t", "cluster_id", "position", "m1", "m2", "glued"], rows)
+    write_csv(traj_path, ["t", "cluster_id", "position", "m1", "m2", "glued"], rows)
     files.append(traj_path.name)
     events = [e.to_dict() for e in res.events]
     ev_path = out / "events.json"
@@ -497,7 +489,7 @@ def _run_fv(s: Scenario, kernel, out: Path) -> tuple[list[dict], dict, dict, lis
     peaks_payload = []
     for i, (t, state) in enumerate(res.snapshots):
         snap_path = out / f"snapshot_{i:03d}.csv"
-        _write_csv(
+        write_csv(
             snap_path,
             ["x", "rho1_mass", "rho2_mass"],
             zip(state.centers, state.rho1, state.rho2),
@@ -514,7 +506,7 @@ def _run_fv(s: Scenario, kernel, out: Path) -> tuple[list[dict], dict, dict, lis
         )
     diag_path = out / "diagnostics.csv"
     d = res.diagnostics
-    _write_csv(
+    write_csv(
         diag_path,
         ["t", "mass1", "mass2", "weighted_center", "max_velocity", "min_cell"],
         zip(d["t"], d["mass1"], d["mass2"], d["weighted_center"], d["max_velocity"], d["min_cell"]),

@@ -34,6 +34,15 @@ class TestOneSidedSums:
             assert np.max(np.abs(left - bl)) <= 1e-13 * max(1.0, bl.max())
             assert np.max(np.abs(right - br)) <= 1e-13 * max(1.0, br.max())
 
+    def test_partial_last_block_against_literal_double_loop(self):
+        # block of 12 cells: five blocks, the last one zero-padded
+        rng = np.random.default_rng(5)
+        w = rng.uniform(0, 1, 53)
+        left, right = exp_one_sided_sums(w, 0.02)
+        bl, br = brute_one_sided(w, 0.02)
+        assert np.max(np.abs(left - bl)) <= 1e-13 * max(1.0, bl.max())
+        assert np.max(np.abs(right - br)) <= 1e-13 * max(1.0, br.max())
+
     def test_empty_and_single(self):
         left, right = exp_one_sided_sums(np.array([3.0]), 0.1)
         assert left[0] == 0.0 and right[0] == 0.0

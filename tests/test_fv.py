@@ -3,6 +3,8 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from aggrekin.fv import (
     GridState,
@@ -56,6 +58,36 @@ class TestGridState:
     def test_centers(self):
         st = GridState(-1.0, 0.5, [1.0, 1.0, 1.0, 1.0], [0.0] * 4)
         assert np.allclose(st.centers, [-0.75, -0.25, 0.25, 0.75])
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((0.0, 0.1, [math.nan, 1.0], [0.0, 1.0]), "rho1"),
+            ((0.0, 0.1, [0.0, 1.0], [1.0, math.inf]), "rho2"),
+            ((0.0, 0.1, [1e308, 1e308], [0.0, 1.0]), "rho1"),
+            ((0.0, math.inf, [1.0, 1.0], [0.0, 1.0]), "dx"),
+            ((math.nan, 0.1, [1.0, 1.0], [0.0, 1.0]), "xmin"),
+        ],
+    )
+    def test_rejects_non_finite_input(self, args, name):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=name):
+            GridState(*args)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        masses=hs.lists(hs.floats(0.0, 10.0), min_size=1, max_size=12),
+        bad=hs.sampled_from([math.nan, math.inf, -math.inf]),
+        name=hs.sampled_from(["rho1", "rho2", "xmin", "dx"]),
+        where=hs.integers(0, 11),
+    )
+    def test_non_finite_field_is_named(self, masses, bad, name, where):
+        args = {"xmin": -1.0, "dx": 0.1, "rho1": np.array(masses), "rho2": np.array(masses[::-1])}
+        if name in ("rho1", "rho2"):
+            args[name][where % len(masses)] = bad
+        else:
+            args[name] = bad
+        with pytest.raises(ValueError, match=name):
+            GridState(**args)
 
 
 class TestAssembleVelocity:
