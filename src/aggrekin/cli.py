@@ -46,7 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_preset = sub.add_parser("preset", help="run one of the canonical example scenarios")
     p_preset.add_argument("name", choices=PRESET_NAMES)
-    p_preset.add_argument("--solver", choices=("fv", "particles", "kinetic", "compare"))
+    # every preset has chi1 = 10, outside the kinetic model's chi (theta1 + theta2) < 1
+    p_preset.add_argument("--solver", choices=("fv", "particles", "compare"))
     p_preset.add_argument("--dx", type=float, default=5e-4, help="grid spacing (default 5e-4)")
     p_preset.add_argument("--t-final", type=float, dest="t_final", help="override final time")
     p_preset.add_argument("--out", help="output root directory")

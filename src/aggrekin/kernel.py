@@ -30,7 +30,7 @@ class KernelValidationError(ValueError):
 
 def _check_finite(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("kernel evaluated at non-finite position")
     return arr
 
@@ -55,19 +55,19 @@ class PointyKernel:
         """Potential value K(x); even in x."""
         arr = _check_finite(x)
         out = self.value_fn(arr)
-        return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+        return float(out) if arr.ndim == 0 else out
 
     def deriv(self, x):
         """Spatial derivative of the potential, defined for x != 0."""
         arr = _check_finite(x)
         out = self.deriv_fn(arr)
-        return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+        return float(out) if arr.ndim == 0 else out
 
     def hat_deriv(self, x):
         """Derivative with the origin value replaced by exactly 0."""
         arr = _check_finite(x)
         out = np.where(arr == 0.0, 0.0, self.deriv_fn(arr))
-        return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+        return float(out) if arr.ndim == 0 else out
 
 
 def _sampled_hypothesis_checks(k: PointyKernel, n_samples: int = 1000, tol: float = 1e-10) -> None:

@@ -98,8 +98,11 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("chi1", "chi2", "theta1", "theta2", "psi1", "psi2"):
-            if not getattr(self, name) > 0:
+            value = getattr(self, name)
+            if not value > 0:
                 raise ValueError(f"{name} must be strictly positive")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def bump_mass_unit(width: float = 5000.0) -> float:

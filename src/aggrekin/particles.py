@@ -21,6 +21,7 @@ per-species totals are invariant across every event to 0 ulp.
 from __future__ import annotations
 
 import math
+import time as _time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -52,8 +53,9 @@ class Cluster:
     id: int = -1
 
     def __post_init__(self):
-        if self.m1 < 0 or self.m2 < 0:
-            raise ValueError("cluster masses must be nonnegative")
+        if not (self.m1 >= 0 and self.m2 >= 0):
+            name = "m2" if self.m1 >= 0 else "m1"
+            raise ValueError(f"cluster mass {name} must be nonnegative, got {getattr(self, name)!r}")
         if not self.m1 + self.m2 > 0:
             raise ValueError("a cluster must carry positive total mass")
 
@@ -66,12 +68,22 @@ class Cluster:
         return self.m1 + self.m2
 
 
+def _species_total(name: str, masses: list[float]) -> float:
+    """Exact sum of finite masses; fsum raises when it overflows."""
+    try:
+        return math.fsum(masses)
+    except OverflowError:
+        raise ValueError(f"cluster {name} total overflows: {masses!r}") from None
+
+
 @dataclass
 class ClusterSet:
     """Ordered aggregates at a common time.
 
-    Positions must be strictly increasing.  Masses are snapped to the
-    per-species quantum so that merge arithmetic is exact.
+    Positions must be finite and strictly increasing.  Masses are snapped
+    to the per-species quantum so that merge arithmetic is exact.  A NaN or
+    inf position or mass, or a species total that overflows, is rejected
+    with the name of the field.
     """
 
     clusters: list[Cluster]
@@ -82,10 +94,15 @@ class ClusterSet:
         if not self.clusters:
             raise ValueError("cluster set must not be empty")
         pos = [c.position for c in self.clusters]
-        if any(b <= a for a, b in zip(pos, pos[1:])):
+        m1 = [c.m1 for c in self.clusters]
+        m2 = [c.m2 for c in self.clusters]
+        for name, vals in (("position", pos), ("m1", m1), ("m2", m2)):
+            if not all(map(math.isfinite, vals)):
+                raise ValueError(f"cluster {name} must be finite, got {vals!r}")
+        if not all(a < b for a, b in zip(pos, pos[1:])):
             raise ValueError("cluster positions must be strictly increasing")
-        q1 = mass_quantum(math.fsum(c.m1 for c in self.clusters))
-        q2 = mass_quantum(math.fsum(c.m2 for c in self.clusters))
+        q1 = mass_quantum(_species_total("m1", m1))
+        q2 = mass_quantum(_species_total("m2", m2))
         for c in self.clusters:
             if q1 > 0.0:
                 c.m1 = round(c.m1 / q1) * q1
@@ -190,19 +207,31 @@ def glued_selection(gamma_val: float, m1: float, m2: float, p: ModelParams) -> f
     return (p.chi2 - p.chi1) * gamma_val / (p.chi1 * p.theta2 * m2 + p.chi2 * p.theta1 * m1)
 
 
+def _step_constants(
+    m1: np.ndarray, m2: np.ndarray, p: ModelParams
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """What the velocities need of the masses, fixed within one step: the
+    weights theta1 m1 + theta2 m2, each cluster's chi and the glued indices."""
+    wrho = p.theta1 * m1 + p.theta2 * m2
+    chi = np.where(m1 > 0, p.chi1, p.chi2)
+    glued = np.flatnonzero((m1 > 0) & (m2 > 0)).tolist()
+    return wrho, chi, glued
+
+
 def _raw_velocities(
     z: np.ndarray,
     m1: np.ndarray,
     m2: np.ndarray,
+    wrho: np.ndarray,
+    chi: np.ndarray,
+    glued: list[int],
     kernel: PointyKernel,
     p: ModelParams,
 ) -> np.ndarray:
     """Cluster velocities for arbitrary (possibly unordered) positions."""
-    wrho = p.theta1 * m1 + p.theta2 * m2
     pull = kernel.hat_deriv(z[:, None] - z[None, :]) @ wrho
-    v = np.where(m1 > 0, p.chi1 * pull, p.chi2 * pull)
-    both = (m1 > 0) & (m2 > 0)
-    for k in np.flatnonzero(both):
+    v = chi * pull
+    for k in glued:
         w_sel = glued_selection(pull[k], m1[k], m2[k], p)
         # between unglue checks the selection may transiently leave the
         # admissible band; keep the slope physical
@@ -216,7 +245,7 @@ def velocities(cs: ClusterSet, kernel: PointyKernel, p: ModelParams) -> np.ndarr
     pull; glued clusters: the common selected velocity)."""
     m1 = np.array([c.m1 for c in cs.clusters])
     m2 = np.array([c.m2 for c in cs.clusters])
-    return _raw_velocities(cs.positions(), m1, m2, kernel, p)
+    return _raw_velocities(cs.positions(), m1, m2, *_step_constants(m1, m2, p), kernel, p)
 
 
 def external_attraction(
@@ -237,12 +266,13 @@ def external_attraction(
     excl = set(int(i) for i in exclude)
     if at is None:
         at = cs.clusters[min(excl)].position
-    total = 0.0
-    for i, c in enumerate(cs.clusters):
-        if i in excl:
-            continue
-        total += (p.theta1 * c.m1 + p.theta2 * c.m2) * kernel.hat_deriv(at - c.position)
-    return total
+    others = [c for i, c in enumerate(cs.clusters) if i not in excl]
+    if not others:
+        return 0.0
+    wrho = np.array([p.theta1 * c.m1 + p.theta2 * c.m2 for c in others])
+    terms = wrho * kernel.hat_deriv(at - np.array([c.position for c in others]))
+    # left to right from 0.0, as a scalar loop would add them
+    return sum(terms.tolist(), 0.0)
 
 
 def _safe_split_positions(
@@ -324,24 +354,23 @@ def _handle_group(
 def _unglue_pass(
     cs: ClusterSet, kernel: PointyKernel, p: ModelParams, gap_tol: float
 ) -> tuple[ClusterSet, list[Event]]:
+    """Split every glued cluster that fails the synchronising condition;
+    ``cs`` comes back untouched when none does."""
     events: list[Event] = []
-    out: list[Cluster] = []
+    splits: dict[int, tuple[Cluster, Cluster]] = {}
     next_id = cs.next_id
     for i, c in enumerate(cs.clusters):
         if not c.glued:
-            out.append(replace(c))
             continue
         gam = external_attraction(cs, i, kernel, p)
         chk = sync_condition(gam, c.m1, c.m2, p)
         if chk.holds:
-            out.append(replace(c))
             continue
         direction = 1.0 if (p.chi1 - p.chi2) * gam > 0 else -1.0
         left = cs.clusters[i - 1].position if i > 0 else -math.inf
         right = cs.clusters[i + 1].position if i + 1 < len(cs) else math.inf
         s1_pos, s2_pos = _safe_split_positions(c.position, direction, gap_tol, left, right)
-        out.append(Cluster(s1_pos, c.m1, 0.0, next_id))
-        out.append(Cluster(s2_pos, 0.0, c.m2, next_id + 1))
+        splits[i] = (Cluster(s1_pos, c.m1, 0.0, next_id), Cluster(s2_pos, 0.0, c.m2, next_id + 1))
         next_id += 2
         events.append(
             Event(
@@ -359,6 +388,9 @@ def _unglue_pass(
         )
     if not events:
         return cs, []
+    out: list[Cluster] = []
+    for i, c in enumerate(cs.clusters):
+        out.extend(splits.get(i, (replace(c),)))
     out.sort(key=lambda c: c.position)
     return ClusterSet(out, cs.time, next_id), events
 
@@ -415,22 +447,26 @@ def advance(
     z0 = cs.positions()
     m1 = np.array([c.m1 for c in cs.clusters])
     m2 = np.array([c.m2 for c in cs.clusters])
-    if not np.all(np.isfinite(z0)):
+    if not np.isfinite(z0).all():
         raise FloatingPointError("non-finite cluster positions")
+    wrho, chi, glued = _step_constants(m1, m2, p)
+
+    def vel(z: np.ndarray) -> np.ndarray:
+        return _raw_velocities(z, m1, m2, wrho, chi, glued, kernel, p)
+
+    # the first stage is the same for every trial step, so it is made once
+    v0 = vel(z0)
 
     def trial(tau: float) -> np.ndarray:
-        v1 = _raw_velocities(z0, m1, m2, kernel, p)
-        z_star = z0 + tau * v1
-        v2 = _raw_velocities(z_star, m1, m2, kernel, p)
-        return z0 + 0.5 * tau * (v1 + v2)
+        v2 = vel(z0 + tau * v0)
+        return z0 + 0.5 * tau * (v0 + v2)
 
-    v0 = _raw_velocities(z0, m1, m2, kernel, p)
-    gaps = np.diff(z0)
-    closing = np.diff(v0)
+    gaps = z0[1:] - z0[:-1]
+    closing = v0[1:] - v0[:-1]
 
     # contacts already pending from a previous event resolution
     touching = (gaps <= 1.5 * gap_tol) & (closing < 0)
-    if np.any(touching):
+    if touching.any():
         groups = _contact_groups(touching)
         in_group = set(i for g in groups for i in g)
         new_clusters = [replace(c) for i, c in enumerate(cs.clusters) if i not in in_group]
@@ -446,22 +482,22 @@ def advance(
 
     dt = dt_max
     shrinking = closing < 0
-    if np.any(shrinking):
-        dt = min(dt, float(np.min(0.25 * gaps[shrinking] / (-closing[shrinking]))))
+    if shrinking.any():
+        dt = min(dt, float((0.25 * gaps[shrinking] / (-closing[shrinking])).min()))
 
     def has_contact(z: np.ndarray) -> np.ndarray:
-        return np.diff(z) <= gap_tol
+        return z[1:] - z[:-1] <= gap_tol
 
     z_end = trial(dt)
-    if not np.any(has_contact(z_end)):
-        out = [replace(c, position=float(x)) for c, x in zip(cs.clusters, z_end)]
+    if not has_contact(z_end).any():
+        out = [Cluster(x, c.m1, c.m2, c.id) for c, x in zip(cs.clusters, z_end.tolist())]
         return ClusterSet(out, cs.time + dt, cs.next_id), events
 
     # bracket the first contact time
     lo, hi = 0.0, dt
     while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
-        if np.any(has_contact(trial(mid))):
+        if has_contact(trial(mid)).any():
             hi = mid
         else:
             lo = mid
@@ -470,7 +506,7 @@ def advance(
     t_event = cs.time + hi
 
     committed = ClusterSet(
-        [replace(c, position=float(x)) for c, x in zip(cs.clusters, z_commit)],
+        [Cluster(x, c.m1, c.m2, c.id) for c, x in zip(cs.clusters, z_commit.tolist())],
         t_event,
         cs.next_id,
     )
@@ -494,6 +530,8 @@ class ParticleRunResult:
     final: ClusterSet
     dt_max: float
     gap_tol: float
+    n_advances: int
+    elapsed: float
     snapshots: list[tuple[float, ClusterSet]] = field(default_factory=list)
 
 
@@ -512,7 +550,8 @@ def run(
     Emits a ``final_collapse`` event when the population first reduces to
     one cluster.  Trajectories are sampled every ``sample_dt`` (default
     T/200); ``snapshot_times`` are hit exactly (the step is shortened to
-    land on them) and reported in ``snapshots``.
+    land on them) and reported in ``snapshots``.  ``n_advances`` counts the
+    calls to :func:`advance` and ``elapsed`` is the wall time of the run.
     """
     if not T > 0:
         raise ValueError("T must be positive")
@@ -521,6 +560,7 @@ def run(
     pending = sorted(t for t in snapshot_times if t > initial.time)
     if any(t > T for t in pending):
         raise ValueError("snapshot times must lie in [0, T]")
+    t_start = _time.perf_counter()
     cs = initial.copy()
     events: list[Event] = []
     samples: list[tuple[float, list[Cluster]]] = [(cs.time, [replace(c) for c in cs.clusters])]
@@ -528,11 +568,11 @@ def run(
     if any(abs(t - cs.time) <= 1e-15 for t in snapshot_times):
         snapshots.append((cs.time, cs.copy()))
     next_sample = cs.time + sample_dt
-    guard = 0
+    n_advances = 0
     max_iterations = int(50 * T / dt_max) + 10_000
     while cs.time < T - 1e-12 and len(cs) > 1:
-        guard += 1
-        if guard > max_iterations:
+        n_advances += 1
+        if n_advances > max_iterations:
             raise RuntimeError("particle run exceeded its iteration budget (stalled?)")
         horizon = min(dt_max, T - cs.time)
         if pending:
@@ -561,4 +601,5 @@ def run(
     while pending:
         snapshots.append((pending.pop(0), cs.copy()))
     samples.append((cs.time, [replace(c) for c in cs.clusters]))
-    return ParticleRunResult(events, samples, cs, dt_max, gap_tol, snapshots)
+    elapsed = _time.perf_counter() - t_start
+    return ParticleRunResult(events, samples, cs, dt_max, gap_tol, n_advances, elapsed, snapshots)

@@ -151,6 +151,18 @@ class TestWasserstein2:
             wasserstein2(DiscreteMeasure([], []), DiscreteMeasure([0.0], [1.0]))
 
 
+class TestModelParams:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        name=st.sampled_from(["chi1", "chi2", "theta1", "theta2", "psi1", "psi2"]),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    def test_non_finite_parameter_is_named(self, name, bad):
+        kwargs = {"chi1": 10.0, "chi2": 1.0, name: bad}
+        with pytest.raises(ValueError, match=name):
+            ModelParams(**kwargs)
+
+
 class TestCoupledW2:
     def test_identical_pairs(self):
         p = ModelParams(chi1=1.0, chi2=1.0)

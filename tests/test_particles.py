@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from aggrekin.kernel import exponential_kernel
 from aggrekin.measures import ModelParams, bump_mass_unit
@@ -47,6 +49,31 @@ class TestClusterSet:
         cs = ClusterSet([Cluster(0.0, 1.0, 0.0), Cluster(1.0, 0.0, 1.0)])
         assert [c.id for c in cs.clusters] == [0, 1]
         assert cs.next_id == 2
+
+    def test_rejects_nan_position(self):
+        with pytest.raises(ValueError, match="position"):
+            ClusterSet([Cluster(0.0, 1.0, 0.0), Cluster(math.nan, 1.0, 0.0), Cluster(0.5, 1.0, 0.0)])
+
+    def test_infinite_mass_is_named(self):
+        with pytest.raises(ValueError, match="m1"):
+            ClusterSet([Cluster(0.0, math.inf, 0.0), Cluster(1.0, 1.0, 0.0)])
+
+    def test_overflowing_species_total_is_named(self):
+        with pytest.raises(ValueError, match="m2 total"):
+            ClusterSet([Cluster(0.0, 0.0, 1e308), Cluster(1.0, 0.0, 1e308)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=hs.integers(1, 6),
+        bad=hs.sampled_from([math.nan, math.inf, -math.inf]),
+        name=hs.sampled_from(["position", "m1", "m2"]),
+        where=hs.integers(0, 5),
+    )
+    def test_non_finite_field_is_named(self, n, bad, name, where):
+        fields = [{"position": 0.1 * i, "m1": 1.0, "m2": 0.5 * (i % 2)} for i in range(n)]
+        fields[where % n][name] = bad
+        with pytest.raises(ValueError, match=name):
+            ClusterSet([Cluster(**f) for f in fields])
 
 
 class TestVelocities:
@@ -295,6 +322,12 @@ class TestAdvance:
         res = run(cs, KERNEL, params(), T=1.0)
         assert res.events == []
         assert res.final.clusters[0].position == 0.2
+
+    def test_run_counts_its_advances(self):
+        cs = ClusterSet([Cluster(-0.4, 1.0, 0.0), Cluster(0.4, 0.0, 1.0)])
+        res = run(cs, KERNEL, params(), T=0.05, dt_max=1e-2)
+        assert res.n_advances == 5
+        assert res.elapsed > 0.0
 
     def test_exact_snapshots(self):
         cs = ClusterSet([Cluster(-0.4, 1.0, 0.0), Cluster(0.4, 0.0, 1.0)])

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from aggrekin import particles as part_mod
+from aggrekin.cli import main as cli_main
 from aggrekin.fv import extract_peaks
 from aggrekin.measures import bump_mass_unit
 from aggrekin.scenarios import (
@@ -188,6 +190,19 @@ class TestRunScenario:
         for fname in ("trajectories.csv", "events.json"):
             assert (out_a / fname).read_bytes() == (out_b / fname).read_bytes()
 
+    def test_preset_advance_counts(self):
+        # the four presets make 8,761 advance calls between them
+        total = 0
+        for name in PRESET_NAMES:
+            s = preset(name, solver="particles")
+            res = part_mod.run(
+                initial_cluster_set(s), make_kernel(s.kernel_spec), s.params, s.T,
+                dt_max=s.dt_max, gap_tol=s.gap_tol, snapshot_times=s.snapshot_times,
+            )
+            assert res.elapsed > 0.0
+            total += res.n_advances
+        assert total == 8761
+
     @pytest.mark.filterwarnings("ignore::aggrekin.measures.CoarseGridWarning")
     def test_compare_solver_reports_agreement(self, tmp_path):
         s = preset("example1", solver="compare", dx=2e-3, T=1.2)
@@ -282,6 +297,13 @@ class TestCli:
         proc2 = self.run_cli("report", str(run_dir))
         assert proc2.returncode == 0, proc2.stderr
         assert "sync analysis" in proc2.stdout
+
+    def test_preset_does_not_offer_kinetic(self, capsys):
+        # every preset has chi1 = 10, which no kinetic run accepts
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["preset", "example1", "--solver", "kinetic"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'kinetic'" in capsys.readouterr().err
 
     def test_failure_emits_json_error(self, tmp_path):
         missing = tmp_path / "nope.json"
