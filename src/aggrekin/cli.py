@@ -17,6 +17,8 @@ from . import kinetic as kin_mod
 from .scenarios import (
     PRESET_NAMES,
     SCHEMA,
+    SOLVERS,
+    RunReport,
     ScenarioError,
     load_scenario,
     make_kernel,
@@ -41,13 +43,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a scenario config file")
     p_run.add_argument("config", help="path to a scenario JSON file")
-    p_run.add_argument("--solver", choices=("fv", "particles", "kinetic", "compare"))
+    p_run.add_argument("--solver", choices=SOLVERS)
     p_run.add_argument("--out", help="output root directory")
 
     p_preset = sub.add_parser("preset", help="run one of the canonical example scenarios")
     p_preset.add_argument("name", choices=PRESET_NAMES)
     # every preset has chi1 = 10, outside the kinetic model's chi (theta1 + theta2) < 1
-    p_preset.add_argument("--solver", choices=("fv", "particles", "compare"))
+    p_preset.add_argument("--solver", choices=[s for s in SOLVERS if s != "kinetic"])
     p_preset.add_argument("--dx", type=float, default=5e-4, help="grid spacing (default 5e-4)")
     p_preset.add_argument("--t-final", type=float, dest="t_final", help="override final time")
     p_preset.add_argument("--out", help="output root directory")
@@ -62,22 +64,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    scenario = load_scenario(args.config)
-    if args.solver:
-        scenario = replace(scenario, solver=args.solver)
+    """``run`` a scenario file or a ``preset``; both print the same summary."""
+    if args.command == "preset":
+        scenario = preset(args.name, solver=args.solver, dx=args.dx, T=args.t_final)
+    else:
+        scenario = load_scenario(args.config)
+        if args.solver:
+            scenario = replace(scenario, solver=args.solver)
     report = run_scenario(scenario, out_root=args.out)
     out = resolve_output_dir(scenario, args.out)
-    print(f"run '{scenario.name}' ({scenario.solver}) -> {out}")
-    print(report_sync_analysis(report))
-    print(json.dumps({"events": len(report.events), "files": report.files}, sort_keys=True))
-    return 0
-
-
-def _cmd_preset(args) -> int:
-    scenario = preset(args.name, solver=args.solver, dx=args.dx, T=args.t_final)
-    report = run_scenario(scenario, out_root=args.out)
-    out = resolve_output_dir(scenario, args.out)
-    print(f"preset '{scenario.name}' ({scenario.solver}) -> {out}")
+    print(f"{args.command} '{scenario.name}' ({scenario.solver}) -> {out}")
     print(report_sync_analysis(report))
     print(json.dumps({"events": len(report.events), "files": report.files}, sort_keys=True))
     return 0
@@ -105,20 +101,7 @@ def _cmd_report(args) -> int:
     if not report_path.exists():
         raise ScenarioError(f"no report.json found in {args.run_dir}")
     with report_path.open() as fh:
-        payload = json.load(fh)
-    from .scenarios import RunReport
-
-    report = RunReport(
-        scenario=payload["scenario"],
-        solver=payload["solver"],
-        mass_unit=payload["mass_unit"],
-        events=payload["events"],
-        conservation=payload["conservation"],
-        collision_times=payload["collision_times"],
-        files=payload["files"],
-        extra=payload.get("extra", {}),
-    )
-    print(report_sync_analysis(report))
+        print(report_sync_analysis(RunReport.from_dict(json.load(fh))))
     return 0
 
 
@@ -127,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     handlers = {
         "run": _cmd_run,
-        "preset": _cmd_preset,
+        "preset": _cmd_run,
         "limit": _cmd_limit,
         "report": _cmd_report,
     }

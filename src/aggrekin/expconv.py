@@ -6,6 +6,7 @@ recursions.  They are evaluated blockwise so everything vectorizes while
 the local exponential rescaling stays well inside float64 range.  A
 chunked O(N^2) direct summation over the pairwise difference matrix is
 kept as the reference path; the two must agree to 1e-12 relative.
+:func:`use_scan` is the one place that picks between them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import numpy as np
 
 __all__ = [
+    "use_scan",
     "exp_one_sided_sums",
     "exp_velocity_scan",
     "exp_potential_scan",
@@ -25,6 +27,28 @@ __all__ = [
 # cap the in-block exponential rescaling at e^{0.25} to keep the blocked
 # cumulative sums accurate to ~1e-13 relative
 _MAX_BLOCK_SPAN = 0.25
+# "auto" sums directly up to this many cells and scans above it
+_SCAN_THRESHOLD = 512
+# rows of the pairwise difference matrix formed at a time by the direct sums
+_CHUNK = 256
+
+
+def use_scan(method: str, kernel, n: int) -> bool:
+    """Whether a convolution over ``n`` cells runs the linear-time scan.
+
+    ``method`` is "scan", "direct" (the O(N^2) sum) or "auto", which scans
+    for the exponential kernel above 512 cells.  The scan is exact only for
+    the exponential kernel; asking it of another kernel is an error.
+    """
+    if method == "auto":
+        return kernel.kind == "exponential" and n > _SCAN_THRESHOLD
+    if method == "scan":
+        if kernel.kind != "exponential":
+            raise ValueError("the linear-time scan is only valid for the exponential kernel")
+        return True
+    if method == "direct":
+        return False
+    raise ValueError(f"unknown convolution method {method!r}")
 
 
 def exp_one_sided_sums(w: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]:
@@ -89,33 +113,31 @@ def exp_potential_scan(w: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray
     return s, ds
 
 
-def direct_velocity(x: np.ndarray, w: np.ndarray, kernel, chunk: int = 256) -> np.ndarray:
-    """O(N^2) velocity sum a[j] = sum_{i != j} K'(x_j - x_i) * w_i."""
+def _direct_sums(x: np.ndarray, w: np.ndarray, kernel_fns) -> list[np.ndarray]:
+    """out[j] = sum_i f(x_j - x_i) w_i for each f of ``kernel_fns``, over
+    row chunks of the pairwise difference matrix."""
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     n = x.size
-    out = np.empty(n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        diff = x[start:stop, None] - x[None, :]
-        out[start:stop] = kernel.hat_deriv(diff) @ w
-    return out
+    outs = [np.empty(n) for _ in kernel_fns]
+    for start in range(0, n, _CHUNK):
+        diff = x[start : start + _CHUNK, None] - x[None, :]
+        for out, f in zip(outs, kernel_fns):
+            out[start : start + _CHUNK] = f(diff) @ w
+    return outs
 
 
-def direct_potential(x: np.ndarray, w: np.ndarray, kernel, chunk: int = 256) -> tuple[np.ndarray, np.ndarray]:
+def direct_velocity(x: np.ndarray, w: np.ndarray, kernel) -> np.ndarray:
+    """O(N^2) velocity sum a[j] = sum_{i != j} K'(x_j - x_i) * w_i."""
+    (a,) = _direct_sums(x, w, (kernel.hat_deriv,))
+    return a
+
+
+def direct_potential(x: np.ndarray, w: np.ndarray, kernel) -> tuple[np.ndarray, np.ndarray]:
     """O(N^2) potential and hatted-derivative convolutions.
 
     S[j] = sum_i K(x_j - x_i) w_i  (self term included; K(0) is finite),
     dS[j] = sum_{i != j} K'(x_j - x_i) w_i.
     """
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    n = x.size
-    s = np.empty(n)
-    ds = np.empty(n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        diff = x[start:stop, None] - x[None, :]
-        s[start:stop] = kernel.value(diff) @ w
-        ds[start:stop] = kernel.hat_deriv(diff) @ w
+    s, ds = _direct_sums(x, w, (kernel.value, kernel.hat_deriv))
     return s, ds

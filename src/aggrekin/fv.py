@@ -7,7 +7,8 @@ chi_a, and the interface fluxes use flux-vector splitting
 F = v^+ rho_left + v^- rho_right.
 
 Mass transfers between cells are quantized to a per-species power-of-two
-quantum q chosen so every cell value stays an exact float multiple of q.
+quantum q (``aggrekin.lattice``), so every cell value stays an exact float
+multiple of q.
 All updates are then exact floating-point operations, which makes the
 per-species total mass conserved to 0 ulp and positivity exact, at the
 cost of an O(1e-16) relative perturbation per transfer -- below ordinary
@@ -23,8 +24,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .expconv import direct_velocity, exp_velocity_scan
+from .expconv import direct_velocity, exp_velocity_scan, use_scan
 from .kernel import PointyKernel
+from .lattice import check_grid, checked_cells, mass_quantum, snap
 from .measures import DiscreteMeasure, ModelParams, SpeciesPair
 
 __all__ = [
@@ -40,30 +42,9 @@ __all__ = [
     "step",
     "extract_peaks",
     "species_peaks",
+    "check_boundary",
     "run",
 ]
-
-# direct O(N^2) summation below this size, linear scan above
-_SCAN_THRESHOLD = 512
-
-
-def mass_quantum(total: float) -> float:
-    """Power-of-two quantum q with total/q in [2^51, 2^52).
-
-    Multiples of q up to ~2 * total are exactly representable, so sums and
-    differences of quantized cell masses never round.
-    """
-    if not total > 0.0:
-        return 0.0
-    _, exp = math.frexp(total)
-    return math.ldexp(1.0, exp - 52)
-
-
-def _quantize(values: np.ndarray, q: float) -> np.ndarray:
-    if q == 0.0:
-        return np.zeros_like(values)
-    return np.rint(values / q) * q
-
 
 @dataclass(frozen=True)
 class GridState:
@@ -86,24 +67,15 @@ class GridState:
     q2: float = field(default=-1.0)
 
     def __post_init__(self):
-        r1 = np.asarray(self.rho1, dtype=float).copy()
-        r2 = np.asarray(self.rho2, dtype=float).copy()
+        r1 = checked_cells("rho1", self.rho1)
+        r2 = checked_cells("rho2", self.rho2)
         if r1.shape != r2.shape or r1.ndim != 1 or r1.size == 0:
             raise ValueError("rho1 and rho2 must be 1-D arrays of equal nonzero length")
-        for name, r in (("rho1", r1), ("rho2", r2)):
-            # a NaN or inf in any cell, or an overflowing total, makes the sum non-finite
-            if not math.isfinite(float(np.sum(r))):
-                raise ValueError(f"{name} holds a non-finite cell mass or total")
-            if np.min(r) < 0:
-                raise ValueError(f"{name}: cell masses must be nonnegative")
-        if not math.isfinite(self.xmin):
-            raise ValueError(f"xmin must be finite, got {self.xmin!r}")
-        if not (self.dx > 0 and math.isfinite(self.dx)):
-            raise ValueError(f"dx must be positive and finite, got {self.dx!r}")
+        check_grid(self.xmin, self.dx)
         q1 = self.q1 if self.q1 >= 0 else mass_quantum(float(np.sum(r1)))
         q2 = self.q2 if self.q2 >= 0 else mass_quantum(float(np.sum(r2)))
-        object.__setattr__(self, "rho1", _quantize(r1, q1))
-        object.__setattr__(self, "rho2", _quantize(r2, q2))
+        object.__setattr__(self, "rho1", snap(r1, q1))
+        object.__setattr__(self, "rho2", snap(r2, q2))
         object.__setattr__(self, "q1", q1)
         object.__setattr__(self, "q2", q2)
 
@@ -170,9 +142,8 @@ def assemble_velocity(
     """Hatted-kernel velocity a_hat[j] = sum_{i != j} K'(x_j - x_i) w_i
     with w = theta1 rho1 + theta2 rho2.
 
-    ``method`` is "auto", "direct" (O(N^2)) or "scan" (O(N), exponential
-    kernel only).  The two paths agree to 1e-12 relative; "auto" uses the
-    scan for exponential kernels above 512 cells.
+    ``method`` is "auto", "direct" (O(N^2)) or "scan" (O(N)), chosen as
+    :func:`aggrekin.expconv.use_scan` says; the two agree to 1e-12 relative.
 
     The scan runs only on the occupied window plus one empty cell on each
     side.  Beyond those edge cells no mass remains on the far side, so the
@@ -180,29 +151,21 @@ def assemble_velocity(
     tails are filled exactly that way.  Hence max|a_hat| sits on the
     scanned cells.
     """
-    if method == "auto":
-        method = "scan" if kernel.kind == "exponential" and state.n_cells > _SCAN_THRESHOLD else "direct"
-    if method == "scan":
-        if kernel.kind != "exponential":
-            raise ValueError("the linear-time scan is only valid for the exponential kernel")
-        a, b = state._padded_window()
-        n = state.n_cells
-        a_hat = np.empty(n)
-        a_hat[a:b] = exp_velocity_scan(p.theta1 * state.rho1[a:b] + p.theta2 * state.rho2[a:b], state.dx)
-        decay = np.exp(-state.dx * np.arange(1, max(a, n - b) + 1))
-        a_hat[:a] = a_hat[a] * decay[:a][::-1]
-        a_hat[b:] = a_hat[b - 1] * decay[: n - b]
-        return a_hat
-    if method == "direct":
+    if not use_scan(method, kernel, state.n_cells):
         return direct_velocity(state.centers, p.theta1 * state.rho1 + p.theta2 * state.rho2, kernel)
-    raise ValueError(f"unknown velocity method {method!r}")
+    a, b = state._padded_window()
+    n = state.n_cells
+    a_hat = np.empty(n)
+    a_hat[a:b] = exp_velocity_scan(p.theta1 * state.rho1[a:b] + p.theta2 * state.rho2[a:b], state.dx)
+    decay = np.exp(-state.dx * np.arange(1, max(a, n - b) + 1))
+    a_hat[:a] = a_hat[a] * decay[:a][::-1]
+    a_hat[b:] = a_hat[b - 1] * decay[: n - b]
+    return a_hat
 
 
-def make_flux(
-    state: GridState, kernel: PointyKernel, p: ModelParams, method: str = "auto"
-) -> FluxField:
+def make_flux(state: GridState, kernel: PointyKernel, p: ModelParams) -> FluxField:
     """Assemble the velocity field that ``step`` transports with."""
-    return FluxField(assemble_velocity(state, kernel, p, method), p.chi1, p.chi2)
+    return FluxField(assemble_velocity(state, kernel, p), p.chi1, p.chi2)
 
 
 def cfl_dt(
@@ -420,6 +383,18 @@ class _ContactTracker:
         self.prev1, self.prev2 = p1, p2
 
 
+def check_boundary(state, total: float) -> None:
+    """Abort a run whose outermost cells hold more than 1e-9 of the total
+    mass: the domain is supposed to be large enough that they stay empty.
+    ``state`` is a grid or kinetic state."""
+    boundary = state.rho1[0] + state.rho2[0] + state.rho1[-1] + state.rho2[-1]
+    if total > 0 and boundary > 1e-9 * total:
+        raise RuntimeError(
+            f"mass leak: boundary cells hold {boundary:.3e} at t = {state.time:.6f}; "
+            "enlarge the domain"
+        )
+
+
 @dataclass
 class FvRunResult:
     snapshots: list[tuple[float, GridState]]
@@ -439,17 +414,13 @@ def run(
     snapshot_times: tuple[float, ...] = (),
     safety: float = 0.9,
     dt_max: float | None = None,
-    method: str = "auto",
-    peak_threshold: float = 0.01,
     track_peaks: bool = True,
-    boundary_tol: float = 1e-9,
 ) -> FvRunResult:
     """Advance the scheme to time T with per-step diagnostics.
 
     Snapshots are recorded at the nearest step boundary <= each requested
-    time (actual times reported).  Aborts if the outermost cells accumulate
-    more than ``boundary_tol`` of the total mass: the domain is supposed to
-    be large enough that the boundary stays empty.  The per-step
+    time (actual times reported).  Aborts through :func:`check_boundary`
+    if mass reaches the outermost cells.  The per-step
     diagnostics are read off the occupied window: ``max_velocity`` is
     max|a_hat| over the window and its two neighbour cells, which for the
     exponential kernel is the maximum over the whole grid.
@@ -472,14 +443,6 @@ def run(
     tracker = _ContactTracker(initial.dx) if track_peaks else None
     req_idx = 0
 
-    def check_boundary(st: GridState):
-        boundary = st.rho1[0] + st.rho2[0] + st.rho1[-1] + st.rho2[-1]
-        if total > 0 and boundary > boundary_tol * total:
-            raise RuntimeError(
-                f"mass leak: boundary cells hold {boundary:.3e} at t = {st.time:.6f}; "
-                "enlarge the domain"
-            )
-
     def record_diag(st: GridState, flux: FluxField):
         lo, hi = st.window
         a, b = st._padded_window()
@@ -500,23 +463,19 @@ def run(
             req_idx += 1
 
     state = initial
-    check_boundary(state)
+    check_boundary(state, total)
     if tracker is not None:
-        tracker.update(state.time, species_peaks(state, 1, peak_threshold), species_peaks(state, 2, peak_threshold))
-    flux = make_flux(state, kernel, p, method)
+        tracker.update(state.time, species_peaks(state, 1), species_peaks(state, 2))
+    flux = make_flux(state, kernel, p)
     record_diag(state, flux)
     record_snapshots(state, state.time + dt if n_steps > 0 else math.inf)
 
     for k in range(1, n_steps + 1):
         state = step(state, flux, dt)
-        check_boundary(state)
+        check_boundary(state, total)
         if tracker is not None:
-            tracker.update(
-                state.time,
-                species_peaks(state, 1, peak_threshold),
-                species_peaks(state, 2, peak_threshold),
-            )
-        flux = make_flux(state, kernel, p, method)
+            tracker.update(state.time, species_peaks(state, 1), species_peaks(state, 2))
+        flux = make_flux(state, kernel, p)
         record_diag(state, flux)
         record_snapshots(state, state.time + dt if k < n_steps else math.inf)
 

@@ -26,10 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import write_csv
-from .expconv import direct_potential, exp_potential_scan
-from .fv import GridState, mass_quantum
+from .expconv import direct_potential, exp_potential_scan, use_scan
+from .fv import GridState, check_boundary
 from .fv import run as fv_run
 from .kernel import PointyKernel, exponential_kernel
+from .lattice import check_grid, checked_cells, mass_quantum, snap
 from .measures import DiscreteMeasure, ModelParams, SpeciesPair, wasserstein2
 
 __all__ = [
@@ -46,15 +47,15 @@ __all__ = [
     "write_limit_csv",
 ]
 
-_SCAN_THRESHOLD = 512
-
 
 @dataclass(frozen=True)
 class KineticState:
     """Per-cell masses rho and signed fluxes J for both species.
 
     The flux bound |J| <= rho (equivalently f(+-1) >= 0) is enforced at
-    construction; rho is snapped to the per-species mass quantum.
+    construction; rho is snapped to the per-species mass quantum.  NaN or
+    inf in ``xmin``, ``dx``, ``epsilon`` or a cell is rejected with the
+    name of the offending field.
     """
 
     xmin: float
@@ -69,30 +70,26 @@ class KineticState:
     q2: float = -1.0
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be strictly positive")
-        if not self.dx > 0:
-            raise ValueError("dx must be positive")
-        arrays = {}
-        for name in ("rho1", "rho2", "J1", "J2"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
+        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        check_grid(self.xmin, self.dx)
+        arrays = {name: checked_cells(name, getattr(self, name)) for name in ("rho1", "rho2")}
+        arrays.update((name, np.asarray(getattr(self, name), dtype=float).copy()) for name in ("J1", "J2"))
+        for name, arr in arrays.items():
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be a 1-D array")
-            arrays[name] = arr
         if len({a.size for a in arrays.values()}) != 1:
             raise ValueError("all state arrays must share one grid")
-        if np.any(arrays["rho1"] < 0) or np.any(arrays["rho2"] < 0):
-            raise ValueError("cell masses must be nonnegative")
         q1 = self.q1 if self.q1 >= 0 else mass_quantum(float(np.sum(arrays["rho1"])))
         q2 = self.q2 if self.q2 >= 0 else mass_quantum(float(np.sum(arrays["rho2"])))
-        for name, q in (("rho1", q1), ("rho2", q2)):
-            if q > 0.0:
-                arrays[name] = np.rint(arrays[name] / q) * q
+        arrays["rho1"] = snap(arrays["rho1"], q1)
+        arrays["rho2"] = snap(arrays["rho2"], q2)
         for rho_name, j_name in (("rho1", "J1"), ("rho2", "J2")):
             rho, j = arrays[rho_name], arrays[j_name]
             excess = np.abs(j) - rho
-            if np.any(excess > 1e-9 * max(1.0, float(np.max(rho, initial=0.0)))):
-                raise ValueError(f"|{j_name}| must not exceed {rho_name} (f(+-1) >= 0)")
+            # a NaN or inf flux fails this test as well
+            if not np.all(excess <= 1e-9 * max(1.0, float(np.max(rho, initial=0.0)))):
+                raise ValueError(f"{j_name} must be finite with |{j_name}| <= {rho_name} (f(+-1) >= 0)")
             arrays[j_name] = np.clip(j, -rho, rho)
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
@@ -144,32 +141,23 @@ def solve_chemo_field(
 ) -> ChemoField:
     """S = K * (theta1 rho1 + theta2 rho2) and its hatted-kernel gradient.
 
-    For the exponential kernel both an O(N) forward/backward scan and the
-    O(N^2) direct sum are available ("scan"/"direct"; "auto" picks the scan
-    above 512 cells).  Other kernels fall back to the direct convolution.
+    ``method`` is "auto", "scan" (O(N), exponential kernel only) or
+    "direct" (O(N^2)), chosen as :func:`aggrekin.expconv.use_scan` says.
     """
     w = p.theta1 * np.asarray(rho1, dtype=float) + p.theta2 * np.asarray(rho2, dtype=float)
     if kernel is None:
         kernel = exponential_kernel()
-    if method == "auto":
-        method = "scan" if kernel.kind == "exponential" and w.size > _SCAN_THRESHOLD else "direct"
-    if method == "scan":
-        if kernel.kind != "exponential":
-            raise ValueError("the linear-time scan is only valid for the exponential kernel")
+    if use_scan(method, kernel, w.size):
         s, ds = exp_potential_scan(w, dx)
-    elif method == "direct":
+    else:
         if centers is None:
             centers = (np.arange(w.size) + 0.5) * dx
         s, ds = direct_potential(centers, w, kernel)
-    else:
-        raise ValueError(f"unknown method {method!r}")
     return ChemoField(s, ds)
 
 
-def field_for(state: KineticState, p: ModelParams, kernel=None, method: str = "auto") -> ChemoField:
-    return solve_chemo_field(
-        state.rho1, state.rho2, state.dx, p, kernel, state.centers, method
-    )
+def field_for(state: KineticState, p: ModelParams, kernel=None) -> ChemoField:
+    return solve_chemo_field(state.rho1, state.rho2, state.dx, p, kernel, state.centers)
 
 
 def _transport(rho: np.ndarray, j: np.ndarray, q: float, c: float) -> tuple[np.ndarray, np.ndarray]:
@@ -281,22 +269,19 @@ def run(
     initial: KineticState,
     p: ModelParams,
     T: float,
-    dt: float | None = None,
     kernel: PointyKernel | None = None,
     snapshot_times: tuple[float, ...] = (),
-    method: str = "auto",
-    boundary_tol: float = 1e-9,
 ) -> KineticRunResult:
-    """Advance to time T, refreshing the chemo field every step.
+    """Advance to time T in steps of dt = dx (exact characteristic shifts,
+    no numerical diffusion), refreshing the chemo field every step.
 
-    dt defaults to dx (exact characteristic shifts, no numerical
-    diffusion).  Snapshots are recorded at the last step boundary <= each
-    requested time.
+    Snapshots are recorded at the last step boundary <= each requested
+    time.  Aborts through :func:`aggrekin.fv.check_boundary` if mass
+    reaches the outermost cells.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
-    if dt is None:
-        dt = initial.dx
+    dt = initial.dx
     n_steps = int(math.floor(T / dt + 1e-12)) if T > 0 else 0
     requested = sorted(snapshot_times)
     req_idx = 0
@@ -305,7 +290,7 @@ def run(
     total = sum(initial.total_masses())
 
     state = initial
-    field = field_for(state, p, kernel, method)
+    field = field_for(state, p, kernel)
 
     def record(st: KineticState, fld: ChemoField, limit: float):
         nonlocal req_idx
@@ -320,12 +305,8 @@ def run(
     record(state, field, state.time + dt if n_steps > 0 else math.inf)
     for k in range(1, n_steps + 1):
         state = step(state, field, p, dt)
-        boundary = state.rho1[0] + state.rho2[0] + state.rho1[-1] + state.rho2[-1]
-        if total > 0 and boundary > boundary_tol * total:
-            raise RuntimeError(
-                f"mass leak: boundary cells hold {boundary:.3e} at t = {state.time:.6f}"
-            )
-        field = field_for(state, p, kernel, method)
+        check_boundary(state, total)
+        field = field_for(state, p, kernel)
         record(state, field, state.time + dt if k < n_steps else math.inf)
     return KineticRunResult(
         snapshots=snapshots,

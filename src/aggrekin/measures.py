@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import write_csv
-
 __all__ = [
     "CoarseGridWarning",
     "DiscreteMeasure",
@@ -29,10 +27,6 @@ __all__ = [
     "weighted_center",
     "moments",
     "sample_gaussian_bumps",
-    "write_measure_csv",
-    "read_measure_csv",
-    "write_pair_csv",
-    "read_pair_csv",
 ]
 
 
@@ -227,32 +221,3 @@ def sample_gaussian_bumps(
         )
     return DiscreteMeasure(centers, masses)
 
-
-# --- CSV serialization -------------------------------------------------
-
-def write_measure_csv(path, m: DiscreteMeasure) -> None:
-    write_csv(path, ["position", "mass"], zip(m.positions, m.masses))
-
-
-def read_measure_csv(path) -> DiscreteMeasure:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return DiscreteMeasure(data[:, 0], data[:, 1])
-
-
-def write_pair_csv(path, pair: SpeciesPair) -> None:
-    """Write a species pair sharing one grid as (position, mass1, mass2)."""
-    if pair.rho1.positions.size != pair.rho2.positions.size or np.any(
-        pair.rho1.positions != pair.rho2.positions
-    ):
-        raise ValueError("pair CSV requires both species on one shared grid")
-    write_csv(
-        path, ["position", "mass1", "mass2"], zip(pair.rho1.positions, pair.rho1.masses, pair.rho2.masses)
-    )
-
-
-def read_pair_csv(path) -> SpeciesPair:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return SpeciesPair(
-        DiscreteMeasure(data[:, 0], data[:, 1]),
-        DiscreteMeasure(data[:, 0], data[:, 2]),
-    )

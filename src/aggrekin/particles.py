@@ -26,8 +26,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fv import mass_quantum
 from .kernel import PointyKernel
+from .lattice import mass_quantum, snap
 from .measures import DiscreteMeasure, ModelParams, SpeciesPair
 
 __all__ = [
@@ -104,10 +104,8 @@ class ClusterSet:
         q1 = mass_quantum(_species_total("m1", m1))
         q2 = mass_quantum(_species_total("m2", m2))
         for c in self.clusters:
-            if q1 > 0.0:
-                c.m1 = round(c.m1 / q1) * q1
-            if q2 > 0.0:
-                c.m2 = round(c.m2 / q2) * q2
+            c.m1 = snap(c.m1, q1)
+            c.m2 = snap(c.m2, q2)
         if self.next_id < 0:
             used = [c.id for c in self.clusters]
             start = max(used, default=-1) + 1
@@ -292,17 +290,32 @@ def _safe_split_positions(
     return s1, s2
 
 
+def _split(
+    cs: ClusterSet, first: int, last: int, pos: float, m1: float, m2: float,
+    gam: float, p: ModelParams, gap_tol: float, next_id: int,
+) -> tuple[Cluster, Cluster]:
+    """The species-1 and species-2 clusters that replace clusters ``first``
+    to ``last`` of ``cs`` (masses m1 and m2 at ``pos``) when they separate:
+    species 1 moves the way the external attraction ``gam`` drives it
+    relative to species 2, and neither part jumps over a neighbour."""
+    direction = 1.0 if (p.chi1 - p.chi2) * gam > 0 else -1.0
+    left = cs.clusters[first - 1].position if first > 0 else -math.inf
+    right = cs.clusters[last + 1].position if last + 1 < len(cs) else math.inf
+    s1_pos, s2_pos = _safe_split_positions(pos, direction, gap_tol, left, right)
+    return Cluster(s1_pos, m1, 0.0, next_id), Cluster(s2_pos, 0.0, m2, next_id + 1)
+
+
 def _handle_group(
     cs: ClusterSet,
     group: list[int],
     kernel: PointyKernel,
     p: ModelParams,
     gap_tol: float,
-    t_event: float,
     new_clusters: list[Cluster],
     events: list[Event],
 ) -> int:
-    """Resolve a contact among consecutive clusters; returns next free id."""
+    """Resolve a contact among consecutive clusters at the time of ``cs``;
+    returns next free id."""
     members = [cs.clusters[i] for i in group]
     ids = tuple(c.id for c in members)
     pos_list = tuple(c.position for c in members)
@@ -312,6 +325,7 @@ def _handle_group(
     pos = math.fsum(c.mass * c.position for c in members) / total
     all_pos = tuple(c.position for c in cs.clusters)
     next_id = cs.next_id
+    t_event = cs.time
 
     n_s1 = sum(1 for c in members if c.m1 > 0)
     n_s2 = sum(1 for c in members if c.m2 > 0)
@@ -329,25 +343,15 @@ def _handle_group(
                 Event(t_event, "glue", ids, pos_list, m1, m2, gam, chk.lhs, chk.rhs, all_pos)
             )
         else:
-            direction = 1.0 if (p.chi1 - p.chi2) * gam > 0 else -1.0
-            left = cs.clusters[group[0] - 1].position if group[0] > 0 else -math.inf
-            right = (
-                cs.clusters[group[-1] + 1].position if group[-1] + 1 < len(cs) else math.inf
-            )
-            s1_pos, s2_pos = _safe_split_positions(pos, direction, gap_tol, left, right)
-            new_clusters.append(Cluster(s1_pos, m1, 0.0, next_id))
-            new_clusters.append(Cluster(s2_pos, 0.0, m2, next_id + 1))
+            new_clusters.extend(_split(cs, group[0], group[-1], pos, m1, m2, gam, p, gap_tol, next_id))
             next_id += 2
             events.append(
                 Event(t_event, "cross", ids, pos_list, m1, m2, gam, chk.lhs, chk.rhs, all_pos)
             )
     else:
+        # a one-species group has at least two members, so its merge is recorded above
         new_clusters.append(Cluster(pos, m1, m2, next_id))
         next_id += 1
-        if not events or events[-1].kind != "merge_same_species" or events[-1].participants != ids:
-            events.append(
-                Event(t_event, "merge_same_species", ids, pos_list, m1, m2, all_positions=all_pos)
-            )
     return next_id
 
 
@@ -366,11 +370,7 @@ def _unglue_pass(
         chk = sync_condition(gam, c.m1, c.m2, p)
         if chk.holds:
             continue
-        direction = 1.0 if (p.chi1 - p.chi2) * gam > 0 else -1.0
-        left = cs.clusters[i - 1].position if i > 0 else -math.inf
-        right = cs.clusters[i + 1].position if i + 1 < len(cs) else math.inf
-        s1_pos, s2_pos = _safe_split_positions(c.position, direction, gap_tol, left, right)
-        splits[i] = (Cluster(s1_pos, c.m1, 0.0, next_id), Cluster(s2_pos, 0.0, c.m2, next_id + 1))
+        splits[i] = _split(cs, i, i, c.position, c.m1, c.m2, gam, p, gap_tol, next_id)
         next_id += 2
         events.append(
             Event(
@@ -411,6 +411,21 @@ def _contact_groups(gaps_touching: np.ndarray) -> list[list[int]]:
     if current:
         groups.append(current)
     return groups
+
+
+def _resolve_contacts(
+    cs: ClusterSet, touching: np.ndarray, kernel: PointyKernel, p: ModelParams, gap_tol: float
+) -> tuple[ClusterSet, list[Event]]:
+    """Resolve every group of clusters joined by a ``touching`` gap at the
+    time of ``cs``, a set owned by the caller (its ``next_id`` advances)."""
+    events: list[Event] = []
+    groups = _contact_groups(touching)
+    in_group = set(i for g in groups for i in g)
+    new_clusters = [replace(c) for i, c in enumerate(cs.clusters) if i not in in_group]
+    for g in groups:
+        cs.next_id = _handle_group(cs, g, kernel, p, gap_tol, new_clusters, events)
+    new_clusters.sort(key=lambda c: c.position)
+    return ClusterSet(new_clusters, cs.time, cs.next_id), events
 
 
 def advance(
@@ -467,18 +482,7 @@ def advance(
     # contacts already pending from a previous event resolution
     touching = (gaps <= 1.5 * gap_tol) & (closing < 0)
     if touching.any():
-        groups = _contact_groups(touching)
-        in_group = set(i for g in groups for i in g)
-        new_clusters = [replace(c) for i, c in enumerate(cs.clusters) if i not in in_group]
-        next_id = cs.next_id
-        working = ClusterSet([replace(c) for c in cs.clusters], cs.time, cs.next_id)
-        for g in groups:
-            next_id = _handle_group(
-                working, g, kernel, p, gap_tol, cs.time, new_clusters, events
-            )
-            working.next_id = next_id
-        new_clusters.sort(key=lambda c: c.position)
-        return ClusterSet(new_clusters, cs.time, next_id), events
+        return _resolve_contacts(cs.copy(), touching, kernel, p, gap_tol)
 
     dt = dt_max
     shrinking = closing < 0
@@ -503,24 +507,12 @@ def advance(
             lo = mid
     touching = has_contact(trial(hi))
     z_commit = trial(lo) if lo > 0.0 else z0
-    t_event = cs.time + hi
-
     committed = ClusterSet(
         [Cluster(x, c.m1, c.m2, c.id) for c, x in zip(cs.clusters, z_commit.tolist())],
-        t_event,
+        cs.time + hi,
         cs.next_id,
     )
-    groups = _contact_groups(touching)
-    in_group = set(i for g in groups for i in g)
-    new_clusters = [replace(c) for i, c in enumerate(committed.clusters) if i not in in_group]
-    next_id = committed.next_id
-    for g in groups:
-        next_id = _handle_group(
-            committed, g, kernel, p, gap_tol, t_event, new_clusters, events
-        )
-        committed.next_id = next_id
-    new_clusters.sort(key=lambda c: c.position)
-    return ClusterSet(new_clusters, t_event, next_id), events
+    return _resolve_contacts(committed, touching, kernel, p, gap_tol)
 
 
 @dataclass
@@ -542,21 +534,19 @@ def run(
     T: float,
     dt_max: float = 1e-3,
     gap_tol: float = 1e-9,
-    sample_dt: float | None = None,
     snapshot_times: tuple[float, ...] = (),
 ) -> ParticleRunResult:
     """Advance repeatedly until time T or a single remaining aggregate.
 
     Emits a ``final_collapse`` event when the population first reduces to
-    one cluster.  Trajectories are sampled every ``sample_dt`` (default
-    T/200); ``snapshot_times`` are hit exactly (the step is shortened to
-    land on them) and reported in ``snapshots``.  ``n_advances`` counts the
+    one cluster.  Trajectories are sampled every T/200; ``snapshot_times``
+    are hit exactly (the step is shortened to land on them) and reported in
+    ``snapshots``.  ``n_advances`` counts the
     calls to :func:`advance` and ``elapsed`` is the wall time of the run.
     """
     if not T > 0:
         raise ValueError("T must be positive")
-    if sample_dt is None:
-        sample_dt = T / 200.0
+    sample_dt = T / 200.0
     pending = sorted(t for t in snapshot_times if t > initial.time)
     if any(t > T for t in pending):
         raise ValueError("snapshot times must lie in [0, T]")

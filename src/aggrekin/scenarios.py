@@ -29,6 +29,7 @@ from .measures import ModelParams, bump_mass_unit, sample_gaussian_bumps
 from .particles import Cluster, ClusterSet
 
 __all__ = [
+    "SOLVERS",
     "Scenario",
     "RunReport",
     "ScenarioError",
@@ -72,6 +73,10 @@ Scenario JSON schema (all masses in absolute units):
 """
 
 
+# the scalar settings a scenario file may leave to their Scenario defaults
+_OPTIONAL_NUMBERS = ("bump_width", "cfl_safety", "gap_tol", "dt_max", "epsilon")
+
+
 class ScenarioError(ValueError):
     """Configuration rejected, with the offending key in the message."""
 
@@ -98,18 +103,11 @@ class Scenario:
     def __post_init__(self):
         if self.solver not in SOLVERS:
             raise ScenarioError(f"solver: unknown tag {self.solver!r}; valid: {', '.join(SOLVERS)}")
-        if not self.T > 0:
-            raise ScenarioError("T: must be strictly positive")
+        for key in ("T", "bump_width", "gap_tol", "dt_max", "epsilon"):
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise ScenarioError(f"{key}: must be positive and finite, got {getattr(self, key)!r}")
         if not 0.0 < self.cfl_safety < 1.0:
             raise ScenarioError("cfl_safety: must lie in (0, 1)")
-        if not self.gap_tol > 0:
-            raise ScenarioError("gap_tol: must be strictly positive")
-        if not self.dt_max > 0:
-            raise ScenarioError("dt_max: must be strictly positive")
-        if not self.epsilon > 0:
-            raise ScenarioError("epsilon: must be strictly positive")
-        if not self.bump_width > 0:
-            raise ScenarioError("bump_width: must be strictly positive")
         for label, spec in (("species1", self.initial1), ("species2", self.initial2)):
             forms = [key for key in ("bumps", "clusters") if key in spec]
             if len(forms) != 1:
@@ -119,6 +117,8 @@ class Scenario:
             for entry in spec[forms[0]]:
                 if len(entry) != 2:
                     raise ScenarioError(f"initial.{label}: entries must be [value, value] pairs")
+                if not all(map(math.isfinite, entry)):
+                    raise ScenarioError(f"initial.{label}: entries must be finite, got {entry!r}")
                 if forms[0] == "bumps" and entry[0] < 0:
                     raise ScenarioError(f"initial.{label}: negative bump amplitude")
                 if forms[0] == "clusters" and entry[1] < 0:
@@ -131,16 +131,19 @@ class Scenario:
                     "initial: grid solvers require Gaussian-bump initial data"
                 )
         if self.grid is not None:
+            for key, value in zip(("xmin", "xmax", "dx"), self.grid):
+                if not math.isfinite(value):
+                    raise ScenarioError(f"grid.{key}: must be finite, got {value!r}")
             xmin, xmax, dx = self.grid
             if not (xmax > xmin and dx > 0):
                 raise ScenarioError("grid: needs xmax > xmin and dx > 0")
-        if any(t < 0 or t > self.T for t in self.snapshot_times):
-            raise ScenarioError("snapshot_times: must lie in [0, T]")
+        if not all(0.0 <= t <= self.T for t in self.snapshot_times):
+            raise ScenarioError(f"snapshot_times: must lie in [0, T], got {list(self.snapshot_times)!r}")
         if self.eps_list is not None:
-            if any(e <= 0 for e in self.eps_list) or any(
+            if not all(0.0 < e < math.inf for e in self.eps_list) or any(
                 b >= a for a, b in zip(self.eps_list, self.eps_list[1:])
             ):
-                raise ScenarioError("eps_list: must be positive and strictly decreasing")
+                raise ScenarioError("eps_list: must be positive, finite and strictly decreasing")
 
     @property
     def mass_unit(self) -> float:
@@ -246,14 +249,10 @@ def scenario_from_dict(d: dict, name: str = "scenario") -> Scenario:
         solver=str(d["solver"]),
         T=T,
         grid=grid,
-        bump_width=float(d.get("bump_width", 5000.0)),
         snapshot_times=tuple(float(t) for t in snapshot_times),
-        cfl_safety=float(d.get("cfl_safety", 0.9)),
-        gap_tol=float(d.get("gap_tol", 1e-9)),
-        dt_max=float(d.get("dt_max", 1e-3)),
-        epsilon=float(d.get("epsilon", 0.1)),
         eps_list=tuple(float(e) for e in d["eps_list"]) if "eps_list" in d else None,
         output_dir=d.get("output_dir"),
+        **{key: float(d[key]) for key in _OPTIONAL_NUMBERS if key in d},
     )
 
 
@@ -388,16 +387,16 @@ class RunReport:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "solver": self.solver,
-            "mass_unit": self.mass_unit,
-            "events": self.events,
-            "conservation": self.conservation,
-            "collision_times": self.collision_times,
-            "files": self.files,
-            "extra": self.extra,
-        }
+        return dict(vars(self))
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "RunReport":
+        """The report that :meth:`to_dict` (or a ``report.json``) holds; a
+        missing or unknown key is named in a ScenarioError."""
+        try:
+            return cls(**d)
+        except TypeError as exc:
+            raise ScenarioError(f"report: {exc}") from None
 
 
 _FMT = "%.17g"
@@ -419,26 +418,34 @@ def resolve_output_dir(s: Scenario, out_root: str | None = None) -> Path:
     return base
 
 
-def _run_particles(s: Scenario, kernel, out: Path) -> tuple[list[dict], dict, dict, list[str]]:
-    cs0 = initial_cluster_set(s)
-    m1_0, m2_0 = cs0.total_masses()
-    wc0 = cs0.weighted_center(s.params)
-    res = part_mod.run(
-        cs0, kernel, s.params, s.T,
-        dt_max=s.dt_max, gap_tol=s.gap_tol,
-        snapshot_times=s.snapshot_times,
-    )
-    m1_1, m2_1 = res.final.total_masses()
-    conservation = {
+def _conservation(initial, final, p: ModelParams | None = None) -> dict:
+    """Per-species masses before and after a run and their drifts, plus the
+    weighted centre and its drift when ``p`` is given."""
+    m1_0, m2_0 = initial.total_masses()
+    m1_1, m2_1 = final.total_masses()
+    out = {
         "mass1_initial": m1_0,
         "mass2_initial": m2_0,
         "mass1_final": m1_1,
         "mass2_final": m2_1,
         "mass1_drift": m1_1 - m1_0,
         "mass2_drift": m2_1 - m2_0,
-        "weighted_center_initial": wc0,
-        "weighted_center_drift": res.final.weighted_center(s.params) - wc0,
     }
+    if p is not None:
+        wc0 = initial.weighted_center(p)
+        out["weighted_center_initial"] = wc0
+        out["weighted_center_drift"] = final.weighted_center(p) - wc0
+    return out
+
+
+def _run_particles(s: Scenario, kernel, out: Path) -> tuple[list[dict], dict, dict, list[str]]:
+    cs0 = initial_cluster_set(s)
+    res = part_mod.run(
+        cs0, kernel, s.params, s.T,
+        dt_max=s.dt_max, gap_tol=s.gap_tol,
+        snapshot_times=s.snapshot_times,
+    )
+    conservation = _conservation(cs0, res.final, s.params)
     files = []
     traj_path = out / "trajectories.csv"
     rows = []
@@ -466,25 +473,13 @@ def _run_particles(s: Scenario, kernel, out: Path) -> tuple[list[dict], dict, di
 
 def _run_fv(s: Scenario, kernel, out: Path) -> tuple[list[dict], dict, dict, list[str]]:
     st0 = initial_grid_state(s)
-    m1_0, m2_0 = st0.total_masses()
-    wc0 = st0.weighted_center(s.params)
     res = fv_mod.run(
         st0, kernel, s.params, s.T,
         snapshot_times=s.snapshot_times, safety=s.cfl_safety,
     )
-    m1_1, m2_1 = res.final.total_masses()
-    conservation = {
-        "mass1_initial": m1_0,
-        "mass2_initial": m2_0,
-        "mass1_final": m1_1,
-        "mass2_final": m2_1,
-        "mass1_drift": m1_1 - m1_0,
-        "mass2_drift": m2_1 - m2_0,
-        "weighted_center_initial": wc0,
-        "weighted_center_drift": res.final.weighted_center(s.params) - wc0,
-        "min_cell": float(np.min(res.diagnostics["min_cell"])),
-        "max_velocity": float(np.max(res.diagnostics["max_velocity"])),
-    }
+    conservation = _conservation(st0, res.final, s.params)
+    conservation["min_cell"] = float(np.min(res.diagnostics["min_cell"]))
+    conservation["max_velocity"] = float(np.max(res.diagnostics["max_velocity"]))
     files = []
     peaks_payload = []
     for i, (t, state) in enumerate(res.snapshots):
@@ -541,17 +536,8 @@ def _run_kinetic(s: Scenario, kernel, out: Path) -> tuple[list[dict], dict, dict
             "params: kinetic runs require chi_a * (theta1 + theta2) < 1 for both species"
         )
     kin0 = kin_mod.well_prepared_state(st0, s.params, s.epsilon, kernel)
-    m1_0, m2_0 = kin0.total_masses()
     res = kin_mod.run(kin0, s.params, s.T, kernel=kernel, snapshot_times=s.snapshot_times)
-    m1_1, m2_1 = res.final.total_masses()
-    conservation = {
-        "mass1_initial": m1_0,
-        "mass2_initial": m2_0,
-        "mass1_final": m1_1,
-        "mass2_final": m2_1,
-        "mass1_drift": m1_1 - m1_0,
-        "mass2_drift": m2_1 - m2_0,
-    }
+    conservation = _conservation(kin0, res.final)
     files = []
     for i, (t, state, fld) in enumerate(res.snapshots):
         snap_path = out / f"kinetic_{i:03d}.csv"

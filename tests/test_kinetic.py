@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from aggrekin.fv import GridState
 from aggrekin.kernel import exponential_kernel
@@ -100,6 +102,46 @@ class TestKineticState:
         st = KineticState(0.0, 0.1, [0.3, 0.4], [0.0, 0.0], [0.1, -0.1], [0.0, 0.0], 0.1)
         assert st.q1 > 0.0
         assert np.all(np.abs(np.round(st.rho1 / st.q1) * st.q1 - st.rho1) == 0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rho1", [math.nan, 1.0, 0.0, 0.0]),
+            ("J1", [math.nan, 0.0, 0.0, 0.0]),
+            ("rho1", [math.inf, 1.0, 0.0, 0.0]),
+            ("dx", math.inf),
+            ("xmin", math.nan),
+            ("epsilon", math.inf),
+        ],
+    )
+    def test_rejects_non_finite_input(self, field, value):
+        args = dict(
+            xmin=0.0, dx=0.1, rho1=[1.0, 1.0, 0.0, 0.0], rho2=[0.0, 1.0, 1.0, 0.0],
+            J1=np.zeros(4), J2=np.zeros(4), epsilon=0.1,
+        )
+        args[field] = value
+        with pytest.raises(ValueError, match=field):
+            KineticState(**args)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        masses=hs.lists(hs.floats(0.0, 10.0), min_size=1, max_size=12),
+        bad=hs.sampled_from([math.nan, math.inf, -math.inf]),
+        name=hs.sampled_from(["rho1", "rho2", "J1", "J2", "xmin", "dx", "epsilon"]),
+        where=hs.integers(0, 11),
+    )
+    def test_non_finite_field_is_named(self, masses, bad, name, where):
+        rho = np.array(masses)
+        args = dict(
+            xmin=-1.0, dx=0.1, rho1=rho, rho2=rho[::-1].copy(),
+            J1=0.5 * rho, J2=-0.5 * rho[::-1], epsilon=0.1,
+        )
+        if name in ("rho1", "rho2", "J1", "J2"):
+            args[name][where % len(masses)] = bad
+        else:
+            args[name] = bad
+        with pytest.raises(ValueError, match=name):
+            KineticState(**args)
 
 
 class TestStep:

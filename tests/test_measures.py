@@ -14,13 +14,9 @@ from aggrekin.measures import (
     coupled_w2,
     moments,
     quantile,
-    read_measure_csv,
-    read_pair_csv,
     sample_gaussian_bumps,
     wasserstein2,
     weighted_center,
-    write_measure_csv,
-    write_pair_csv,
 )
 
 
@@ -252,28 +248,3 @@ class TestGaussianBumps:
     def test_mass_unit_value(self):
         assert bump_mass_unit(5000.0) == pytest.approx(0.025066282746310002, rel=1e-12)
 
-
-class TestCsvRoundTrip:
-    def test_measure(self, tmp_path):
-        m = DiscreteMeasure([-1.5, 0.0, 2.25], [0.1, 0.7, 0.2])
-        path = tmp_path / "m.csv"
-        write_measure_csv(path, m)
-        back = read_measure_csv(path)
-        assert np.array_equal(back.positions, m.positions)
-        assert np.array_equal(back.masses, m.masses)
-
-    def test_pair(self, tmp_path):
-        x = np.array([-1.0, 0.0, 1.0])
-        pair = SpeciesPair(
-            DiscreteMeasure(x, [0.1, 0.2, 0.3]), DiscreteMeasure(x, [0.3, 0.0, 0.1])
-        )
-        path = tmp_path / "pair.csv"
-        write_pair_csv(path, pair)
-        back = read_pair_csv(path)
-        assert np.array_equal(back.rho1.masses, pair.rho1.masses)
-        assert np.array_equal(back.rho2.masses, pair.rho2.masses)
-
-    def test_pair_requires_shared_grid(self, tmp_path):
-        pair = SpeciesPair(DiscreteMeasure([0.0], [1.0]), DiscreteMeasure([1.0], [1.0]))
-        with pytest.raises(ValueError):
-            write_pair_csv(tmp_path / "bad.csv", pair)

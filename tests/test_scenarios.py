@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -8,11 +9,13 @@ import numpy as np
 import pytest
 
 from aggrekin import particles as part_mod
+from aggrekin.cli import _build_parser
 from aggrekin.cli import main as cli_main
 from aggrekin.fv import extract_peaks
 from aggrekin.measures import bump_mass_unit
 from aggrekin.scenarios import (
     PRESET_NAMES,
+    SOLVERS,
     RunReport,
     ScenarioError,
     initial_cluster_set,
@@ -116,6 +119,28 @@ class TestLoadScenario:
                     "T": 1.0,
                 }
             )
+
+    @pytest.mark.parametrize(
+        "path, value, key",
+        [
+            (("snapshot_times",), [0.0, float("nan")], "snapshot_times"),
+            (("grid", "xmax"), float("inf"), "grid.xmax"),
+            (("bump_width",), float("inf"), "bump_width"),
+            (("epsilon",), float("inf"), "epsilon"),
+            (("gap_tol",), float("inf"), "gap_tol"),
+            (("initial", "species1", "bumps"), [[float("nan"), -0.5]], "initial.species1"),
+        ],
+    )
+    def test_non_finite_value_is_named(self, tmp_path, path, value, key):
+        data = scenario_to_dict(preset("example1", T=1.0))
+        node = data
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        with pytest.raises(ScenarioError, match=key):
+            load_scenario(cfg)
 
 
 class TestPresets:
@@ -250,6 +275,15 @@ class TestRunScenario:
         assert "LHS" in text and "RHS" in text
         assert "synchronise" in text or "separate" in text
 
+    @pytest.mark.parametrize("solver", ["particles", "fv", "compare"])
+    def test_report_round_trips_through_dict_and_json(self, tmp_path, solver):
+        s = preset("example1", solver=solver, T=0.05)
+        s.output_dir = str(tmp_path / solver)
+        report = run_scenario(s)
+        assert RunReport.from_dict(report.to_dict()) == report
+        written = json.loads((tmp_path / solver / "report.json").read_text())
+        assert RunReport.from_dict(written) == report
+
 
 class TestCrossValidation:
     def test_fv_peaks_track_particle_positions_before_collision(self):
@@ -297,6 +331,29 @@ class TestCli:
         proc2 = self.run_cli("report", str(run_dir))
         assert proc2.returncode == 0, proc2.stderr
         assert "sync analysis" in proc2.stdout
+
+    def test_report_of_compare_run_prints_the_sync_table(self, tmp_path):
+        s = preset("example1", solver="compare", T=1.0)
+        s.output_dir = str(tmp_path / "cmp")
+        report = run_scenario(s)
+        proc = self.run_cli("report", s.output_dir)
+        assert proc.returncode == 0, proc.stderr
+        assert "synchronise" in proc.stdout
+        assert proc.stdout == report_sync_analysis(report) + "\n"
+
+    def test_report_with_missing_keys_is_a_json_error(self, tmp_path):
+        (tmp_path / "report.json").write_text(json.dumps({"solver": "particles", "events": []}))
+        proc = self.run_cli("report", str(tmp_path))
+        assert proc.returncode == 1
+        payload = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert payload["error"] == "ScenarioError"
+        assert "scenario" in payload["message"]
+
+    def test_run_solver_choices_are_the_scenario_solvers(self):
+        parser = _build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        solver = next(a for a in commands.choices["run"]._actions if a.dest == "solver")
+        assert list(solver.choices) == list(SOLVERS)
 
     def test_preset_does_not_offer_kinetic(self, capsys):
         # every preset has chi1 = 10, which no kinetic run accepts
