@@ -18,16 +18,14 @@ roundoff for any other formulation.
 from __future__ import annotations
 
 import math
-import time as _time
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 from .expconv import direct_velocity, exp_velocity_scan, use_scan
 from .kernel import PointyKernel
-from .lattice import check_grid, checked_cells, mass_quantum, snap
-from .measures import DiscreteMeasure, ModelParams, SpeciesPair
+from .lattice import GridCells, check_boundary, mass_quantum, march
+from .measures import ModelParams
 
 __all__ = [
     "GridState",
@@ -47,79 +45,14 @@ __all__ = [
 ]
 
 @dataclass(frozen=True)
-class GridState:
-    """Uniform grid carrying per-cell masses for both species.
+class GridState(GridCells):
+    """The finite-volume state: per-cell masses of both species on a
+    uniform grid at ``time``, each snapped to its quantum ``q1``/``q2``
+    (see :class:`aggrekin.lattice.GridCells`)."""
 
-    ``xmin`` is the left edge of the first cell; cell centers sit at
-    xmin + (j + 1/2) dx.  Cell values are masses (density times dx).  On
-    construction each species is snapped to its mass quantum; the quanta
-    ride along so subsequent steps stay on the same lattice.  Non-finite
-    input (NaN or inf in ``xmin``, ``dx`` or a cell mass) is rejected with
-    the name of the offending field.
-    """
-
-    xmin: float
-    dx: float
-    rho1: np.ndarray
-    rho2: np.ndarray
     time: float = 0.0
-    q1: float = field(default=-1.0)
-    q2: float = field(default=-1.0)
-
-    def __post_init__(self):
-        r1 = checked_cells("rho1", self.rho1)
-        r2 = checked_cells("rho2", self.rho2)
-        if r1.shape != r2.shape or r1.ndim != 1 or r1.size == 0:
-            raise ValueError("rho1 and rho2 must be 1-D arrays of equal nonzero length")
-        check_grid(self.xmin, self.dx)
-        q1 = self.q1 if self.q1 >= 0 else mass_quantum(float(np.sum(r1)))
-        q2 = self.q2 if self.q2 >= 0 else mass_quantum(float(np.sum(r2)))
-        object.__setattr__(self, "rho1", snap(r1, q1))
-        object.__setattr__(self, "rho2", snap(r2, q2))
-        object.__setattr__(self, "q1", q1)
-        object.__setattr__(self, "q2", q2)
-
-    @property
-    def n_cells(self) -> int:
-        return self.rho1.size
-
-    @cached_property
-    def window(self) -> tuple[int, int]:
-        """(lo, hi): the first and one-past-last cell holding mass of either
-        species; (0, 0) for the empty state.  Every cell outside is zero.
-        Computed once per state, so the cell arrays must not be written to
-        after construction."""
-        occupied = (self.rho1 + self.rho2) != 0
-        lo = int(np.argmax(occupied))
-        if not occupied[lo]:
-            return 0, 0
-        return lo, self.n_cells - int(np.argmax(occupied[::-1]))
-
-    def _padded_window(self) -> tuple[int, int]:
-        """The window grown by one empty cell on each side, within the grid."""
-        lo, hi = self.window
-        return max(lo - 1, 0), min(hi + 1, self.n_cells)
-
-    @property
-    def centers(self) -> np.ndarray:
-        return self.xmin + (np.arange(self.n_cells) + 0.5) * self.dx
-
-    def species_measure(self, species: int) -> DiscreteMeasure:
-        rho = self.rho1 if species == 1 else self.rho2
-        return DiscreteMeasure(self.centers, rho)
-
-    def species_pair(self) -> SpeciesPair:
-        return SpeciesPair(self.species_measure(1), self.species_measure(2))
-
-    def total_masses(self) -> tuple[float, float]:
-        return float(np.sum(self.rho1)), float(np.sum(self.rho2))
-
-    def weighted_center(self, p: ModelParams) -> float:
-        lo, hi = self.window
-        x = self.xmin + (np.arange(lo, hi) + 0.5) * self.dx
-        return (p.theta1 / p.chi1) * float(np.sum(x * self.rho1[lo:hi])) + (
-            p.theta2 / p.chi2
-        ) * float(np.sum(x * self.rho2[lo:hi]))
+    q1: float = -1.0
+    q2: float = -1.0
 
 
 @dataclass(frozen=True)
@@ -237,7 +170,7 @@ def step(state: GridState, flux: FluxField, dt: float) -> GridState:
         win[1:] += out_r[:-1]
         win[:-1] += out_l[1:]
         new.append(nxt)
-    return GridState(state.xmin, state.dx, new[0], new[1], state.time + dt, state.q1, state.q2)
+    return state._successor(state.time + dt, rho1=new[0], rho2=new[1])
 
 
 @dataclass(frozen=True)
@@ -383,18 +316,6 @@ class _ContactTracker:
         self.prev1, self.prev2 = p1, p2
 
 
-def check_boundary(state, total: float) -> None:
-    """Abort a run whose outermost cells hold more than 1e-9 of the total
-    mass: the domain is supposed to be large enough that they stay empty.
-    ``state`` is a grid or kinetic state."""
-    boundary = state.rho1[0] + state.rho2[0] + state.rho1[-1] + state.rho2[-1]
-    if total > 0 and boundary > 1e-9 * total:
-        raise RuntimeError(
-            f"mass leak: boundary cells hold {boundary:.3e} at t = {state.time:.6f}; "
-            "enlarge the domain"
-        )
-
-
 @dataclass
 class FvRunResult:
     snapshots: list[tuple[float, GridState]]
@@ -419,31 +340,24 @@ def run(
     """Advance the scheme to time T with per-step diagnostics.
 
     Snapshots are recorded at the nearest step boundary <= each requested
-    time (actual times reported).  Aborts through :func:`check_boundary`
-    if mass reaches the outermost cells.  The per-step
-    diagnostics are read off the occupied window: ``max_velocity`` is
-    max|a_hat| over the window and its two neighbour cells, which for the
-    exponential kernel is the maximum over the whole grid.
+    time (actual times reported).  Aborts through
+    :func:`aggrekin.lattice.check_boundary` if mass reaches the outermost
+    cells.  The per-step diagnostics are read off the occupied window:
+    ``max_velocity`` is max|a_hat| over the window and its two neighbour
+    cells, which for the exponential kernel is the maximum over the grid.
     """
-    if T < 0:
-        raise ValueError("T must be nonnegative")
-    if any(t < 0 or t > T for t in snapshot_times):
-        raise ValueError("snapshot times must lie in [0, T]")
-    t_start = _time.perf_counter()
-    m1, m2 = initial.total_masses()
-    total = m1 + m2
-    dt = cfl_dt(initial.dx, kernel, p, safety, (m1, m2))
+    dt = cfl_dt(initial.dx, kernel, p, safety, initial.total_masses())
     if dt_max is not None:
         dt = min(dt, dt_max)
-    n_steps = int(math.floor(T / dt + 1e-12)) if T > 0 else 0
-
-    requested = sorted(snapshot_times)
-    snapshots: list[tuple[float, GridState]] = []
     diag = {k: [] for k in ("t", "mass1", "mass2", "weighted_center", "max_velocity", "min_cell")}
     tracker = _ContactTracker(initial.dx) if track_peaks else None
-    req_idx = 0
+    flux = None  # the velocity field of the last recorded state
 
-    def record_diag(st: GridState, flux: FluxField):
+    def record(st: GridState):
+        nonlocal flux
+        if tracker is not None:
+            tracker.update(st.time, species_peaks(st, 1), species_peaks(st, 2))
+        flux = make_flux(st, kernel, p)
         lo, hi = st.window
         a, b = st._padded_window()
         diag["t"].append(st.time)
@@ -454,38 +368,17 @@ def run(
         # a window narrower than the grid leaves empty cells outside it
         full = (lo, hi) == (0, st.n_cells)
         diag["min_cell"].append(float(min(np.min(st.rho1), np.min(st.rho2))) if full else 0.0)
+        return st.time, st
 
-    def record_snapshots(st: GridState, limit: float):
-        # every requested time in [st.time, limit) maps to this step boundary
-        nonlocal req_idx
-        while req_idx < len(requested) and requested[req_idx] < limit:
-            snapshots.append((st.time, st))
-            req_idx += 1
-
-    state = initial
-    check_boundary(state, total)
-    if tracker is not None:
-        tracker.update(state.time, species_peaks(state, 1), species_peaks(state, 2))
-    flux = make_flux(state, kernel, p)
-    record_diag(state, flux)
-    record_snapshots(state, state.time + dt if n_steps > 0 else math.inf)
-
-    for k in range(1, n_steps + 1):
-        state = step(state, flux, dt)
-        check_boundary(state, total)
-        if tracker is not None:
-            tracker.update(state.time, species_peaks(state, 1), species_peaks(state, 2))
-        flux = make_flux(state, kernel, p)
-        record_diag(state, flux)
-        record_snapshots(state, state.time + dt if k < n_steps else math.inf)
-
-    diagnostics = {k: np.asarray(v) for k, v in diag.items()}
+    snapshots, final, n_steps, elapsed = march(
+        initial, T, dt, snapshot_times, lambda st: step(st, flux, dt), record
+    )
     return FvRunResult(
         snapshots=snapshots,
-        diagnostics=diagnostics,
+        diagnostics={k: np.asarray(v) for k, v in diag.items()},
         events=tracker.events if tracker is not None else [],
-        final=state,
+        final=final,
         dt=dt,
         n_steps=n_steps,
-        elapsed=_time.perf_counter() - t_start,
+        elapsed=elapsed,
     )

@@ -27,11 +27,11 @@ import numpy as np
 
 from .csvio import write_csv
 from .expconv import direct_potential, exp_potential_scan, use_scan
-from .fv import GridState, check_boundary
+from .fv import GridState
 from .fv import run as fv_run
 from .kernel import PointyKernel, exponential_kernel
-from .lattice import check_grid, checked_cells, mass_quantum, snap
-from .measures import DiscreteMeasure, ModelParams, SpeciesPair, wasserstein2
+from .lattice import GridCells, march
+from .measures import DiscreteMeasure, ModelParams, wasserstein2
 
 __all__ = [
     "KineticState",
@@ -49,19 +49,16 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class KineticState:
-    """Per-cell masses rho and signed fluxes J for both species.
+class KineticState(GridCells):
+    """A grid state (:class:`aggrekin.lattice.GridCells`) plus the signed
+    per-cell fluxes J of both species.
 
     The flux bound |J| <= rho (equivalently f(+-1) >= 0) is enforced at
-    construction; rho is snapped to the per-species mass quantum.  NaN or
-    inf in ``xmin``, ``dx``, ``epsilon`` or a cell is rejected with the
-    name of the offending field.
+    construction, after rho is snapped to the per-species mass quantum.
+    NaN or inf in ``xmin``, ``dx``, ``epsilon`` or a cell is rejected with
+    the name of the offending field.
     """
 
-    xmin: float
-    dx: float
-    rho1: np.ndarray
-    rho2: np.ndarray
     J1: np.ndarray
     J2: np.ndarray
     epsilon: float
@@ -72,44 +69,18 @@ class KineticState:
     def __post_init__(self):
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
-        check_grid(self.xmin, self.dx)
-        arrays = {name: checked_cells(name, getattr(self, name)) for name in ("rho1", "rho2")}
-        arrays.update((name, np.asarray(getattr(self, name), dtype=float).copy()) for name in ("J1", "J2"))
-        for name, arr in arrays.items():
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be a 1-D array")
-        if len({a.size for a in arrays.values()}) != 1:
-            raise ValueError("all state arrays must share one grid")
-        q1 = self.q1 if self.q1 >= 0 else mass_quantum(float(np.sum(arrays["rho1"])))
-        q2 = self.q2 if self.q2 >= 0 else mass_quantum(float(np.sum(arrays["rho2"])))
-        arrays["rho1"] = snap(arrays["rho1"], q1)
-        arrays["rho2"] = snap(arrays["rho2"], q2)
+        super().__post_init__()
         for rho_name, j_name in (("rho1", "J1"), ("rho2", "J2")):
-            rho, j = arrays[rho_name], arrays[j_name]
+            rho, j = getattr(self, rho_name), np.asarray(getattr(self, j_name), dtype=float)
+            if j.ndim != 1:
+                raise ValueError(f"{j_name} must be a 1-D array")
+            if j.size != rho.size:
+                raise ValueError("all state arrays must share one grid")
             excess = np.abs(j) - rho
             # a NaN or inf flux fails this test as well
             if not np.all(excess <= 1e-9 * max(1.0, float(np.max(rho, initial=0.0)))):
                 raise ValueError(f"{j_name} must be finite with |{j_name}| <= {rho_name} (f(+-1) >= 0)")
-            arrays[j_name] = np.clip(j, -rho, rho)
-        for name, arr in arrays.items():
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "q1", q1)
-        object.__setattr__(self, "q2", q2)
-
-    @property
-    def n_cells(self) -> int:
-        return self.rho1.size
-
-    @property
-    def centers(self) -> np.ndarray:
-        return self.xmin + (np.arange(self.n_cells) + 0.5) * self.dx
-
-    def total_masses(self) -> tuple[float, float]:
-        return float(np.sum(self.rho1)), float(np.sum(self.rho2))
-
-    def species_pair(self) -> SpeciesPair:
-        x = self.centers
-        return SpeciesPair(DiscreteMeasure(x, self.rho1), DiscreteMeasure(x, self.rho2))
+            object.__setattr__(self, j_name, np.clip(j, -rho, rho))
 
 
 @dataclass(frozen=True)
@@ -217,18 +188,7 @@ def step(state: KineticState, field: ChemoField, p: ModelParams, dt: float) -> K
         j_new = np.clip(j_t + 2.0 * delta, -rho_new, rho_new)
         out[f"rho{alpha}"] = rho_new
         out[f"J{alpha}"] = j_new
-    return KineticState(
-        state.xmin,
-        state.dx,
-        out["rho1"],
-        out["rho2"],
-        out["J1"],
-        out["J2"],
-        state.epsilon,
-        state.time + dt,
-        state.q1,
-        state.q2,
-    )
+    return state._successor(state.time + dt, **out)
 
 
 def well_prepared_state(
@@ -263,6 +223,7 @@ class KineticRunResult:
     final_field: ChemoField
     dt: float
     n_steps: int
+    elapsed: float
 
 
 def run(
@@ -276,45 +237,33 @@ def run(
     no numerical diffusion), refreshing the chemo field every step.
 
     Snapshots are recorded at the last step boundary <= each requested
-    time.  Aborts through :func:`aggrekin.fv.check_boundary` if mass
+    time.  Aborts through :func:`aggrekin.lattice.check_boundary` if mass
     reaches the outermost cells.
     """
-    if T < 0:
-        raise ValueError("T must be nonnegative")
     dt = initial.dx
-    n_steps = int(math.floor(T / dt + 1e-12)) if T > 0 else 0
-    requested = sorted(snapshot_times)
-    req_idx = 0
-    snapshots: list[tuple[float, KineticState, ChemoField]] = []
     diag = {k: [] for k in ("t", "mass1", "mass2")}
-    total = sum(initial.total_masses())
+    field = None  # the chemo field of the last recorded state
 
-    state = initial
-    field = field_for(state, p, kernel)
-
-    def record(st: KineticState, fld: ChemoField, limit: float):
-        nonlocal req_idx
-        diag["t"].append(st.time)
+    def record(st: KineticState):
+        nonlocal field
+        field = field_for(st, p, kernel)
         m1, m2 = st.total_masses()
+        diag["t"].append(st.time)
         diag["mass1"].append(m1)
         diag["mass2"].append(m2)
-        while req_idx < len(requested) and requested[req_idx] < limit:
-            snapshots.append((st.time, st, fld))
-            req_idx += 1
+        return st.time, st, field
 
-    record(state, field, state.time + dt if n_steps > 0 else math.inf)
-    for k in range(1, n_steps + 1):
-        state = step(state, field, p, dt)
-        check_boundary(state, total)
-        field = field_for(state, p, kernel)
-        record(state, field, state.time + dt if k < n_steps else math.inf)
+    snapshots, final, n_steps, elapsed = march(
+        initial, T, dt, snapshot_times, lambda st: step(st, field, p, dt), record
+    )
     return KineticRunResult(
         snapshots=snapshots,
         diagnostics={k: np.asarray(v) for k, v in diag.items()},
-        final=state,
+        final=final,
         final_field=field,
         dt=dt,
         n_steps=n_steps,
+        elapsed=elapsed,
     )
 
 

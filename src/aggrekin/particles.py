@@ -76,6 +76,13 @@ def _species_total(name: str, masses: list[float]) -> float:
         raise ValueError(f"cluster {name} total overflows: {masses!r}") from None
 
 
+def _check_positions(pos: list[float]) -> None:
+    if not all(map(math.isfinite, pos)):
+        raise ValueError(f"cluster position must be finite, got {pos!r}")
+    if not all(a < b for a, b in zip(pos, pos[1:])):
+        raise ValueError("cluster positions must be strictly increasing")
+
+
 @dataclass
 class ClusterSet:
     """Ordered aggregates at a common time.
@@ -93,14 +100,12 @@ class ClusterSet:
     def __post_init__(self):
         if not self.clusters:
             raise ValueError("cluster set must not be empty")
-        pos = [c.position for c in self.clusters]
         m1 = [c.m1 for c in self.clusters]
         m2 = [c.m2 for c in self.clusters]
-        for name, vals in (("position", pos), ("m1", m1), ("m2", m2)):
+        _check_positions([c.position for c in self.clusters])
+        for name, vals in (("m1", m1), ("m2", m2)):
             if not all(map(math.isfinite, vals)):
                 raise ValueError(f"cluster {name} must be finite, got {vals!r}")
-        if not all(a < b for a, b in zip(pos, pos[1:])):
-            raise ValueError("cluster positions must be strictly increasing")
         q1 = mass_quantum(_species_total("m1", m1))
         q2 = mass_quantum(_species_total("m2", m2))
         for c in self.clusters:
@@ -114,6 +119,16 @@ class ClusterSet:
                     c.id = start
                     start += 1
             self.next_id = start
+
+    def _moved(self, positions: list[float], time: float) -> "ClusterSet":
+        """These clusters at ``positions`` and ``time``: a step's successor,
+        whose masses and ids are this set's, so only positions are checked."""
+        _check_positions(positions)
+        new = object.__new__(ClusterSet)
+        new.clusters = [Cluster(x, c.m1, c.m2, c.id) for c, x in zip(self.clusters, positions)]
+        new.time = time
+        new.next_id = self.next_id
+        return new
 
     def __len__(self) -> int:
         return len(self.clusters)
@@ -494,8 +509,7 @@ def advance(
 
     z_end = trial(dt)
     if not has_contact(z_end).any():
-        out = [Cluster(x, c.m1, c.m2, c.id) for c, x in zip(cs.clusters, z_end.tolist())]
-        return ClusterSet(out, cs.time + dt, cs.next_id), events
+        return cs._moved(z_end.tolist(), cs.time + dt), events
 
     # bracket the first contact time
     lo, hi = 0.0, dt
@@ -507,12 +521,7 @@ def advance(
             lo = mid
     touching = has_contact(trial(hi))
     z_commit = trial(lo) if lo > 0.0 else z0
-    committed = ClusterSet(
-        [Cluster(x, c.m1, c.m2, c.id) for c, x in zip(cs.clusters, z_commit.tolist())],
-        cs.time + hi,
-        cs.next_id,
-    )
-    return _resolve_contacts(committed, touching, kernel, p, gap_tol)
+    return _resolve_contacts(cs._moved(z_commit.tolist(), cs.time + hi), touching, kernel, p, gap_tol)
 
 
 @dataclass

@@ -75,10 +75,27 @@ Scenario JSON schema (all masses in absolute units):
 
 # the scalar settings a scenario file may leave to their Scenario defaults
 _OPTIONAL_NUMBERS = ("bump_width", "cfl_safety", "gap_tol", "dt_max", "epsilon")
+# the model parameters it may set; theta and psi default to ModelParams' 1.0
+_PARAM_KEYS = ("chi1", "chi2", "theta1", "theta2", "psi1", "psi2")
 
 
 class ScenarioError(ValueError):
     """Configuration rejected, with the offending key in the message."""
+
+
+def _number(key: str, value, kind=float):
+    """``value`` as a ``kind`` (float or int); anything else -- a list, a
+    word, null -- is a ScenarioError that names ``key``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(f"{key}: expected a number, got {value!r}") from None
+
+
+def _numbers(key: str, values) -> tuple[float, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ScenarioError(f"{key}: expected a list of numbers, got {values!r}")
+    return tuple(_number(key, v) for v in values)
 
 
 @dataclass
@@ -214,15 +231,9 @@ def scenario_from_dict(d: dict, name: str = "scenario") -> Scenario:
     for key in ("chi1", "chi2"):
         if key not in prm:
             raise ScenarioError(f"params.{key}: missing required key")
+    values = {key: _number(f"params.{key}", prm[key]) for key in _PARAM_KEYS if key in prm}
     try:
-        params = ModelParams(
-            chi1=float(prm["chi1"]),
-            chi2=float(prm["chi2"]),
-            theta1=float(prm.get("theta1", 1.0)),
-            theta2=float(prm.get("theta2", 1.0)),
-            psi1=float(prm.get("psi1", 1.0)),
-            psi2=float(prm.get("psi2", 1.0)),
-        )
+        params = ModelParams(**values)
     except ValueError as exc:
         raise ScenarioError(f"params: {exc}") from exc
     kernel_spec = dict(d.get("kernel", {"kind": "exponential"}))
@@ -235,8 +246,8 @@ def scenario_from_dict(d: dict, name: str = "scenario") -> Scenario:
         for key in ("xmin", "xmax", "dx"):
             if key not in g:
                 raise ScenarioError(f"grid.{key}: missing required key")
-        grid = (float(g["xmin"]), float(g["xmax"]), float(g["dx"]))
-    T = float(d["T"])
+        grid = tuple(_number(f"grid.{key}", g[key]) for key in ("xmin", "xmax", "dx"))
+    T = _number("T", d["T"])
     snapshot_times = d.get("snapshot_times")
     if snapshot_times is None:
         snapshot_times = [round(i * T / 5.0, 12) for i in range(6)]
@@ -249,10 +260,10 @@ def scenario_from_dict(d: dict, name: str = "scenario") -> Scenario:
         solver=str(d["solver"]),
         T=T,
         grid=grid,
-        snapshot_times=tuple(float(t) for t in snapshot_times),
-        eps_list=tuple(float(e) for e in d["eps_list"]) if "eps_list" in d else None,
+        snapshot_times=_numbers("snapshot_times", snapshot_times),
+        eps_list=_numbers("eps_list", d["eps_list"]) if "eps_list" in d else None,
         output_dir=d.get("output_dir"),
-        **{key: float(d[key]) for key in _OPTIONAL_NUMBERS if key in d},
+        **{key: _number(key, d[key]) for key in _OPTIONAL_NUMBERS if key in d},
     )
 
 
@@ -294,7 +305,7 @@ def make_kernel(spec: dict) -> PointyKernel:
     if kind == "regularized":
         if "n" not in spec:
             raise ScenarioError("kernel.n: required for the regularized kernel")
-        return regularize(exponential_kernel(), int(spec["n"]))
+        return regularize(exponential_kernel(), _number("kernel.n", spec["n"], int))
     raise ScenarioError(f"kernel.kind: unknown tag {kind!r}; valid: exponential, regularized")
 
 

@@ -405,3 +405,82 @@ class TestCli:
         table = (tmp_path / "lim" / "limit.csv").read_text().splitlines()
         assert table[0] == "epsilon,w2_species1,w2_species2"
         assert len(table) == 3
+
+
+KINETIC_CONFIG = {
+    "name": "kin",
+    "params": {"chi1": 0.45, "chi2": 0.3},
+    "initial": {
+        "species1": {"bumps": [[1.0, -0.4]]},
+        "species2": {"bumps": [[1.0, 0.4]]},
+    },
+    "bump_width": 200.0,
+    "solver": "kinetic",
+    "grid": {"xmin": -2.0, "xmax": 2.0, "dx": 4e-3},
+    "T": 0.2,
+    "epsilon": 0.1,
+}
+
+
+class TestWronglyTypedValues:
+    @pytest.mark.parametrize(
+        "path, value, key",
+        [
+            (("epsilon",), [0.1], "epsilon"),
+            (("params", "chi1"), [0.4], "params.chi1"),
+            (("params", "psi2"), "fast", "params.psi2"),
+            (("T",), "x", "T"),
+            (("grid", "dx"), None, "grid.dx"),
+            (("snapshot_times",), [0.0, "a"], "snapshot_times"),
+            (("snapshot_times",), 0.1, "snapshot_times"),
+            (("eps_list",), [0.5, [0.1]], "eps_list"),
+            (("eps_list",), 0.5, "eps_list"),
+            (("cfl_safety",), {}, "cfl_safety"),
+            pytest.param(("bump_width",), 10**400, "bump_width", id="int-too-large-for-float"),
+        ],
+    )
+    def test_key_is_named(self, path, value, key):
+        data = json.loads(json.dumps(KINETIC_CONFIG))
+        node = data
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = value
+        with pytest.raises(ScenarioError, match=key):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("n", ["x", [3], float("inf")])
+    def test_kernel_n_is_named(self, n):
+        with pytest.raises(ScenarioError, match="kernel.n"):
+            make_kernel({"kind": "regularized", "n": n})
+
+    @pytest.mark.parametrize(
+        "key, value", [("epsilon", [0.1]), ("T", "x"), ("params", {"chi1": [0.4], "chi2": 0.3})]
+    )
+    def test_cli_reports_the_key(self, tmp_path, capsys, key, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**KINETIC_CONFIG, key: value}))
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ScenarioError"
+        assert payload["message"].startswith(key if key != "params" else "params.chi1")
+
+
+def _tree_bytes(root: Path) -> dict[str, bytes]:
+    files = sorted(p for p in root.rglob("*") if p.is_file())
+    return {str(p.relative_to(root)): p.read_bytes() for p in files}
+
+
+class TestGridRerunsByteIdentical:
+    @pytest.mark.filterwarnings("ignore::aggrekin.measures.CoarseGridWarning")
+    @pytest.mark.parametrize("solver", ["fv", "kinetic"])
+    def test_two_runs_write_the_same_bytes(self, tmp_path, solver):
+        if solver == "fv":
+            s = preset("example1", solver="fv", dx=2e-3, T=0.1)
+        else:
+            s = scenario_from_dict(KINETIC_CONFIG)
+        for root in ("a", "b"):
+            run_scenario(s, out_root=str(tmp_path / root))
+        a, b = _tree_bytes(tmp_path / "a"), _tree_bytes(tmp_path / "b")
+        assert len(a) >= 4 and a == b
+        # wall-clock time stays out of every output file
+        assert not any(b"elapsed" in content for content in a.values())
