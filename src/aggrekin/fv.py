@@ -112,7 +112,8 @@ def cfl_dt(
 
     With unit masses and unit chemosensitivities this is the classical
     bound safety * dx / (|K'|_inf (theta1 + theta2)); for other masses the
-    velocity bound scales with the actual total weighted mass.
+    velocity bound scales with the actual total weighted mass.  A bound of
+    zero, or one so small that the step is not finite, is a ValueError.
     """
     if not 0.0 < safety < 1.0:
         raise ValueError("safety factor must lie in (0, 1)")
@@ -120,7 +121,11 @@ def cfl_dt(
     speed = max(p.chi1, p.chi2) * kernel.lipschitz * (p.theta1 * m1 + p.theta2 * m2)
     if speed <= 0.0:
         raise ValueError("velocity bound is zero; no CFL restriction applies")
-    return safety * dx / speed
+    dt = safety * dx / speed
+    if not math.isfinite(dt):
+        # a velocity bound so small (subnormal masses) that dx over it overflows
+        raise ValueError(f"CFL step is not finite: {safety} * {dx} / {speed!r} = {dt}")
+    return dt
 
 
 def _quantized_outflows(

@@ -2,16 +2,24 @@
 
 Clusters are Dirac masses carrying a species-1 mass m1 and a species-2
 mass m2 (a *glued* cluster has both).  Between events the positions obey
-the attraction ODEs driven by the hatted kernel; contacts are located by
-bisection on a one-step second-order integrator.  Same-species contacts
-merge; cross-species contacts glue or cross depending on the
-synchronising condition
+the attraction ODEs driven by the hatted kernel.  Each call to
+:func:`advance` makes one Dormand-Prince 5(4) step under error control
+(relative tolerance ``RTOL``, absolute ``ATOL``; Hairer, Norsett & Wanner,
+*Solving ODEs I*, II.5) and carries Shampine's quartic interpolant of the
+step as its dense output (II.6).  Within a step the pair ordering is
+frozen, so a trial stage that lands past a contact sees the kernel slope
+continued smoothly rather than flipped.  Events are roots located on the
+interpolant to ``ROOT_TOL`` in time: a contact is an adjacent gap
+reaching ``gap_tol``, an unglue is a glued cluster's LHS - RHS of the
+synchronising condition reaching 0.  Same-species contacts merge;
+cross-species contacts glue or cross depending on the synchronising
+condition
 
     |(chi1 - chi2) * gamma| <= (chi1 theta2 m2 + chi2 theta1 m1) / 2,
 
 where gamma is the external weighted attraction exerted by all other
-clusters on the colliding pair.  A glued cluster re-checks the condition
-every step and splits (unglues) the moment it fails.
+clusters on the colliding pair.  A step stops just past a glued cluster's
+unglue root, and the next step splits it.
 
 Cluster masses are quantized to a per-species power-of-two quantum at
 construction so that merging masses is an exact float operation and the
@@ -34,6 +42,7 @@ __all__ = [
     "Cluster",
     "ClusterSet",
     "Event",
+    "DenseStep",
     "SyncCheck",
     "velocities",
     "external_attraction",
@@ -96,6 +105,8 @@ class ClusterSet:
     clusters: list[Cluster]
     time: float = 0.0
     next_id: int = field(default=-1)
+    # the step of advance that made this set, for its dense output
+    dense: DenseStep | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.clusters:
@@ -128,6 +139,7 @@ class ClusterSet:
         new.clusters = [Cluster(x, c.m1, c.m2, c.id) for c, x in zip(self.clusters, positions)]
         new.time = time
         new.next_id = self.next_id
+        new.dense = None
         return new
 
     def __len__(self) -> int:
@@ -232,33 +244,37 @@ def _step_constants(
 
 
 def _raw_velocities(
-    z: np.ndarray,
+    slopes: np.ndarray,
     m1: np.ndarray,
     m2: np.ndarray,
     wrho: np.ndarray,
     chi: np.ndarray,
     glued: list[int],
-    kernel: PointyKernel,
     p: ModelParams,
+    w_max: float = math.inf,
 ) -> np.ndarray:
-    """Cluster velocities for arbitrary (possibly unordered) positions."""
-    pull = kernel.hat_deriv(z[:, None] - z[None, :]) @ wrho
+    """Cluster velocities from the kernel slopes between every pair,
+    ``slopes[i, j]`` = K'(z_i - z_j) with 0 on the diagonal; a glued
+    cluster's selection w is clamped into [-w_max, w_max]."""
+    pull = slopes @ wrho
     v = chi * pull
     for k in glued:
-        w_sel = glued_selection(pull[k], m1[k], m2[k], p)
-        # between unglue checks the selection may transiently leave the
-        # admissible band; keep the slope physical
-        w_sel = min(0.5, max(-0.5, w_sel))
+        w_sel = min(w_max, max(-w_max, glued_selection(pull[k], m1[k], m2[k], p)))
         v[k] = p.chi1 * (pull[k] + p.theta2 * m2[k] * w_sel)
     return v
 
 
 def velocities(cs: ClusterSet, kernel: PointyKernel, p: ModelParams) -> np.ndarray:
     """Velocities of all clusters (free clusters: chi_a times the external
-    pull; glued clusters: the common selected velocity)."""
+    pull; glued clusters: the common selected velocity).  A glued cluster
+    that fails the synchronising condition is about to unglue: its
+    selection is clamped to the admissible +-1/2, the slope its species-1
+    part meets at the split."""
     m1 = np.array([c.m1 for c in cs.clusters])
     m2 = np.array([c.m2 for c in cs.clusters])
-    return _raw_velocities(cs.positions(), m1, m2, *_step_constants(m1, m2, p), kernel, p)
+    z = cs.positions()
+    slopes = kernel.hat_deriv(z[:, None] - z[None, :])
+    return _raw_velocities(slopes, m1, m2, *_step_constants(m1, m2, p), p, w_max=0.5)
 
 
 def external_attraction(
@@ -283,7 +299,12 @@ def external_attraction(
     if not others:
         return 0.0
     wrho = np.array([p.theta1 * c.m1 + p.theta2 * c.m2 for c in others])
-    terms = wrho * kernel.hat_deriv(at - np.array([c.position for c in others]))
+    return _attraction(at, np.array([c.position for c in others]), wrho, kernel)
+
+
+def _attraction(at: float, positions: np.ndarray, wrho: np.ndarray, kernel: PointyKernel) -> float:
+    """sum_j wrho_j K'(at - positions_j); a cluster at ``at`` itself adds 0."""
+    terms = wrho * kernel.hat_deriv(at - positions)
     # left to right from 0.0, as a scalar loop would add them
     return sum(terms.tolist(), 0.0)
 
@@ -443,6 +464,114 @@ def _resolve_contacts(
     return ClusterSet(new_clusters, cs.time, cs.next_id), events
 
 
+# Dormand-Prince 5(4) for the autonomous ODE (no nodes needed): stage
+# weights, the fifth-order weights (the seventh stage is the velocity at the
+# new point, reused by the next step) and the fifth- minus fourth-order
+# weights that estimate the error.
+_A = (
+    None,
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+)
+_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_E = np.array([-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
+# Shampine's interpolant: over a step of length h from z0 with stages K,
+# z(t0 + s h) = z0 + h K^T _P (s, s^2, s^3, s^4)
+_P = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+
+RTOL = 1e-10
+ATOL = 1e-12
+# events are located on the interpolant to this many time units
+ROOT_TOL = 1e-12
+# step-size control: safety factor and the bounds on the change of step
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+
+
+@dataclass(frozen=True)
+class DenseStep:
+    """One accepted step of :func:`advance`, from ``t0`` to ``t1``.
+
+    ``clusters`` are the clusters it moved, ``z0`` their positions at
+    ``t0`` and ``q`` the interpolant's coefficients over the trial length
+    ``h``: z(t0 + s h) = z0 + q (s, s^2, s^3, s^4).  ``t1`` is ``t0 + h``
+    or the event the step stopped at.  ``v_end`` is the velocity at ``t1``
+    when the step ended there, ``h_next`` the step the error control
+    proposes next, ``n_rejected`` the trial steps it rejected and
+    ``root_iterations`` the iterations that located its event.
+    """
+
+    clusters: list[Cluster]
+    t0: float
+    t1: float
+    h: float
+    z0: np.ndarray
+    q: np.ndarray
+    v_end: np.ndarray | None
+    h_next: float
+    n_rejected: int
+    root_iterations: int
+
+    def clusters_at(self, t: float) -> list[Cluster]:
+        z = _interpolate(self.z0, self.q, (t - self.t0) / self.h)
+        return [Cluster(x, c.m1, c.m2, c.id) for c, x in zip(self.clusters, z.tolist())]
+
+
+def _interpolate(z0: np.ndarray, q: np.ndarray, s: float) -> np.ndarray:
+    s2 = s * s
+    return z0 + q @ np.array([s, s2, s2 * s, s2 * s2])
+
+
+def _dp_step(vel, z0: np.ndarray, v0: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The stages, the fifth-order point and the scaled RMS error estimate
+    of one Dormand-Prince step of length ``h``."""
+    K = np.empty((7, z0.size))
+    K[0] = v0
+    for i in range(1, 6):
+        K[i] = vel(z0 + h * (_A[i] @ K[:i]))
+    z1 = z0 + h * (_B @ K[:6])
+    K[6] = vel(z1)
+    scale = ATOL + RTOL * np.maximum(np.abs(z0), np.abs(z1))
+    err = float(np.sqrt(np.mean(np.square(h * (_E @ K) / scale))))
+    return K, z1, err
+
+
+def _first_root(f, hi: float, tol: float) -> tuple[float, int]:
+    """The first s in (0, ``hi``] where ``f`` turns positive, given f(0) <=
+    0 < f(hi), to ``tol``: Illinois false position on the bracket.  Returns
+    the bracket's positive end and the iterations made."""
+    lo, f_lo, f_hi = 0.0, f(0.0), f(hi)
+    kept = 0  # which end the last iterate replaced: -1 low, +1 high
+    n = 0
+    while hi - lo > tol:
+        n += 1
+        mid = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < mid < hi:
+            mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid > 0.0:
+            hi, f_hi = mid, f_mid
+            if kept == 1:
+                f_lo *= 0.5
+            kept = 1
+        else:
+            lo, f_lo = mid, f_mid
+            if kept == -1:
+                f_hi *= 0.5
+            kept = -1
+    return hi, n
+
+
 def advance(
     cs: ClusterSet,
     kernel: PointyKernel,
@@ -450,15 +579,22 @@ def advance(
     dt_max: float,
     gap_tol: float = 1e-9,
 ) -> tuple[ClusterSet, list[Event]]:
-    """Advance by at most ``dt_max``, stopping at the first contact.
+    """One accepted step of at most ``dt_max``, stopping at the first event.
 
-    The step uses a two-stage second-order integrator, capped so no
-    closing gap shrinks by more than a quarter per step.  Contacts are
-    bracketed in time by bisection to 1e-6 and then resolved: same-species
-    groups merge, mixed groups glue or cross according to the
-    synchronising condition (with the external attraction excluding the
-    whole group), and every glued cluster is re-checked for ungluing at
-    the start of the step.
+    Every glued cluster that fails the synchronising condition splits
+    (unglues) first, and contacts already pending (gap within 1.5
+    ``gap_tol`` and closing) are resolved at once; either returns without
+    a step.  Otherwise a Dormand-Prince 5(4) step is tried, from the step
+    length the error control proposed for ``cs``, and shortened until its
+    error estimate is within ``RTOL``/``ATOL``.  The stage velocities keep
+    the pair ordering of the step's start (:meth:`PointyKernel.branch_deriv`).
+    If an adjacent gap ends the step below ``gap_tol``, or a glued
+    cluster's condition fails, the first such root on the step's
+    interpolant is located to ``ROOT_TOL`` and the step ends there.  A
+    contact is resolved: same-species groups merge, mixed groups glue or
+    cross according to the synchronising condition (with the external
+    attraction excluding the whole group).  An unglue is left to the next
+    call.  The successor carries the step in ``dense``.
     """
     if not dt_max > 0:
         raise ValueError("dt_max must be positive")
@@ -468,8 +604,7 @@ def advance(
     cs, events = _unglue_pass(cs, kernel, p, gap_tol)
     if events:
         return cs, events
-    n = len(cs)
-    if n == 1:
+    if len(cs) == 1:
         out = cs.copy()
         out.time = cs.time + dt_max
         return out, []
@@ -477,55 +612,93 @@ def advance(
     z0 = cs.positions()
     m1 = np.array([c.m1 for c in cs.clusters])
     m2 = np.array([c.m2 for c in cs.clusters])
-    if not np.isfinite(z0).all():
-        raise FloatingPointError("non-finite cluster positions")
     wrho, chi, glued = _step_constants(m1, m2, p)
+    side = np.sign(z0[:, None] - z0[None, :])
 
     def vel(z: np.ndarray) -> np.ndarray:
-        return _raw_velocities(z, m1, m2, wrho, chi, glued, kernel, p)
+        return _raw_velocities(kernel.branch_deriv(z[:, None] - z[None, :], side), m1, m2, wrho, chi, glued, p)
 
-    # the first stage is the same for every trial step, so it is made once
-    v0 = vel(z0)
-
-    def trial(tau: float) -> np.ndarray:
-        v2 = vel(z0 + tau * v0)
-        return z0 + 0.5 * tau * (v0 + v2)
+    last = cs.dense
+    # the velocity at the end of an uninterrupted step is this set's
+    v0 = last.v_end if last is not None and last.v_end is not None else vel(z0)
 
     gaps = z0[1:] - z0[:-1]
-    closing = v0[1:] - v0[:-1]
-
-    # contacts already pending from a previous event resolution
-    touching = (gaps <= 1.5 * gap_tol) & (closing < 0)
+    touching = (gaps <= 1.5 * gap_tol) & (v0[1:] - v0[:-1] < 0)
     if touching.any():
         return _resolve_contacts(cs.copy(), touching, kernel, p, gap_tol)
 
-    dt = dt_max
-    shrinking = closing < 0
-    if shrinking.any():
-        dt = min(dt, float((0.25 * gaps[shrinking] / (-closing[shrinking])).min()))
+    seed = last.h_next if last is not None else dt_max
+    h = min(seed, dt_max)
+    n_rejected = 0
+    while True:
+        # a trial step too long for the frozen ordering can overflow the
+        # continued slope; its error estimate is then not finite and it is
+        # rejected like any other
+        with np.errstate(over="ignore", invalid="ignore"):
+            K, z1, err = _dp_step(vel, z0, v0, h)
+        if err <= 1.0:
+            break
+        n_rejected += 1
+        h *= max(_MIN_FACTOR, _SAFETY * err**-0.2) if math.isfinite(err) else _MIN_FACTOR
+        if cs.time + h == cs.time:
+            raise RuntimeError(f"particle step size underflow at t = {cs.time!r}")
+    factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**-0.2)
+    h_next = h * (min(factor, 1.0) if n_rejected else factor)
+    if h < seed and not n_rejected:
+        # cut short by dt_max, not by the error: the proposal stands
+        h_next = max(h_next, seed)
+    q = h * (K.T @ _P)
 
-    def has_contact(z: np.ndarray) -> np.ndarray:
-        return z[1:] - z[:-1] <= gap_tol
+    def at(s: float) -> np.ndarray:
+        return z1 if s == 1.0 else _interpolate(z0, q, s)
 
-    z_end = trial(dt)
-    if not has_contact(z_end).any():
-        return cs._moved(z_end.tolist(), cs.time + dt), events
+    # the event functions, positive past their root: first the adjacent
+    # gaps that close below gap_tol, then, up to the first contact (past it
+    # a glued cluster's attraction jumps), the glued clusters whose
+    # synchronising condition fails
+    def gap_excess(s: float) -> float:
+        z = at(s)
+        return float(max(gap_tol - (z[k + 1] - z[k]) for k in closing))
 
-    # bracket the first contact time
-    lo, hi = 0.0, dt
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if has_contact(trial(mid)).any():
-            hi = mid
-        else:
-            lo = mid
-    touching = has_contact(trial(hi))
-    z_commit = trial(lo) if lo > 0.0 else z0
-    return _resolve_contacts(cs._moved(z_commit.tolist(), cs.time + hi), touching, kernel, p, gap_tol)
+    def unglue_excess(z: np.ndarray, i: int) -> float:
+        chk = sync_condition(_attraction(z[i], z, wrho, kernel), m1[i], m2[i], p)
+        return chk.lhs - chk.rhs
+
+    def sync_excess(s: float) -> float:
+        z = at(s)
+        return float(max(unglue_excess(z, i) for i in ungluing))
+
+    s_end, n_iter = 1.0, 0
+    closing = np.flatnonzero((z1[1:] - z1[:-1] < gap_tol) & (gaps >= gap_tol)).tolist()
+    if closing:
+        s_end, n_iter = _first_root(gap_excess, 1.0, ROOT_TOL / h)
+    z_end = at(s_end)
+    ungluing = [i for i in glued if unglue_excess(z_end, i) > 0.0]
+    if ungluing:
+        s_end, n = _first_root(sync_excess, s_end, ROOT_TOL / h)
+        n_iter += n
+        z_end = at(s_end)
+    t_end = cs.time + s_end * h
+    step = DenseStep(
+        cs.clusters, cs.time, t_end, h, z0, q,
+        K[6] if s_end == 1.0 else None, h_next, n_rejected, n_iter,
+    )
+    out = cs._moved(z_end.tolist(), t_end)
+    touching = z_end[1:] - z_end[:-1] < gap_tol
+    if touching.any():
+        out, events = _resolve_contacts(out, touching, kernel, p, gap_tol)
+    out.dense = step
+    return out, events
 
 
 @dataclass
 class ParticleRunResult:
+    """What :func:`run` did.  ``n_advances`` counts the calls to
+    :func:`advance`, ``n_rejected`` the trial steps its error control
+    rejected, and ``root_iterations`` holds, per entry of ``events``, the
+    iterations that located it on a step's interpolant (0 for an event
+    resolved at a step's start or added by the run)."""
+
     events: list[Event]
     samples: list[tuple[float, list[Cluster]]]
     final: ClusterSet
@@ -534,6 +707,15 @@ class ParticleRunResult:
     n_advances: int
     elapsed: float
     snapshots: list[tuple[float, ClusterSet]] = field(default_factory=list)
+    n_rejected: int = 0
+    root_iterations: list[int] = field(default_factory=list)
+
+
+def _clusters_at(cs: ClusterSet, t: float) -> list[Cluster]:
+    """The clusters at time ``t`` within the step that made ``cs``."""
+    if cs.dense is not None and t < cs.dense.t1:
+        return cs.dense.clusters_at(t)
+    return [replace(c) for c in cs.clusters]
 
 
 def run(
@@ -541,17 +723,17 @@ def run(
     kernel: PointyKernel,
     p: ModelParams,
     T: float,
-    dt_max: float = 1e-3,
+    dt_max: float = 0.05,
     gap_tol: float = 1e-9,
     snapshot_times: tuple[float, ...] = (),
 ) -> ParticleRunResult:
     """Advance repeatedly until time T or a single remaining aggregate.
 
     Emits a ``final_collapse`` event when the population first reduces to
-    one cluster.  Trajectories are sampled every T/200; ``snapshot_times``
-    are hit exactly (the step is shortened to land on them) and reported in
-    ``snapshots``.  ``n_advances`` counts the
-    calls to :func:`advance` and ``elapsed`` is the wall time of the run.
+    one cluster.  Trajectories are sampled at t0 + k T/200 from each
+    step's interpolant; ``snapshot_times`` are hit exactly (the step is
+    shortened to land on them) and reported in ``snapshots``.
+    ``dt_max`` bounds every step.  ``elapsed`` is the wall time of the run.
     """
     if not T > 0:
         raise ValueError("T must be positive")
@@ -566,8 +748,10 @@ def run(
     snapshots: list[tuple[float, ClusterSet]] = []
     if any(abs(t - cs.time) <= 1e-15 for t in snapshot_times):
         snapshots.append((cs.time, cs.copy()))
-    next_sample = cs.time + sample_dt
-    n_advances = 0
+    t0, k_sample = cs.time, 1
+    n_advances = n_rejected = 0
+    root_iterations: list[int] = []
+    located = 0  # iterations of a located root whose event is not reported yet
     max_iterations = int(50 * T / dt_max) + 10_000
     while cs.time < T - 1e-12 and len(cs) > 1:
         n_advances += 1
@@ -578,11 +762,17 @@ def run(
             horizon = min(horizon, pending[0] - cs.time)
         cs, evs = advance(cs, kernel, p, max(horizon, 1e-15), gap_tol)
         events.extend(evs)
+        if cs.dense is not None:
+            n_rejected += cs.dense.n_rejected
+            located += cs.dense.root_iterations
+        if evs:
+            root_iterations += [located] * len(evs)
+            located = 0
         while pending and cs.time >= pending[0] - 1e-12:
             snapshots.append((pending.pop(0), cs.copy()))
-        while next_sample <= cs.time + 1e-15 and next_sample <= T:
-            samples.append((cs.time, [replace(c) for c in cs.clusters]))
-            next_sample += sample_dt
+        while (t := t0 + k_sample * sample_dt) <= cs.time + 1e-15 and t <= T:
+            samples.append((t, _clusters_at(cs, t)))
+            k_sample += 1
         if len(cs) == 1 and evs:
             c = cs.clusters[0]
             events.append(
@@ -596,9 +786,13 @@ def run(
                     all_positions=(c.position,),
                 )
             )
+            root_iterations.append(0)
             break
     while pending:
         snapshots.append((pending.pop(0), cs.copy()))
     samples.append((cs.time, [replace(c) for c in cs.clusters]))
     elapsed = _time.perf_counter() - t_start
-    return ParticleRunResult(events, samples, cs, dt_max, gap_tol, n_advances, elapsed, snapshots)
+    return ParticleRunResult(
+        events, samples, cs, dt_max, gap_tol, n_advances, elapsed, snapshots,
+        n_rejected=n_rejected, root_iterations=root_iterations,
+    )

@@ -66,7 +66,8 @@ Scenario JSON schema (all masses in absolute units):
   snapshot_times  [float, ...] in [0, T] (default: 6 evenly spaced)
   cfl_safety      float in (0, 1), default 0.9 (grid solvers)
   gap_tol         float > 0, default 1e-9 (particles)
-  dt_max          float > 0, default 1e-3 (particles)
+  dt_max          float > 0, default 0.05 (particles): an upper bound on the
+                  step, whose length the error control sets
   epsilon         float > 0, kinetic scaling parameter (default 0.1)
   eps_list        [float, ...] strictly decreasing (limit sweeps only)
   output_dir      str, per-run output directory (optional)
@@ -92,6 +93,18 @@ def _number(key: str, value, kind=float):
         raise ScenarioError(f"{key}: expected a number, got {value!r}") from None
 
 
+def _object(key: str, value) -> dict:
+    """``value``, which must be a JSON object; anything else is a
+    ScenarioError that names ``key``."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{key}: expected a JSON object, got {value!r}")
+    return value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _numbers(key: str, values) -> tuple[float, ...]:
     if not isinstance(values, (list, tuple)):
         raise ScenarioError(f"{key}: expected a list of numbers, got {values!r}")
@@ -112,7 +125,7 @@ class Scenario:
     snapshot_times: tuple[float, ...] = ()
     cfl_safety: float = 0.9
     gap_tol: float = 1e-9
-    dt_max: float = 1e-3
+    dt_max: float = 0.05
     epsilon: float = 0.1
     eps_list: tuple[float, ...] | None = None
     output_dir: str | None = None
@@ -131,15 +144,23 @@ class Scenario:
                 raise ScenarioError(
                     f"initial.{label}: exactly one of 'bumps' or 'clusters' is required"
                 )
-            for entry in spec[forms[0]]:
-                if len(entry) != 2:
-                    raise ScenarioError(f"initial.{label}: entries must be [value, value] pairs")
+            entries = spec[forms[0]]
+            if not isinstance(entries, (list, tuple)):
+                raise ScenarioError(
+                    f"initial.{label}.{forms[0]}: expected a list of [value, value] pairs, got {entries!r}"
+                )
+            for i, entry in enumerate(entries):
+                key = f"initial.{label}.{forms[0]}[{i}]"
+                if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                    raise ScenarioError(f"{key}: entries must be [value, value] pairs, got {entry!r}")
+                if not all(map(_is_number, entry)):
+                    raise ScenarioError(f"{key}: expected numbers, got {entry!r}")
                 if not all(map(math.isfinite, entry)):
-                    raise ScenarioError(f"initial.{label}: entries must be finite, got {entry!r}")
+                    raise ScenarioError(f"{key}: entries must be finite, got {entry!r}")
                 if forms[0] == "bumps" and entry[0] < 0:
-                    raise ScenarioError(f"initial.{label}: negative bump amplitude")
+                    raise ScenarioError(f"{key}: negative bump amplitude")
                 if forms[0] == "clusters" and entry[1] < 0:
-                    raise ScenarioError(f"initial.{label}: negative cluster mass")
+                    raise ScenarioError(f"{key}: negative cluster mass")
         if self.solver in ("fv", "kinetic", "compare"):
             if self.grid is None:
                 raise ScenarioError(f"grid: required for solver {self.solver!r}")
@@ -227,7 +248,7 @@ def scenario_from_dict(d: dict, name: str = "scenario") -> Scenario:
     for key in ("params", "initial", "solver", "T"):
         if key not in d:
             raise ScenarioError(f"{key}: missing required key")
-    prm = d["params"]
+    prm = _object("params", d["params"])
     for key in ("chi1", "chi2"):
         if key not in prm:
             raise ScenarioError(f"params.{key}: missing required key")
@@ -236,13 +257,13 @@ def scenario_from_dict(d: dict, name: str = "scenario") -> Scenario:
         params = ModelParams(**values)
     except ValueError as exc:
         raise ScenarioError(f"params: {exc}") from exc
-    kernel_spec = dict(d.get("kernel", {"kind": "exponential"}))
-    initial = d["initial"]
+    kernel_spec = dict(_object("kernel", d.get("kernel", {"kind": "exponential"})))
+    initial = _object("initial", d["initial"])
     if "species1" not in initial or "species2" not in initial:
         raise ScenarioError("initial: needs 'species1' and 'species2' entries")
     grid = None
     if "grid" in d:
-        g = d["grid"]
+        g = _object("grid", d["grid"])
         for key in ("xmin", "xmax", "dx"):
             if key not in g:
                 raise ScenarioError(f"grid.{key}: missing required key")
@@ -255,8 +276,8 @@ def scenario_from_dict(d: dict, name: str = "scenario") -> Scenario:
         name=str(d.get("name", name)),
         params=params,
         kernel_spec=kernel_spec,
-        initial1=dict(initial["species1"]),
-        initial2=dict(initial["species2"]),
+        initial1=dict(_object("initial.species1", initial["species1"])),
+        initial2=dict(_object("initial.species2", initial["species2"])),
         solver=str(d["solver"]),
         T=T,
         grid=grid,

@@ -158,6 +158,20 @@ class TestCflDt:
         with pytest.raises(ValueError):
             cfl_dt(1e-3, KERNEL, unit_params(), safety=1.0)
 
+    def test_overflowing_step_is_rejected(self):
+        # 2^-1023 is the smallest mass whose quantum is not 0; chi = 0.1 makes
+        # the velocity bound subnormal and dx over it overflows to inf
+        rho2 = np.zeros(8)
+        rho2[4] = 2.0**-1023
+        st = GridState(-1.0, 0.5, np.zeros(8), rho2)
+        p = unit_params(chi1=0.1, chi2=0.1)
+        assert st.total_masses() == (0.0, 2.0**-1023)
+        with pytest.raises(ValueError, match="CFL step is not finite"):
+            cfl_dt(st.dx, KERNEL, p, total_masses=st.total_masses())
+        # the run used to take floor(T / inf) = 0 steps and return t = 0
+        with pytest.raises(ValueError, match="CFL step is not finite"):
+            run(st, KERNEL, p, 1.0)
+
 
 class TestStep:
     def test_single_cell_state_unchanged(self):

@@ -8,7 +8,7 @@ public constructor builds from the same data.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as hs
 
 from aggrekin import fv, kinetic, particles
@@ -91,7 +91,12 @@ class TestStepSuccessors:
         st, _ = grid_and_kinetic(m1, m2)
         assume(sum(st.total_masses()) > 0)
         p = ModelParams(chi1=chi1, chi2=chi2, theta2=theta2)
-        dt = frac * cfl_dt(st.dx, KERNEL, p, total_masses=st.total_masses())
+        try:
+            dt = frac * cfl_dt(st.dx, KERNEL, p, total_masses=st.total_masses())
+        except ValueError as exc:
+            # masses so small that the CFL step overflows have no step to take
+            assert "not finite" in str(exc)
+            reject()
         for _ in range(n_steps):
             nxt = fv.step(st, make_flux(st, KERNEL, p), dt)
             for quanta in ((nxt.q1, nxt.q2), ()):

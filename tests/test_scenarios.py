@@ -216,7 +216,7 @@ class TestRunScenario:
             assert (out_a / fname).read_bytes() == (out_b / fname).read_bytes()
 
     def test_preset_advance_counts(self):
-        # the four presets make 8,761 advance calls between them
+        # the four presets make 203 advance calls between them
         total = 0
         for name in PRESET_NAMES:
             s = preset(name, solver="particles")
@@ -226,7 +226,7 @@ class TestRunScenario:
             )
             assert res.elapsed > 0.0
             total += res.n_advances
-        assert total == 8761
+        assert total == 203
 
     @pytest.mark.filterwarnings("ignore::aggrekin.measures.CoarseGridWarning")
     def test_compare_solver_reports_agreement(self, tmp_path):
@@ -447,6 +447,40 @@ class TestWronglyTypedValues:
         node[path[-1]] = value
         with pytest.raises(ScenarioError, match=key):
             scenario_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "path, value, key",
+        [
+            (("initial", "species1", "bumps"), [["a", 0.1]], "initial.species1.bumps[0]"),
+            (("initial", "species2", "bumps"), [[1.0, 0.4], [0.5]], "initial.species2.bumps[1]"),
+            (("initial", "species1", "bumps"), [3], "initial.species1.bumps[0]"),
+            (("initial", "species1", "bumps"), 3, "initial.species1.bumps"),
+            (("initial", "species1"), "x", "initial.species1"),
+            (("initial",), [1], "initial"),
+            (("params",), 5, "params"),
+            (("grid",), [-2.0, 2.0, 4e-3], "grid"),
+            (("kernel",), "exponential", "kernel"),
+        ],
+    )
+    def test_wrongly_typed_entry_is_named(self, path, value, key):
+        data = json.loads(json.dumps(KINETIC_CONFIG))
+        node = data
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = value
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(data)
+        assert str(exc.value).startswith(key + ":")
+
+    def test_cli_names_a_wrongly_typed_bump(self, tmp_path, capsys):
+        data = json.loads(json.dumps(KINETIC_CONFIG))
+        data["initial"]["species1"]["bumps"] = [["a", 0.1]]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ScenarioError"
+        assert payload["message"].startswith("initial.species1.bumps[0]:")
 
     @pytest.mark.parametrize("n", ["x", [3], float("inf")])
     def test_kernel_n_is_named(self, n):
