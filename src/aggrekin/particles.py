@@ -546,21 +546,26 @@ def _dp_step(vel, z0: np.ndarray, v0: np.ndarray, h: float) -> tuple[np.ndarray,
     return K, z1, err
 
 
-def _first_root(f, hi: float, tol: float) -> tuple[float, int]:
+def _first_root(f, hi: float, tol: float, f_max: float = math.inf) -> tuple[float, int]:
     """The first s in (0, ``hi``] where ``f`` turns positive, given f(0) <=
-    0 < f(hi), to ``tol``: Illinois false position on the bracket.  Returns
-    the bracket's positive end and the iterations made."""
-    lo, f_lo, f_hi = 0.0, f(0.0), f(hi)
+    0 < f(hi): Illinois false position on the bracket, until it is ``tol``
+    wide and f is below ``f_max`` at its positive end.  Returns that end,
+    or the other one if no float between them meets ``f_max``, and the
+    iterations made."""
+    lo, f_lo = 0.0, f(0.0)
+    f_hi = f_end = f(hi)  # f_hi is scaled by the Illinois rule, f_end is f(hi)
     kept = 0  # which end the last iterate replaced: -1 low, +1 high
     n = 0
-    while hi - lo > tol:
-        n += 1
+    while hi - lo > tol or not f_end < f_max:
         mid = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         if not lo < mid < hi:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                return lo, n
+        n += 1
         f_mid = f(mid)
         if f_mid > 0.0:
-            hi, f_hi = mid, f_mid
+            hi, f_hi, f_end = mid, f_mid, f_mid
             if kept == 1:
                 f_lo *= 0.5
             kept = 1
@@ -590,11 +595,12 @@ def advance(
     the pair ordering of the step's start (:meth:`PointyKernel.branch_deriv`).
     If an adjacent gap ends the step below ``gap_tol``, or a glued
     cluster's condition fails, the first such root on the step's
-    interpolant is located to ``ROOT_TOL`` and the step ends there.  A
-    contact is resolved: same-species groups merge, mixed groups glue or
-    cross according to the synchronising condition (with the external
-    attraction excluding the whole group).  An unglue is left to the next
-    call.  The successor carries the step in ``dense``.
+    interpolant is located to ``ROOT_TOL`` and the step ends there (for a
+    contact, before the pair's gap reaches 0).  A contact is resolved:
+    same-species groups merge, mixed groups glue or cross according to the
+    synchronising condition (with the external attraction excluding the
+    whole group).  An unglue is left to the next call.  The successor
+    carries the step in ``dense``.
     """
     if not dt_max > 0:
         raise ValueError("dt_max must be positive")
@@ -671,7 +677,8 @@ def advance(
     s_end, n_iter = 1.0, 0
     closing = np.flatnonzero((z1[1:] - z1[:-1] < gap_tol) & (gaps >= gap_tol)).tolist()
     if closing:
-        s_end, n_iter = _first_root(gap_excess, 1.0, ROOT_TOL / h)
+        # past the root, but before the pair's gap closes to 0
+        s_end, n_iter = _first_root(gap_excess, 1.0, ROOT_TOL / h, gap_tol)
     z_end = at(s_end)
     ungluing = [i for i in glued if unglue_excess(z_end, i) > 0.0]
     if ungluing:
@@ -679,12 +686,12 @@ def advance(
         n_iter += n
         z_end = at(s_end)
     t_end = cs.time + s_end * h
-    step = DenseStep(
-        cs.clusters, cs.time, t_end, h, z0, q,
-        K[6] if s_end == 1.0 else None, h_next, n_rejected, n_iter,
-    )
-    out = cs._moved(z_end.tolist(), t_end)
     touching = z_end[1:] - z_end[:-1] < gap_tol
+    # K[6] is the velocity of these clusters at z1, not of what a contact
+    # makes of them
+    v_end = K[6] if s_end == 1.0 and not touching.any() else None
+    step = DenseStep(cs.clusters, cs.time, t_end, h, z0, q, v_end, h_next, n_rejected, n_iter)
+    out = cs._moved(z_end.tolist(), t_end)
     if touching.any():
         out, events = _resolve_contacts(out, touching, kernel, p, gap_tol)
     out.dense = step

@@ -101,10 +101,6 @@ def _object(key: str, value) -> dict:
     return value
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _numbers(key: str, values) -> tuple[float, ...]:
     if not isinstance(values, (list, tuple)):
         raise ScenarioError(f"{key}: expected a list of numbers, got {values!r}")
@@ -138,7 +134,8 @@ class Scenario:
                 raise ScenarioError(f"{key}: must be positive and finite, got {getattr(self, key)!r}")
         if not 0.0 < self.cfl_safety < 1.0:
             raise ScenarioError("cfl_safety: must lie in (0, 1)")
-        for label, spec in (("species1", self.initial1), ("species2", self.initial2)):
+        for label, attr in (("species1", "initial1"), ("species2", "initial2")):
+            spec = getattr(self, attr)
             forms = [key for key in ("bumps", "clusters") if key in spec]
             if len(forms) != 1:
                 raise ScenarioError(
@@ -149,18 +146,21 @@ class Scenario:
                 raise ScenarioError(
                     f"initial.{label}.{forms[0]}: expected a list of [value, value] pairs, got {entries!r}"
                 )
+            pairs = []
             for i, entry in enumerate(entries):
                 key = f"initial.{label}.{forms[0]}[{i}]"
                 if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                     raise ScenarioError(f"{key}: entries must be [value, value] pairs, got {entry!r}")
-                if not all(map(_is_number, entry)):
-                    raise ScenarioError(f"{key}: expected numbers, got {entry!r}")
+                entry = _numbers(key, entry)
+                pairs.append(list(entry))
                 if not all(map(math.isfinite, entry)):
                     raise ScenarioError(f"{key}: entries must be finite, got {entry!r}")
                 if forms[0] == "bumps" and entry[0] < 0:
                     raise ScenarioError(f"{key}: negative bump amplitude")
                 if forms[0] == "clusters" and entry[1] < 0:
                     raise ScenarioError(f"{key}: negative cluster mass")
+            # the initial data is read as the numbers checked here
+            setattr(self, attr, {**spec, forms[0]: pairs})
         if self.solver in ("fv", "kinetic", "compare"):
             if self.grid is None:
                 raise ScenarioError(f"grid: required for solver {self.solver!r}")

@@ -329,6 +329,55 @@ class TestAdvance:
         assert res.n_advances == 5
         assert res.elapsed > 0.0
 
+    # pairs that start inside gap_tol without closing: a contact resolved
+    # at the end of a plain step changes the clusters (a cross reorders
+    # them, a merge or glue removes one)
+    STEP_END_CONTACTS = {
+        "separating_pair": (
+            [(0.0, 0.33, 0.0), (1e-6, 0.0, 0.3), (0.01, 1.6, 2.3), (0.02, 2.3, 0.0)],
+            1e-3,
+            {"merge_same_species", "glue"},
+        ),
+        "cross_at_step_end": (
+            [(0.0, 0.033, 0.0), (1e-6, 0.0, 0.03), (0.01, 0.16, 0.23), (0.02, 0.23, 0.0)],
+            1e-3,
+            {"cross", "merge_same_species", "glue"},
+        ),
+        "merge_at_step_end": (
+            [(0.0, 0.01, 0.0), (0.01, 0.01, 0.0), (2.0, 0.0, 100.0)],
+            0.05,
+            {"merge_same_species", "glue"},
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(STEP_END_CONTACTS))
+    def test_contact_at_a_step_end_runs_through(self, name):
+        config, gap_tol, kinds = self.STEP_END_CONTACTS[name]
+        cs = ClusterSet([Cluster(*c) for c in config])
+        p = params(chi1=3.0, chi2=4.0)
+        masses = cs.total_masses()
+        events = []
+        for _ in range(2000):
+            cs, evs = advance(cs, KERNEL, p, 1e-3, gap_tol)
+            events.extend(evs)
+            # the next step starts from the velocity of these clusters
+            if cs.dense is not None and cs.dense.v_end is not None:
+                np.testing.assert_allclose(cs.dense.v_end, velocities(cs, KERNEL, p), rtol=1e-9)
+            if len(cs) == 1:
+                break
+        assert len(cs) == 1
+        assert {e.kind for e in events} == kinds
+        assert cs.total_masses() == masses
+
+    def test_fast_contact_with_a_small_gap_tol(self):
+        # the contact is committed past the root of gap - gap_tol, but
+        # before the closing pair's gap reaches 0
+        cs = ClusterSet([Cluster(0.0, 100.0, 0.0), Cluster(0.3, 100.0, 0.0), Cluster(0.7, 0.0, 100.0)])
+        masses = cs.total_masses()
+        res = run(cs, KERNEL, params(chi1=3.0, chi2=4.0), T=1.0, gap_tol=1e-12)
+        assert [e.kind for e in res.events] == ["merge_same_species", "glue", "final_collapse"]
+        assert res.final.total_masses() == masses
+
     def test_exact_snapshots(self):
         cs = ClusterSet([Cluster(-0.4, 1.0, 0.0), Cluster(0.4, 0.0, 1.0)])
         res = run(cs, KERNEL, params(chi1=1.0, chi2=1.0), T=0.5, snapshot_times=(0.1, 0.25, 0.5))

@@ -472,6 +472,14 @@ class TestWronglyTypedValues:
             scenario_from_dict(data)
         assert str(exc.value).startswith(key + ":")
 
+    def test_initial_entries_are_read_like_params(self):
+        data = json.loads(json.dumps(KINETIC_CONFIG))
+        plain = scenario_from_dict(data)
+        bump = data["initial"]["species1"]["bumps"][0]
+        data["initial"]["species1"]["bumps"][0] = [str(v) for v in bump]
+        data["params"]["chi1"] = str(data["params"]["chi1"])
+        assert scenario_from_dict(data) == plain
+
     def test_cli_names_a_wrongly_typed_bump(self, tmp_path, capsys):
         data = json.loads(json.dumps(KINETIC_CONFIG))
         data["initial"]["species1"]["bumps"] = [["a", 0.1]]
