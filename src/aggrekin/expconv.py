@@ -12,6 +12,7 @@ kept as the reference path; the two must agree to 1e-12 relative.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +52,15 @@ def use_scan(method: str, kernel, n: int) -> bool:
     raise ValueError(f"unknown convolution method {method!r}")
 
 
+@lru_cache(maxsize=8)
+def _block_scales(block: int, dx: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """e^{k dx} and e^{-k dx} for k < block, read-only, and e^{-block dx}."""
+    k = np.arange(block) * dx
+    up, down = np.exp(k), np.exp(-k)
+    up.flags.writeable = down.flags.writeable = False
+    return up, down, math.exp(-block * dx)
+
+
 def exp_one_sided_sums(w: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]:
     """Left and right decayed sums for weights ``w`` at spacing ``dx``.
 
@@ -71,18 +81,18 @@ def exp_one_sided_sums(w: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray
         return np.zeros(0), np.zeros(0)
     block = min(n, max(1, int(_MAX_BLOCK_SPAN / dx)))
     n_blocks = -(-n // block)
-    k = np.arange(block) * dx
+    up, down, decay = _block_scales(block, dx)
     u = np.zeros((2, n_blocks * block))
     u[0, :n] = w
     u[1, :n] = w[::-1]
     u = u.reshape(2, n_blocks, block)
-    u *= np.exp(k)
-    # exclusive prefix sums: each entry holds the sum of the block's earlier entries
+    u *= up
+    # exclusive prefix sums: the inclusive ones shifted by one, the last of which are the totals
+    inclusive = np.cumsum(u, axis=2)
     prefix = np.empty_like(u)
     prefix[:, :, 0] = 0.0
-    np.cumsum(u[:, :, :-1], axis=2, out=prefix[:, :, 1:])
-    totals = (prefix[:, :, -1] + u[:, :, -1]).tolist()
-    decay = math.exp(-block * dx)
+    prefix[:, :, 1:] = inclusive[:, :, :-1]
+    totals = inclusive[:, :, -1].tolist()
     carries = []
     for sums in totals:
         carry, row = 0.0, []
@@ -91,7 +101,7 @@ def exp_one_sided_sums(w: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray
             carry = decay * (carry + s)
         carries.append(row)
     prefix += np.array(carries)[:, :, None]
-    prefix *= np.exp(-k)
+    prefix *= down
     out = prefix.reshape(2, -1)
     return out[0, :n], out[1, n - 1 :: -1]
 

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .expconv import direct_velocity, exp_velocity_scan, use_scan
 from .kernel import PointyKernel
-from .lattice import GridCells, check_boundary, mass_quantum, march
+from .lattice import GridCells, _occupied_span, check_boundary, mass_quantum, march
 from .measures import ModelParams
 
 __all__ = [
@@ -90,10 +91,18 @@ def assemble_velocity(
     n = state.n_cells
     a_hat = np.empty(n)
     a_hat[a:b] = exp_velocity_scan(p.theta1 * state.rho1[a:b] + p.theta2 * state.rho2[a:b], state.dx)
-    decay = np.exp(-state.dx * np.arange(1, max(a, n - b) + 1))
+    decay = _tail_decay(state.dx, n)
     a_hat[:a] = a_hat[a] * decay[:a][::-1]
     a_hat[b:] = a_hat[b - 1] * decay[: n - b]
     return a_hat
+
+
+@lru_cache(maxsize=8)
+def _tail_decay(dx: float, n: int) -> np.ndarray:
+    """e^{-k dx} for k = 1..n, read-only: the decay of the velocity tails."""
+    decay = np.exp(-dx * np.arange(1, n + 1))
+    decay.flags.writeable = False
+    return decay
 
 
 def make_flux(state: GridState, kernel: PointyKernel, p: ModelParams) -> FluxField:
@@ -131,18 +140,22 @@ def cfl_dt(
 def _quantized_outflows(
     rho: np.ndarray, v: np.ndarray, c: float, q: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    out_r = c * np.maximum(v, 0.0) * rho
-    out_l = c * np.maximum(-v, 0.0) * rho
+    # a cell sends c |v| rho one way only, so one signed transfer t holds
+    # both outflows; rounding is symmetric, so trunc(t / q) = +-floor(|t| / q)
+    t = c * v * rho
     if q > 0.0:
-        out_r = np.floor(out_r / q) * q
-        out_l = np.floor(out_l / q) * q
-    out_r[-1] = 0.0
-    out_l[0] = 0.0
-    # floor + strict CFL already guarantee out_r + out_l <= rho; the clamp
-    # only defends against degenerate safety factors within one ulp of 1
-    out_l = np.minimum(out_l, rho)
-    out_r = np.minimum(out_r, rho - out_l)
-    return out_r, out_l
+        # q is a power of two, so x * (1/q) is x / q exactly unless a
+        # subnormal q has no finite reciprocal
+        inv = 1.0 / q
+        t = np.trunc(t * inv if math.isfinite(inv) else t / q)
+        t *= q
+    t[0] = max(t[0], 0.0)
+    t[-1] = min(t[-1], 0.0)
+    # trunc + strict CFL already guarantee |t| <= rho; the clamp only
+    # defends against degenerate safety factors within one ulp of 1
+    np.minimum(t, rho, out=t)
+    np.maximum(t, -rho, out=t)
+    return np.maximum(t, 0.0), np.maximum(-t, 0.0)
 
 
 def step(state: GridState, flux: FluxField, dt: float) -> GridState:
@@ -152,13 +165,14 @@ def step(state: GridState, flux: FluxField, dt: float) -> GridState:
     quantum, so per-species mass is conserved to 0 ulp and no cell ever
     goes negative.  Only the occupied window plus one cell on each side can
     change, so the update runs on that slice; an empty cell sends nothing,
-    which makes the result bit-identical to the full-grid update.
+    which makes the result bit-identical to the full-grid update.  The
+    successor's window lies in that slice, and is found there and handed over.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     a, b = state._padded_window()
     a_win = flux.a_hat[a:b]
-    vmax = max(flux.chi1, flux.chi2) * float(np.max(np.abs(a_win)))
+    vmax = max(flux.chi1, flux.chi2) * float(np.abs(a_win).max())
     if dt * vmax >= state.dx:
         raise ValueError(
             f"CFL violation: dt * max|chi a_hat| = {dt * vmax:.3e} >= dx = {state.dx:.3e}"
@@ -175,7 +189,8 @@ def step(state: GridState, flux: FluxField, dt: float) -> GridState:
         win[1:] += out_r[:-1]
         win[:-1] += out_l[1:]
         new.append(nxt)
-    return state._successor(state.time + dt, rho1=new[0], rho2=new[1])
+    window = _occupied_span(new[0][a:b], new[1][a:b], a)
+    return state._successor(state.time + dt, rho1=new[0], rho2=new[1], window=window)
 
 
 @dataclass(frozen=True)
@@ -186,11 +201,13 @@ class Peak:
 
 
 def _runs(values: np.ndarray, floor: float) -> list[tuple[int, int]]:
+    """[s, e) of each maximal run of ``values`` above ``floor``."""
     active = values > floor
-    if not np.any(active):
-        return []
-    padded = np.concatenate(([False], active, [False]))
-    edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
+    edges = (np.flatnonzero(active[1:] != active[:-1]) + 1).tolist()
+    if active[0]:
+        edges.insert(0, 0)
+    if active[-1]:
+        edges.append(active.size)
     return list(zip(edges[::2], edges[1::2]))
 
 
@@ -202,19 +219,17 @@ def _peaks(
     Cells above ``cell_floor_frac`` times the total form contiguous runs;
     runs carrying strictly more than ``mass_threshold`` of the total become
     peaks at their mass-weighted centroid, with per-species masses
-    ``masses(s, e, run_mass)`` for window cells [s, e).  Cell centres are
-    built for the cells of those runs only.
+    ``masses(s, e, run_mass)`` for window cells [s, e).
     """
-    total = float(np.sum(values))
+    total = float(values.sum())
     if total <= 0.0:
         return []
-    lo = state.window[0]
+    x = state.window_centers
     peaks = []
     for s, e in _runs(values, cell_floor_frac * total):
-        run_mass = float(np.sum(values[s:e]))
+        run_mass = float(values[s:e].sum())
         if run_mass > mass_threshold * total:
-            x = state.xmin + (np.arange(lo + s, lo + e) + 0.5) * state.dx
-            centroid = float(np.sum(x * values[s:e]) / run_mass)
+            centroid = float((x[s:e] * values[s:e]).sum() / run_mass)
             peaks.append(Peak(centroid, *masses(s, e, run_mass)))
     return peaks
 
@@ -366,10 +381,10 @@ def run(
         lo, hi = st.window
         a, b = st._padded_window()
         diag["t"].append(st.time)
-        diag["mass1"].append(float(np.sum(st.rho1[lo:hi])))
-        diag["mass2"].append(float(np.sum(st.rho2[lo:hi])))
+        diag["mass1"].append(float(st.rho1[lo:hi].sum()))
+        diag["mass2"].append(float(st.rho2[lo:hi].sum()))
         diag["weighted_center"].append(st.weighted_center(p))
-        diag["max_velocity"].append(float(np.max(np.abs(flux.a_hat[a:b]))))
+        diag["max_velocity"].append(float(np.abs(flux.a_hat[a:b]).max()))
         # a window narrower than the grid leaves empty cells outside it
         full = (lo, hi) == (0, st.n_cells)
         diag["min_cell"].append(float(min(np.min(st.rho1), np.min(st.rho2))) if full else 0.0)

@@ -73,6 +73,15 @@ def checked_cells(name: str, values) -> np.ndarray:
     return r
 
 
+def _occupied_span(rho1: np.ndarray, rho2: np.ndarray, offset: int = 0) -> tuple[int, int]:
+    """(lo, hi) spanning the nonzero cells of rho1 + rho2, shifted by ``offset``; (0, 0) if none."""
+    occupied = (rho1 + rho2) != 0
+    lo = int(np.argmax(occupied))
+    if not occupied[lo]:
+        return 0, 0
+    return offset + lo, offset + occupied.size - int(np.argmax(occupied[::-1]))
+
+
 @dataclass(frozen=True)
 class GridCells:
     """Per-cell masses of both species on a uniform grid.
@@ -106,12 +115,13 @@ class GridCells:
             object.__setattr__(self, "rho" + name, snap(r, q))
             object.__setattr__(self, "q" + name, q)
 
-    def _successor(self, time: float, **cells: np.ndarray):
+    def _successor(self, time: float, **cells):
         """This state at ``time`` with the arrays ``cells`` replaced.
 
         A solver step's successor: its cells are already values of this
         state's lattice, so it skips the copy, the checks and the snap of
-        the public constructor, which would return it unchanged.
+        the public constructor, which would return it unchanged.  A step
+        that knows the successor's ``window`` passes it among ``cells``.
         """
         new = object.__new__(type(self))
         values = {name: getattr(self, name) for name in self.__dataclass_fields__}
@@ -129,11 +139,13 @@ class GridCells:
         species; (0, 0) for the empty state.  Every cell outside is zero.
         Computed once per state, so the cell arrays must not be written to
         after construction."""
-        occupied = (self.rho1 + self.rho2) != 0
-        lo = int(np.argmax(occupied))
-        if not occupied[lo]:
-            return 0, 0
-        return lo, self.n_cells - int(np.argmax(occupied[::-1]))
+        return _occupied_span(self.rho1, self.rho2)
+
+    @cached_property
+    def window_centers(self) -> np.ndarray:
+        """The centres of the window's cells, computed once per state."""
+        lo, hi = self.window
+        return self.xmin + (np.arange(lo, hi) + 0.5) * self.dx
 
     def _padded_window(self) -> tuple[int, int]:
         """The window grown by one empty cell on each side, within the grid."""
@@ -156,10 +168,9 @@ class GridCells:
 
     def weighted_center(self, p: ModelParams) -> float:
         lo, hi = self.window
-        x = self.xmin + (np.arange(lo, hi) + 0.5) * self.dx
-        return (p.theta1 / p.chi1) * float(np.sum(x * self.rho1[lo:hi])) + (
+        return (p.theta1 / p.chi1) * float((self.window_centers * self.rho1[lo:hi]).sum()) + (
             p.theta2 / p.chi2
-        ) * float(np.sum(x * self.rho2[lo:hi]))
+        ) * float((self.window_centers * self.rho2[lo:hi]).sum())
 
 
 def check_boundary(state: GridCells, total: float) -> None:
@@ -177,11 +188,12 @@ def march(initial: GridCells, T: float, dt: float, snapshot_times, advance, reco
     """The step loop of a grid solver's run.
 
     Takes n = floor(T / dt) steps ``state = advance(state)`` from
-    ``initial``.  Every state, the initial one included, must pass
-    :func:`check_boundary`; then ``record(state)`` returns its snapshot
-    entry.  Each requested time in ``snapshot_times`` gets the entry of the
-    last step boundary at or before it (the last state for times past it).
-    Returns the snapshot entries, the final state, n and the wall time.
+    ``initial``, and refuses a T > 0 so short that n = 0.  Every state, the
+    initial one included, must pass :func:`check_boundary`; then
+    ``record(state)`` returns its snapshot entry.  Each requested time in
+    ``snapshot_times`` gets the entry of the last step boundary at or
+    before it (the last state for times past it).  Returns the snapshot
+    entries, the final state, n and the wall time.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
@@ -193,10 +205,13 @@ def march(initial: GridCells, T: float, dt: float, snapshot_times, advance, reco
     requested = sorted(snapshot_times)
     snapshots = []
     state = initial
+    check_boundary(state, total)
+    if T > 0 and n_steps == 0:
+        raise ValueError(f"the step dt = {dt!r} is longer than T = {T!r}, so the run takes no step")
     for k in range(n_steps + 1):
         if k:
             state = advance(state)
-        check_boundary(state, total)
+            check_boundary(state, total)
         entry = record(state)
         # every requested time before the next step boundary maps to this one
         limit = state.time + dt if k < n_steps else math.inf

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,63 @@ def brute_one_sided(w, dx):
     return left, right
 
 
+def frozen_one_sided(w, dx):
+    """The blocked scan as it was before its block scales were cached: an
+    exclusive cumulative sum written into a strided slice, the scales
+    recomputed per call.  The arithmetic is the same, so the results must
+    be too, bit for bit."""
+    n = w.size
+    block = min(n, max(1, int(0.25 / dx)))
+    n_blocks = -(-n // block)
+    k = np.arange(block) * dx
+    u = np.zeros((2, n_blocks * block))
+    u[0, :n] = w
+    u[1, :n] = w[::-1]
+    u = u.reshape(2, n_blocks, block)
+    u *= np.exp(k)
+    prefix = np.empty_like(u)
+    prefix[:, :, 0] = 0.0
+    np.cumsum(u[:, :, :-1], axis=2, out=prefix[:, :, 1:])
+    totals = (prefix[:, :, -1] + u[:, :, -1]).tolist()
+    decay = math.exp(-block * dx)
+    carries = []
+    for sums in totals:
+        carry, row = 0.0, []
+        for s in sums:
+            row.append(carry)
+            carry = decay * (carry + s)
+        carries.append(row)
+    prefix += np.array(carries)[:, :, None]
+    prefix *= np.exp(-k)
+    out = prefix.reshape(2, -1)
+    return out[0, :n], out[1, n - 1 :: -1]
+
+
 class TestOneSidedSums:
+    # (n, dx): one cell; fewer cells than a block (block = n); whole blocks
+    # of 500; a partial last block; dx >= 0.25, where a block is one cell
+    @pytest.mark.parametrize(
+        "n, dx", [(1, 5e-4), (1, 0.3), (37, 5e-4), (2000, 5e-4), (2321, 5e-4), (40, 0.25), (25, 0.7)]
+    )
+    def test_bit_identical_to_the_frozen_scan(self, n, dx):
+        rng = np.random.default_rng(n)
+        for w in (rng.uniform(0, 1, n), rng.normal(size=n) * (rng.uniform(size=n) > 0.5)):
+            # twice, so the second call reads the cached scales
+            for _ in range(2):
+                left, right = exp_one_sided_sums(w, dx)
+                ref_left, ref_right = frozen_one_sided(w, dx)
+                assert left.tobytes() == ref_left.tobytes()
+                assert right.tobytes() == ref_right.tobytes()
+
+    def test_bit_identical_to_the_frozen_scan_on_random_grids(self):
+        rng = np.random.default_rng(300)
+        for _ in range(300):
+            n = int(rng.integers(1, 3000))
+            dx = float(10.0 ** rng.uniform(-4, 0))
+            w = rng.uniform(0, 1, n)
+            for got, ref in zip(exp_one_sided_sums(w, dx), frozen_one_sided(w, dx)):
+                assert got.tobytes() == ref.tobytes()
+
     def test_against_literal_double_loop(self):
         rng = np.random.default_rng(0)
         for n, dx in ((7, 0.5), (40, 0.05), (130, 0.31)):

@@ -230,6 +230,15 @@ class TestRun:
         assert np.array_equal(res.final.rho1, st.rho1)
         assert len(res.snapshots) == 1
 
+    def test_step_longer_than_horizon_is_rejected(self):
+        # 1e-300 of species 1 under chi1 = 10: the CFL step is ~9e297, far
+        # past T, so the run would take no step and stay at t = 0
+        rho1 = np.zeros(40)
+        rho1[20] = 1e-300
+        st = GridState(-1.0, 2.0 / 40, rho1, np.zeros(40))
+        with pytest.raises(ValueError, match=r"dt = .* T = 1\.0"):
+            run(st, KERNEL, unit_params(chi1=10.0), T=1.0)
+
     def test_diagnostics_row_count(self):
         rng = np.random.default_rng(3)
         st = random_state(rng, n=32)

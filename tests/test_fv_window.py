@@ -2,17 +2,25 @@
 
 The velocity is scanned on the window and filled in geometrically outside
 it; ``step``, the peak finders and the run diagnostics touch the window
-only.  These tests check the windowed velocity against the O(N^2) direct
-sum over the whole grid, and the windowed step and peak finders bit for
-bit against the full-grid versions written out below.
+only, and ``step`` hands its successor the window it finds on the slice it
+wrote.  These tests check the windowed velocity against the O(N^2) direct
+sum over the whole grid, and the windowed step, the peak finders and a
+whole run bit for bit against the full-grid versions written out below.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from aggrekin.fv import (
+    FluxField,
     GridState,
     Peak,
+    _ContactTracker,
+    _quantized_outflows,
     _runs,
     assemble_velocity,
     cfl_dt,
@@ -23,7 +31,9 @@ from aggrekin.fv import (
     step,
 )
 from aggrekin.kernel import exponential_kernel
+from aggrekin.lattice import mass_quantum, snap
 from aggrekin.measures import ModelParams
+from aggrekin.scenarios import initial_grid_state, preset
 
 KERNEL = exponential_kernel()
 PARAMS = ModelParams(chi1=3.0, chi2=0.5, theta1=1.0, theta2=2.0)
@@ -45,6 +55,14 @@ def state_on(n, lo, hi, rng, dx=5e-3, species=(1, 2), holes=0.0):
 def padded(state):
     lo, hi = state.window
     return max(lo - 1, 0), min(hi + 1, state.n_cells)
+
+
+def window_of(rho1, rho2):
+    """The occupied window recomputed from the cell arrays."""
+    occupied = np.flatnonzero((rho1 > 0) | (rho2 > 0))
+    if occupied.size == 0:
+        return 0, 0
+    return int(occupied[0]), int(occupied[-1]) + 1
 
 
 # the update and the peak finders as they ran on the whole grid
@@ -199,3 +217,117 @@ class TestWindowedStepBitIdentical:
                 assert species_peaks(st, species) == full_grid_species_peaks(st, species)
                 assert species_peaks(st, species, 0.2, 0.3) == full_grid_species_peaks(st, species, 0.2, 0.3)
             assert extract_peaks(st) == full_grid_extract_peaks(st)
+
+
+def steps_hand_over_their_window(st, rng):
+    # the attracting velocity points inwards at the window's edges, so it
+    # never moves them; a random field also spreads mass outwards
+    for _ in range(3):
+        flux = FluxField(rng.normal(size=st.n_cells), 4.0, 0.7)
+        dt = 0.9 * st.dx / (4.0 * np.max(np.abs(flux.a_hat)))
+        st = step(st, flux, dt)
+        assert st.window == window_of(st.rho1, st.rho2)
+
+
+class TestHandedOverWindow:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=hs.integers(1, 60),
+        species=hs.sampled_from([(1, 2), (1,), (2,)]),
+        seed=hs.integers(0, 2**32 - 1),
+        data=hs.data(),
+    )
+    def test_step_hands_over_the_window_of_its_arrays(self, n, species, seed, data):
+        # supports anywhere, mass in cell 0 or n-1 included, one species
+        # empty in two of three draws
+        lo = data.draw(hs.integers(0, n - 1), label="lo")
+        hi = data.draw(hs.integers(lo + 1, n), label="hi")
+        holes = data.draw(hs.floats(0.0, 0.7), label="holes")
+        rng = np.random.default_rng(seed)
+        st = state_on(n, lo, hi, rng, dx=4.0 / n, species=species, holes=holes)
+        steps_hand_over_their_window(st, rng)
+
+    def test_step_hands_over_the_window_on_edge_supports(self):
+        # supports on cells [0, 10), [30, 40), all cells, cell 0 alone and
+        # cell 39 alone, with one species empty in two of three states
+        rng = np.random.default_rng(31)
+        for st in random_states(rng, n=40, count=12):
+            steps_hand_over_their_window(st, rng)
+
+    def test_empty_state_hands_over_an_empty_window(self):
+        st = GridState(-1.0, 0.1, np.zeros(20), np.zeros(20))
+        flux = make_flux(st, KERNEL, PARAMS)
+        assert step(st, flux, 0.01).window == (0, 0)
+
+
+class TestQuantizedOutflows:
+    @pytest.mark.parametrize("total", [1e-300, 1.0, 1e300])
+    def test_multiplying_by_the_reciprocal_is_dividing(self, total):
+        # 1e-300 has a subnormal quantum whose reciprocal overflows, so the
+        # outflows fall back to dividing; the others multiply by 1/q
+        rng = np.random.default_rng(8)
+        n = 500
+        q = mass_quantum(total)
+        assert math.isinf(1.0 / q) == (total == 1e-300)
+        rho = snap(rng.uniform(size=n) * (total / n), q)
+        v = rng.normal(size=n)
+        c = 0.9 / np.max(np.abs(v))
+        out_r, out_l = _quantized_outflows(rho, v, c, q)
+        ref_r = np.floor(c * np.maximum(v, 0.0) * rho / q) * q
+        ref_l = np.floor(c * np.maximum(-v, 0.0) * rho / q) * q
+        ref_r[-1] = 0.0
+        ref_l[0] = 0.0
+        assert np.count_nonzero(out_r) > n // 3 and np.count_nonzero(out_l) > n // 3
+        assert np.array_equal(out_r, ref_r)
+        assert np.array_equal(out_l, ref_l)
+
+
+DIAGNOSTICS = ("t", "mass1", "mass2", "weighted_center", "max_velocity", "min_cell")
+
+
+def full_grid_run(initial, p, T):
+    """``run`` written out on the whole grid: the full-grid step and peak
+    finders, every state rebuilt through the public constructor, its window
+    recomputed from the arrays, and the diagnostics taken over all cells."""
+    dt = cfl_dt(initial.dx, KERNEL, p, 0.9, initial.total_masses())
+    n_steps = int(math.floor(T / dt + 1e-12))
+    tracker = _ContactTracker(initial.dx)
+    diag = {k: [] for k in DIAGNOSTICS}
+    st = initial
+    for k in range(n_steps + 1):
+        if k:
+            rho1, rho2 = full_grid_step(st, flux, dt)
+            st = GridState(st.xmin, st.dx, rho1, rho2, st.time + dt, st.q1, st.q2)
+        tracker.update(st.time, full_grid_species_peaks(st, 1), full_grid_species_peaks(st, 2))
+        flux = make_flux(st, KERNEL, p)
+        lo, hi = window_of(st.rho1, st.rho2)
+        x = st.centers[lo:hi]
+        diag["t"].append(st.time)
+        diag["mass1"].append(float(np.sum(st.rho1)))
+        diag["mass2"].append(float(np.sum(st.rho2)))
+        diag["weighted_center"].append(
+            (p.theta1 / p.chi1) * float(np.sum(x * st.rho1[lo:hi]))
+            + (p.theta2 / p.chi2) * float(np.sum(x * st.rho2[lo:hi]))
+        )
+        diag["max_velocity"].append(float(np.max(np.abs(flux.a_hat))))
+        diag["min_cell"].append(float(min(np.min(st.rho1), np.min(st.rho2))))
+    return diag, tracker.events, st, n_steps
+
+
+class TestRunMatchesFullGridRun:
+    def test_example1_through_its_first_contact(self):
+        # 3200 cells, so the velocity is scanned; example 1's first contact
+        # comes at t ~ 0.95, near the end of the run's ~890 steps
+        s = preset("example1", solver="fv", dx=1.25e-3)
+        initial = initial_grid_state(s)
+        res = run(initial, KERNEL, s.params, T=1.0)
+        diag, events, final, n_steps = full_grid_run(initial, s.params, 1.0)
+        assert res.n_steps == n_steps >= 300
+        assert initial.n_cells > 512
+        assert [e.kind for e in res.events] == ["contact"]
+        assert res.events == events
+        for key in DIAGNOSTICS:
+            assert res.diagnostics[key].tobytes() == np.asarray(diag[key]).tobytes(), key
+        assert res.final.time == final.time
+        assert res.final.rho1.tobytes() == final.rho1.tobytes()
+        assert res.final.rho2.tobytes() == final.rho2.tobytes()

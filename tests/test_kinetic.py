@@ -282,6 +282,15 @@ class TestRun:
         assert len(res.snapshots) == 3
         assert res.diagnostics["mass1"][0] == res.diagnostics["mass1"][-1]
 
+    def test_step_longer_than_horizon_is_rejected(self):
+        # dt = dx = 4e-3 > T: the run would take no step and stay at t = 0
+        p = kinetic_params(0.4, 0.3)
+        grid = (-2.0, 2.0, 4e-3)
+        r = sample_gaussian_bumps([(1.0, 0.0)], grid, width=200.0)
+        kin = well_prepared_state(GridState(grid[0], grid[2], r.masses, r.masses), p, epsilon=0.1)
+        with pytest.raises(ValueError, match=r"dt = 0\.004 .* T = 0\.001"):
+            run(kin, p, T=1e-3)
+
 
 class TestLimitExperiment:
     def test_distances_decrease_with_epsilon(self):
