@@ -19,7 +19,11 @@ condition
 
 where gamma is the external weighted attraction exerted by all other
 clusters on the colliding pair.  A step stops just past a glued cluster's
-unglue root, and the next step splits it.
+unglue root, and the next step splits it.  Every check of the condition
+inside :func:`advance` (at a step's start, on its interpolant and at a
+contact) sums gamma from the step's own arrays in one helper, and one
+resolver turns contacts and unglues into the clusters and events that
+follow.
 
 Cluster masses are quantized to a per-species power-of-two quantum at
 construction so that merging masses is an exact float operation and the
@@ -302,11 +306,15 @@ def external_attraction(
     return _attraction(at, np.array([c.position for c in others]), wrho, kernel)
 
 
-def _attraction(at: float, positions: np.ndarray, wrho: np.ndarray, kernel: PointyKernel) -> float:
-    """sum_j wrho_j K'(at - positions_j); a cluster at ``at`` itself adds 0."""
-    terms = wrho * kernel.hat_deriv(at - positions)
+def _attraction(
+    at: float, positions: np.ndarray, wrho: np.ndarray, kernel: PointyKernel, skip: slice = slice(0)
+) -> float:
+    """sum_j wrho_j K'(at - positions_j) over every j outside ``skip``; a
+    cluster at ``at`` itself adds 0."""
+    terms = (wrho * kernel.hat_deriv(at - positions)).tolist()
+    del terms[skip]
     # left to right from 0.0, as a scalar loop would add them
-    return sum(terms.tolist(), 0.0)
+    return sum(terms, 0.0)
 
 
 def _safe_split_positions(
@@ -326,109 +334,15 @@ def _safe_split_positions(
     return s1, s2
 
 
-def _split(
-    cs: ClusterSet, first: int, last: int, pos: float, m1: float, m2: float,
-    gam: float, p: ModelParams, gap_tol: float, next_id: int,
-) -> tuple[Cluster, Cluster]:
-    """The species-1 and species-2 clusters that replace clusters ``first``
-    to ``last`` of ``cs`` (masses m1 and m2 at ``pos``) when they separate:
-    species 1 moves the way the external attraction ``gam`` drives it
-    relative to species 2, and neither part jumps over a neighbour."""
-    direction = 1.0 if (p.chi1 - p.chi2) * gam > 0 else -1.0
-    left = cs.clusters[first - 1].position if first > 0 else -math.inf
-    right = cs.clusters[last + 1].position if last + 1 < len(cs) else math.inf
-    s1_pos, s2_pos = _safe_split_positions(pos, direction, gap_tol, left, right)
-    return Cluster(s1_pos, m1, 0.0, next_id), Cluster(s2_pos, 0.0, m2, next_id + 1)
-
-
-def _handle_group(
-    cs: ClusterSet,
-    group: list[int],
-    kernel: PointyKernel,
-    p: ModelParams,
-    gap_tol: float,
-    new_clusters: list[Cluster],
-    events: list[Event],
-) -> int:
-    """Resolve a contact among consecutive clusters at the time of ``cs``;
-    returns next free id."""
-    members = [cs.clusters[i] for i in group]
-    ids = tuple(c.id for c in members)
-    pos_list = tuple(c.position for c in members)
-    m1 = math.fsum(c.m1 for c in members)
-    m2 = math.fsum(c.m2 for c in members)
-    total = m1 + m2
-    pos = math.fsum(c.mass * c.position for c in members) / total
-    all_pos = tuple(c.position for c in cs.clusters)
-    next_id = cs.next_id
-    t_event = cs.time
-
-    n_s1 = sum(1 for c in members if c.m1 > 0)
-    n_s2 = sum(1 for c in members if c.m2 > 0)
-    if n_s1 > 1 or n_s2 > 1:
-        events.append(
-            Event(t_event, "merge_same_species", ids, pos_list, m1, m2, all_positions=all_pos)
-        )
-    if m1 > 0 and m2 > 0:
-        gam = external_attraction(cs, group, kernel, p, at=pos)
-        chk = sync_condition(gam, m1, m2, p)
-        if chk.holds:
-            new_clusters.append(Cluster(pos, m1, m2, next_id))
-            next_id += 1
-            events.append(
-                Event(t_event, "glue", ids, pos_list, m1, m2, gam, chk.lhs, chk.rhs, all_pos)
-            )
-        else:
-            new_clusters.extend(_split(cs, group[0], group[-1], pos, m1, m2, gam, p, gap_tol, next_id))
-            next_id += 2
-            events.append(
-                Event(t_event, "cross", ids, pos_list, m1, m2, gam, chk.lhs, chk.rhs, all_pos)
-            )
-    else:
-        # a one-species group has at least two members, so its merge is recorded above
-        new_clusters.append(Cluster(pos, m1, m2, next_id))
-        next_id += 1
-    return next_id
-
-
-def _unglue_pass(
-    cs: ClusterSet, kernel: PointyKernel, p: ModelParams, gap_tol: float
-) -> tuple[ClusterSet, list[Event]]:
-    """Split every glued cluster that fails the synchronising condition;
-    ``cs`` comes back untouched when none does."""
-    events: list[Event] = []
-    splits: dict[int, tuple[Cluster, Cluster]] = {}
-    next_id = cs.next_id
-    for i, c in enumerate(cs.clusters):
-        if not c.glued:
-            continue
-        gam = external_attraction(cs, i, kernel, p)
-        chk = sync_condition(gam, c.m1, c.m2, p)
-        if chk.holds:
-            continue
-        splits[i] = _split(cs, i, i, c.position, c.m1, c.m2, gam, p, gap_tol, next_id)
-        next_id += 2
-        events.append(
-            Event(
-                cs.time,
-                "unglue",
-                (c.id,),
-                (c.position,),
-                c.m1,
-                c.m2,
-                gam,
-                chk.lhs,
-                chk.rhs,
-                tuple(cl.position for cl in cs.clusters),
-            )
-        )
-    if not events:
-        return cs, []
-    out: list[Cluster] = []
-    for i, c in enumerate(cs.clusters):
-        out.extend(splits.get(i, (replace(c),)))
-    out.sort(key=lambda c: c.position)
-    return ClusterSet(out, cs.time, next_id), events
+def _sync(
+    z: np.ndarray, wrho: np.ndarray, first: int, last: int, at: float,
+    m1: float, m2: float, kernel: PointyKernel, p: ModelParams,
+) -> tuple[float, SyncCheck]:
+    """gamma, the attraction at ``at`` of every cluster but ``first`` to
+    ``last`` (positions ``z``, weights theta1 m1 + theta2 m2 ``wrho``), and
+    the synchronising condition for masses ``m1``, ``m2`` under it."""
+    gam = _attraction(at, z, wrho, kernel, slice(first, last + 1))
+    return gam, sync_condition(gam, m1, m2, p)
 
 
 def _contact_groups(gaps_touching: np.ndarray) -> list[list[int]]:
@@ -449,19 +363,61 @@ def _contact_groups(gaps_touching: np.ndarray) -> list[list[int]]:
     return groups
 
 
-def _resolve_contacts(
-    cs: ClusterSet, touching: np.ndarray, kernel: PointyKernel, p: ModelParams, gap_tol: float
+def _resolve(
+    cs: ClusterSet, groups: list[list[int]], wrho: np.ndarray,
+    kernel: PointyKernel, p: ModelParams, gap_tol: float,
 ) -> tuple[ClusterSet, list[Event]]:
-    """Resolve every group of clusters joined by a ``touching`` gap at the
-    time of ``cs``, a set owned by the caller (its ``next_id`` advances)."""
-    events: list[Event] = []
-    groups = _contact_groups(touching)
+    """The clusters that replace each group of consecutive clusters of
+    ``cs`` (weights ``wrho``) at its time, and the events that make them.
+
+    A group of one is a glued cluster that fails the synchronising
+    condition: it splits (unglues) where it is.  A larger group is a
+    contact at its centre of mass: same-species members merge, and a group
+    holding both species glues or crosses by the synchronising condition.
+    A separating pair puts species 1 the way the external attraction drives
+    it relative to species 2, and neither part jumps over a neighbour.
+    """
+    z = cs.positions()
+    all_pos = tuple(z.tolist())
     in_group = set(i for g in groups for i in g)
-    new_clusters = [replace(c) for i, c in enumerate(cs.clusters) if i not in in_group]
+    out = [replace(c) for i, c in enumerate(cs.clusters) if i not in in_group]
+    events: list[Event] = []
+    next_id = cs.next_id
     for g in groups:
-        cs.next_id = _handle_group(cs, g, kernel, p, gap_tol, new_clusters, events)
-    new_clusters.sort(key=lambda c: c.position)
-    return ClusterSet(new_clusters, cs.time, cs.next_id), events
+        first, last = g[0], g[-1]
+        members = cs.clusters[first : last + 1]
+        ids = tuple(c.id for c in members)
+        pos_list = tuple(c.position for c in members)
+        if len(members) == 1:
+            pos, m1, m2 = members[0].position, members[0].m1, members[0].m2
+        else:
+            m1 = math.fsum(c.m1 for c in members)
+            m2 = math.fsum(c.m2 for c in members)
+            pos = math.fsum(c.mass * c.position for c in members) / (m1 + m2)
+            if sum(c.m1 > 0 for c in members) > 1 or sum(c.m2 > 0 for c in members) > 1:
+                events.append(
+                    Event(cs.time, "merge_same_species", ids, pos_list, m1, m2, all_positions=all_pos)
+                )
+        if not (m1 > 0 and m2 > 0):
+            # a one-species group has at least two members, so its merge is recorded above
+            out.append(Cluster(pos, m1, m2, next_id))
+            next_id += 1
+            continue
+        gam, chk = _sync(z, wrho, first, last, pos, m1, m2, kernel, p)
+        kind = "unglue" if len(members) == 1 else "glue" if chk.holds else "cross"
+        if kind == "glue":
+            out.append(Cluster(pos, m1, m2, next_id))
+            next_id += 1
+        else:
+            direction = 1.0 if (p.chi1 - p.chi2) * gam > 0 else -1.0
+            left = all_pos[first - 1] if first > 0 else -math.inf
+            right = all_pos[last + 1] if last + 1 < len(all_pos) else math.inf
+            s1, s2 = _safe_split_positions(pos, direction, gap_tol, left, right)
+            out += [Cluster(s1, m1, 0.0, next_id), Cluster(s2, 0.0, m2, next_id + 1)]
+            next_id += 2
+        events.append(Event(cs.time, kind, ids, pos_list, m1, m2, gam, chk.lhs, chk.rhs, all_pos))
+    out.sort(key=lambda c: c.position)
+    return ClusterSet(out, cs.time, next_id), events
 
 
 # Dormand-Prince 5(4) for the autonomous ODE (no nodes needed): stage
@@ -586,31 +542,30 @@ def advance(
 ) -> tuple[ClusterSet, list[Event]]:
     """One accepted step of at most ``dt_max``, stopping at the first event.
 
-    Every glued cluster that fails the synchronising condition splits
-    (unglues) first, and contacts already pending (gap within 1.5
-    ``gap_tol`` and closing) are resolved at once; either returns without
-    a step.  Otherwise a Dormand-Prince 5(4) step is tried, from the step
-    length the error control proposed for ``cs``, and shortened until its
-    error estimate is within ``RTOL``/``ATOL``.  The stage velocities keep
-    the pair ordering of the step's start (:meth:`PointyKernel.branch_deriv`).
-    If an adjacent gap ends the step below ``gap_tol``, or a glued
+    A glued cluster that fails the synchronising condition splits
+    (unglues) at once.  Its condition is checked here only when ``cs`` did
+    not come from an uninterrupted step, which has checked it at these
+    positions.  Contacts already pending (gap within 1.5 ``gap_tol`` and
+    closing) are resolved at once too; either returns without a step.
+    Otherwise a Dormand-Prince 5(4) step is tried, from the step length the
+    error control proposed for ``cs``, and shortened until its error
+    estimate is within ``RTOL``/``ATOL``.  The stage velocities keep the
+    pair ordering of the step's start (:meth:`PointyKernel.branch_deriv`).
+    If an adjacent gap closes below ``gap_tol`` within the step, or a glued
     cluster's condition fails, the first such root on the step's
     interpolant is located to ``ROOT_TOL`` and the step ends there (for a
-    contact, before the pair's gap reaches 0).  A contact is resolved:
-    same-species groups merge, mixed groups glue or cross according to the
-    synchronising condition (with the external attraction excluding the
-    whole group).  An unglue is left to the next call.  The successor
-    carries the step in ``dense``.
+    contact, before the pair's gap reaches 0).  The pairs that closed are
+    resolved: same-species groups merge, mixed groups glue or cross
+    according to the synchronising condition (with the external attraction
+    excluding the whole group).  An unglue is left to the next call.  The
+    successor carries the step in ``dense``.
     """
     if not dt_max > 0:
         raise ValueError("dt_max must be positive")
     if not gap_tol > 0:
         raise ValueError("gap_tol must be positive")
-
-    cs, events = _unglue_pass(cs, kernel, p, gap_tol)
-    if events:
-        return cs, events
     if len(cs) == 1:
+        # a lone cluster feels no attraction, so it never unglues
         out = cs.copy()
         out.time = cs.time + dt_max
         return out, []
@@ -619,19 +574,29 @@ def advance(
     m1 = np.array([c.m1 for c in cs.clusters])
     m2 = np.array([c.m2 for c in cs.clusters])
     wrho, chi, glued = _step_constants(m1, m2, p)
+
+    def unglue_excess(z: np.ndarray, i: int) -> float:
+        _, chk = _sync(z, wrho, i, i, z[i], m1[i], m2[i], kernel, p)
+        return chk.lhs - chk.rhs
+
+    last = cs.dense
+    if last is None or last.v_end is None:
+        failing = [[i] for i in glued if unglue_excess(z0, i) > 0.0]
+        if failing:
+            return _resolve(cs, failing, wrho, kernel, p, gap_tol)
+
     side = np.sign(z0[:, None] - z0[None, :])
 
     def vel(z: np.ndarray) -> np.ndarray:
         return _raw_velocities(kernel.branch_deriv(z[:, None] - z[None, :], side), m1, m2, wrho, chi, glued, p)
 
-    last = cs.dense
     # the velocity at the end of an uninterrupted step is this set's
     v0 = last.v_end if last is not None and last.v_end is not None else vel(z0)
 
     gaps = z0[1:] - z0[:-1]
     touching = (gaps <= 1.5 * gap_tol) & (v0[1:] - v0[:-1] < 0)
     if touching.any():
-        return _resolve_contacts(cs.copy(), touching, kernel, p, gap_tol)
+        return _resolve(cs, _contact_groups(touching), wrho, kernel, p, gap_tol)
 
     seed = last.h_next if last is not None else dt_max
     h = min(seed, dt_max)
@@ -666,10 +631,6 @@ def advance(
         z = at(s)
         return float(max(gap_tol - (z[k + 1] - z[k]) for k in closing))
 
-    def unglue_excess(z: np.ndarray, i: int) -> float:
-        chk = sync_condition(_attraction(z[i], z, wrho, kernel), m1[i], m2[i], p)
-        return chk.lhs - chk.rhs
-
     def sync_excess(s: float) -> float:
         z = at(s)
         return float(max(unglue_excess(z, i) for i in ungluing))
@@ -686,14 +647,18 @@ def advance(
         n_iter += n
         z_end = at(s_end)
     t_end = cs.time + s_end * h
-    touching = z_end[1:] - z_end[:-1] < gap_tol
+    # only a closing pair whose root was located is a contact: a pair that
+    # starts inside gap_tol is separating, wherever dt_max ends the step
+    touching = np.zeros(gaps.size, dtype=bool)
+    touching[closing] = (z_end[1:] - z_end[:-1])[closing] < gap_tol
     # K[6] is the velocity of these clusters at z1, not of what a contact
-    # makes of them
-    v_end = K[6] if s_end == 1.0 and not touching.any() else None
+    # or the next call's unglue makes of them; a step that ran to its end
+    # has checked every glued cluster there
+    v_end = K[6] if s_end == 1.0 and not touching.any() and not ungluing else None
     step = DenseStep(cs.clusters, cs.time, t_end, h, z0, q, v_end, h_next, n_rejected, n_iter)
-    out = cs._moved(z_end.tolist(), t_end)
+    out, events = cs._moved(z_end.tolist(), t_end), []
     if touching.any():
-        out, events = _resolve_contacts(out, touching, kernel, p, gap_tol)
+        out, events = _resolve(out, _contact_groups(touching), wrho, kernel, p, gap_tol)
     out.dense = step
     return out, events
 
@@ -709,8 +674,6 @@ class ParticleRunResult:
     events: list[Event]
     samples: list[tuple[float, list[Cluster]]]
     final: ClusterSet
-    dt_max: float
-    gap_tol: float
     n_advances: int
     elapsed: float
     snapshots: list[tuple[float, ClusterSet]] = field(default_factory=list)
@@ -800,6 +763,6 @@ def run(
     samples.append((cs.time, [replace(c) for c in cs.clusters]))
     elapsed = _time.perf_counter() - t_start
     return ParticleRunResult(
-        events, samples, cs, dt_max, gap_tol, n_advances, elapsed, snapshots,
+        events, samples, cs, n_advances, elapsed, snapshots,
         n_rejected=n_rejected, root_iterations=root_iterations,
     )

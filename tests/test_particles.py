@@ -329,9 +329,9 @@ class TestAdvance:
         assert res.n_advances == 5
         assert res.elapsed > 0.0
 
-    # pairs that start inside gap_tol without closing: a contact resolved
-    # at the end of a plain step changes the clusters (a cross reorders
-    # them, a merge or glue removes one)
+    # pairs that start inside gap_tol without closing: they are no contact
+    # at a plain step's end, and the contacts that do follow change the
+    # clusters (a merge or glue removes one)
     STEP_END_CONTACTS = {
         "separating_pair": (
             [(0.0, 0.33, 0.0), (1e-6, 0.0, 0.3), (0.01, 1.6, 2.3), (0.02, 2.3, 0.0)],
@@ -341,7 +341,7 @@ class TestAdvance:
         "cross_at_step_end": (
             [(0.0, 0.033, 0.0), (1e-6, 0.0, 0.03), (0.01, 0.16, 0.23), (0.02, 0.23, 0.0)],
             1e-3,
-            {"cross", "merge_same_species", "glue"},
+            {"merge_same_species", "glue"},
         ),
         "merge_at_step_end": (
             [(0.0, 0.01, 0.0), (0.01, 0.01, 0.0), (2.0, 0.0, 100.0)],
@@ -368,6 +368,20 @@ class TestAdvance:
         assert len(cs) == 1
         assert {e.kind for e in events} == kinds
         assert cs.total_masses() == masses
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0])
+    def test_step_end_contacts_do_not_depend_on_dt_max(self, scale):
+        # a separating pair inside gap_tol is not a contact where dt_max
+        # happens to end a step
+        config, gap_tol, _ = self.STEP_END_CONTACTS["cross_at_step_end"]
+        p = params(chi1=3.0, chi2=4.0)
+        kinds = []
+        for dt_max in (1e-2, 1e-3, 1e-4):
+            cs = ClusterSet([Cluster(x, scale * a, scale * b) for x, a, b in config])
+            res = run(cs, KERNEL, p, T=20.0, dt_max=dt_max, gap_tol=gap_tol)
+            kinds.append([e.kind for e in res.events])
+        assert kinds[0] == kinds[1] == kinds[2]
+        assert "cross" not in kinds[0]
 
     def test_fast_contact_with_a_small_gap_tol(self):
         # the contact is committed past the root of gap - gap_tol, but

@@ -1,12 +1,16 @@
-"""The velocities, the external attraction and the unglue pass are
+"""The velocities, the external attraction and the unglue resolution are
 bit-identical to the scalar versions they replaced.
 
 ``velocities`` computes the mass-dependent constants (weights, per-cluster
 chi, glued indices) once, ``external_attraction`` sums from one vectorised
-kernel call, and the unglue pass at the start of ``advance`` leaves the
-cluster set untouched when no glued cluster splits.  The versions as they
-were written before are copied below; the tests compare the two with
-``==`` on positions, masses, ids, times and every event field.  The
+kernel call, and ``advance`` makes every synchronising check from the
+step's own arrays, with the checked clusters sliced out of the sum.  A
+glued cluster that fails at a step's start splits through the same
+resolver that handles contacts, and the set comes back untouched when none
+fails.  The versions as they were written before are copied below; the
+tests compare the two with ``==`` on positions, masses, ids, times and
+every event field.  A set made by an uninterrupted step skips the check at
+its start, so every glued cluster of such a set must pass it.  The
 integration step itself is checked against an independent ODE oracle in
 ``test_particles_oracle.py``.
 """
@@ -15,6 +19,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from aggrekin import particles
 from aggrekin.kernel import exponential_kernel
@@ -153,6 +159,30 @@ CASES = {
         {"unglue"},
         False,
     ),
+    "two_glued_clusters_unglue_at_once": (
+        [(-0.3, 0.0, 1.0), (0.0, 1.0, 1.0), (0.3, 1.0, 1.0), (0.6, 40.0, 0.0)],
+        ModelParams(chi1=10.0, chi2=1.0),
+        (1e-3, 1e-9),
+        1,
+        {"unglue"},
+        False,
+    ),
+    "first_cluster_unglues": (
+        [(0.0, 1.0, 1.0), (0.3, 0.0, 5.0), (0.6, 40.0, 0.0)],
+        ModelParams(chi1=10.0, chi2=1.0),
+        (1e-3, 1e-9),
+        1,
+        {"unglue"},
+        False,
+    ),
+    "last_cluster_unglues": (
+        [(-0.6, 40.0, 0.0), (-0.3, 0.0, 5.0), (0.0, 1.0, 1.0)],
+        ModelParams(chi1=10.0, chi2=1.0),
+        (1e-3, 1e-9),
+        1,
+        {"unglue"},
+        False,
+    ),
 }
 
 
@@ -179,3 +209,65 @@ def test_advance_matches_reference_through_events(name, monkeypatch):
     # a plain step makes two velocity evaluations; only a bisection makes more
     if bisects:
         assert max(per_step) > 2
+
+
+def assert_glued_checked(cs, p):
+    """A set made by an uninterrupted step starts the next one without an
+    unglue check, so each of its glued clusters must pass it."""
+    if cs.dense is None or cs.dense.v_end is None:
+        return
+    for i, c in enumerate(cs.clusters):
+        if c.glued:
+            assert sync_condition(external_attraction(cs, i, KERNEL, p), c.m1, c.m2, p).holds
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    hs.lists(
+        hs.tuples(
+            hs.floats(0.02, 0.4),
+            hs.sampled_from(["1", "2", "glued"]),
+            hs.floats(0.1, 4.0),
+            hs.floats(0.1, 4.0),
+        ),
+        min_size=2,
+        max_size=6,
+    ).filter(lambda cl: any(kind == "glued" for _, kind, _, _ in cl)),
+    hs.floats(0.5, 10.0),
+    hs.floats(0.5, 10.0),
+)
+def test_uninterrupted_step_leaves_glued_clusters_checked(config, chi1, chi2):
+    p = ModelParams(chi1=chi1, chi2=chi2)
+    positions = np.cumsum([gap for gap, _, _, _ in config]).tolist()
+    cs = ClusterSet([
+        Cluster(x, a if kind != "2" else 0.0, b if kind != "1" else 0.0)
+        for x, (_, kind, a, b) in zip(positions, config)
+    ])
+    masses = cs.total_masses()
+    for _ in range(30):
+        cs, _ = advance(cs, KERNEL, p, 2e-2, 1e-6)
+        assert_glued_checked(cs, p)
+        if len(cs) == 1:
+            break
+    assert cs.total_masses() == masses
+
+
+def test_unglue_root_at_a_step_end_is_checked_by_the_next_call(monkeypatch):
+    # a root tolerance wider than the step puts every located root at the
+    # step's end, where the glued cluster already fails: that step must not
+    # hand its end velocity on, so the next call checks and splits it
+    first_root = particles._first_root
+    monkeypatch.setattr(
+        particles, "_first_root", lambda f, hi, tol, f_max=math.inf: first_root(f, hi, math.inf, f_max)
+    )
+    p = ModelParams(chi1=10.0, chi2=1.0)
+    cs = ClusterSet([Cluster(0.0, 1.0, 1.0), Cluster(2.9, 20.0, 0.0)])
+    assert sync_condition(external_attraction(cs, 0, KERNEL, p), 1.0, 1.0, p).holds
+    kinds = []
+    for _ in range(200):
+        cs, events = advance(cs, KERNEL, p, 5e-2)
+        kinds += [e.kind for e in events]
+        assert_glued_checked(cs, p)
+        if kinds:
+            break
+    assert kinds == ["unglue"]
