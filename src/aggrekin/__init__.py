@@ -22,7 +22,7 @@ from .measures import (
     weighted_center,
 )
 from .fv import FluxField, GridState, assemble_velocity, cfl_dt, extract_peaks
-from .particles import Cluster, ClusterSet, Event, external_attraction, glued_selection, sync_condition
+from .particles import Cluster, ClusterSet, Event, glued_selection, sync_condition
 from .kinetic import ChemoField, KineticState, check_positivity_condition, solve_chemo_field
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "Cluster",
     "ClusterSet",
     "Event",
-    "external_attraction",
     "sync_condition",
     "glued_selection",
     "KineticState",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -56,18 +56,64 @@ class GridState(GridCells):
     q2: float = -1.0
 
 
-@dataclass(frozen=True)
 class FluxField:
     """Velocity field for one time level.
 
     ``a_hat`` is the chi-free velocity on every cell of the grid; each
     species moves at chi_a * a_hat, and ``step`` forms the upwind
-    interface transfers from it.
+    interface transfers from it on the cells it updates.  ``span`` is the
+    cells [a, b) whose velocity ``velocity`` = a_hat[a:b] holds, and
+    ``amax`` is max|velocity|.  A field built from ``a_hat`` spans the grid.
     """
 
-    a_hat: np.ndarray
-    chi1: float
-    chi2: float
+    def __init__(self, a_hat: np.ndarray, chi1: float, chi2: float):
+        self.a_hat = a_hat
+        self.chi1 = chi1
+        self.chi2 = chi2
+        self.span = (0, a_hat.size)
+        self.velocity = a_hat
+        self.amax = float(np.abs(a_hat).max())
+
+    def on_cells(self, a: int, b: int) -> tuple[np.ndarray, float]:
+        """a_hat[a:b] and its max|.|, the held ones if [a, b) is ``span``."""
+        if (a, b) == self.span:
+            return self.velocity, self.amax
+        v = self.a_hat[a:b]
+        return v, float(np.abs(v).max())
+
+
+class _WindowFlux(FluxField):
+    """The scanned field of a state: it spans the padded window [a, b) of a
+    grid of ``n`` cells of width ``dx``, the only cells ``step`` reads, and
+    assembles the full-grid ``a_hat`` only when that is read."""
+
+    def __init__(self, velocity: np.ndarray, span: tuple[int, int], dx: float, n: int, p: ModelParams):
+        self.chi1 = p.chi1
+        self.chi2 = p.chi2
+        self.span = span
+        self.velocity = velocity
+        self.amax = float(np.abs(velocity).max())
+        self._grid = dx, n
+
+    @cached_property
+    def a_hat(self) -> np.ndarray:
+        return _with_tails(self.velocity, *self.span, *self._grid)
+
+
+def _scan_window(state: GridState, p: ModelParams, a: int, b: int) -> np.ndarray:
+    """The scanned velocity on the state's padded window [a, b)."""
+    return exp_velocity_scan(p.theta1 * state.rho1[a:b] + p.theta2 * state.rho2[a:b], state.dx)
+
+
+def _with_tails(v: np.ndarray, a: int, b: int, dx: float, n: int) -> np.ndarray:
+    """The velocity of every cell from ``v`` on [a, b): beyond those cells
+    no mass remains on the far side, so it decays by e^{-dx} per cell."""
+    a_hat = np.empty(n)
+    a_hat[a:b] = v
+    decay = _tail_decay(dx, n)
+    a_hat[:a] = a_hat[a] * decay[:a][::-1]
+    a_hat[b:] = a_hat[b - 1] * decay[: n - b]
+    return a_hat
 
 
 def assemble_velocity(
@@ -88,13 +134,7 @@ def assemble_velocity(
     if not use_scan(method, kernel, state.n_cells):
         return direct_velocity(state.centers, p.theta1 * state.rho1 + p.theta2 * state.rho2, kernel)
     a, b = state._padded_window()
-    n = state.n_cells
-    a_hat = np.empty(n)
-    a_hat[a:b] = exp_velocity_scan(p.theta1 * state.rho1[a:b] + p.theta2 * state.rho2[a:b], state.dx)
-    decay = _tail_decay(state.dx, n)
-    a_hat[:a] = a_hat[a] * decay[:a][::-1]
-    a_hat[b:] = a_hat[b - 1] * decay[: n - b]
-    return a_hat
+    return _with_tails(_scan_window(state, p, a, b), a, b, state.dx, state.n_cells)
 
 
 @lru_cache(maxsize=8)
@@ -106,8 +146,12 @@ def _tail_decay(dx: float, n: int) -> np.ndarray:
 
 
 def make_flux(state: GridState, kernel: PointyKernel, p: ModelParams) -> FluxField:
-    """Assemble the velocity field that ``step`` transports with."""
-    return FluxField(assemble_velocity(state, kernel, p), p.chi1, p.chi2)
+    """The velocity field that ``step`` transports ``state`` with.  A
+    scanned field holds only the state's padded window and its max|a_hat|."""
+    if not use_scan("auto", kernel, state.n_cells):
+        return FluxField(assemble_velocity(state, kernel, p, "direct"), p.chi1, p.chi2)
+    a, b = state._padded_window()
+    return _WindowFlux(_scan_window(state, p, a, b), (a, b), state.dx, state.n_cells, p)
 
 
 def cfl_dt(
@@ -171,8 +215,8 @@ def step(state: GridState, flux: FluxField, dt: float) -> GridState:
     if not dt > 0:
         raise ValueError("dt must be positive")
     a, b = state._padded_window()
-    a_win = flux.a_hat[a:b]
-    vmax = max(flux.chi1, flux.chi2) * float(np.abs(a_win).max())
+    a_win, amax = flux.on_cells(a, b)
+    vmax = max(flux.chi1, flux.chi2) * amax
     if dt * vmax >= state.dx:
         raise ValueError(
             f"CFL violation: dt * max|chi a_hat| = {dt * vmax:.3e} >= dx = {state.dx:.3e}"
@@ -185,7 +229,8 @@ def step(state: GridState, flux: FluxField, dt: float) -> GridState:
         out_r, out_l = _quantized_outflows(rho[a:b], chi * a_win, c, q)
         nxt = rho.copy()
         win = nxt[a:b]
-        win[:] = rho[a:b] - out_r - out_l
+        win -= out_r
+        win -= out_l
         win[1:] += out_r[:-1]
         win[:-1] += out_l[1:]
         new.append(nxt)
@@ -384,7 +429,7 @@ def run(
         diag["mass1"].append(float(st.rho1[lo:hi].sum()))
         diag["mass2"].append(float(st.rho2[lo:hi].sum()))
         diag["weighted_center"].append(st.weighted_center(p))
-        diag["max_velocity"].append(float(np.abs(flux.a_hat[a:b]).max()))
+        diag["max_velocity"].append(flux.on_cells(a, b)[1])
         # a window narrower than the grid leaves empty cells outside it
         full = (lo, hi) == (0, st.n_cells)
         diag["min_cell"].append(float(min(np.min(st.rho1), np.min(st.rho2))) if full else 0.0)

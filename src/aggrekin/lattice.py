@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -82,6 +82,14 @@ def _occupied_span(rho1: np.ndarray, rho2: np.ndarray, offset: int = 0) -> tuple
     return offset + lo, offset + occupied.size - int(np.argmax(occupied[::-1]))
 
 
+@lru_cache(maxsize=8)
+def _cell_centers(xmin: float, dx: float, n: int) -> np.ndarray:
+    """xmin + (j + 1/2) dx for j = 0..n-1, read-only: the centres of one grid."""
+    x = xmin + (np.arange(n) + 0.5) * dx
+    x.flags.writeable = False
+    return x
+
+
 @dataclass(frozen=True)
 class GridCells:
     """Per-cell masses of both species on a uniform grid.
@@ -143,9 +151,9 @@ class GridCells:
 
     @cached_property
     def window_centers(self) -> np.ndarray:
-        """The centres of the window's cells, computed once per state."""
+        """The centres of the window's cells, a read-only slice of ``centers``."""
         lo, hi = self.window
-        return self.xmin + (np.arange(lo, hi) + 0.5) * self.dx
+        return self.centers[lo:hi]
 
     def _padded_window(self) -> tuple[int, int]:
         """The window grown by one empty cell on each side, within the grid."""
@@ -154,7 +162,8 @@ class GridCells:
 
     @property
     def centers(self) -> np.ndarray:
-        return self.xmin + (np.arange(self.n_cells) + 0.5) * self.dx
+        """The cell centres, read-only and computed once per grid."""
+        return _cell_centers(self.xmin, self.dx, self.n_cells)
 
     def species_measure(self, species: int) -> DiscreteMeasure:
         rho = self.rho1 if species == 1 else self.rho2

@@ -49,7 +49,6 @@ __all__ = [
     "DenseStep",
     "SyncCheck",
     "velocities",
-    "external_attraction",
     "sync_condition",
     "glued_selection",
     "advance",
@@ -281,42 +280,6 @@ def velocities(cs: ClusterSet, kernel: PointyKernel, p: ModelParams) -> np.ndarr
     return _raw_velocities(slopes, m1, m2, *_step_constants(m1, m2, p), p, w_max=0.5)
 
 
-def external_attraction(
-    cs: ClusterSet,
-    exclude,
-    kernel: PointyKernel,
-    p: ModelParams,
-    at: float | None = None,
-) -> float:
-    """Weighted attraction exerted by every cluster outside ``exclude``.
-
-    ``exclude`` is a cluster index or an iterable of indices (a colliding
-    pair excludes both participants).  Evaluated at ``at`` or, by default,
-    at the position of the first excluded cluster.
-    """
-    if isinstance(exclude, (int, np.integer)):
-        exclude = (int(exclude),)
-    excl = set(int(i) for i in exclude)
-    if at is None:
-        at = cs.clusters[min(excl)].position
-    others = [c for i, c in enumerate(cs.clusters) if i not in excl]
-    if not others:
-        return 0.0
-    wrho = np.array([p.theta1 * c.m1 + p.theta2 * c.m2 for c in others])
-    return _attraction(at, np.array([c.position for c in others]), wrho, kernel)
-
-
-def _attraction(
-    at: float, positions: np.ndarray, wrho: np.ndarray, kernel: PointyKernel, skip: slice = slice(0)
-) -> float:
-    """sum_j wrho_j K'(at - positions_j) over every j outside ``skip``; a
-    cluster at ``at`` itself adds 0."""
-    terms = (wrho * kernel.hat_deriv(at - positions)).tolist()
-    del terms[skip]
-    # left to right from 0.0, as a scalar loop would add them
-    return sum(terms, 0.0)
-
-
 def _safe_split_positions(
     pos: float, direction: float, gap_tol: float, left_bound: float, right_bound: float
 ) -> tuple[float, float]:
@@ -340,8 +303,13 @@ def _sync(
 ) -> tuple[float, SyncCheck]:
     """gamma, the attraction at ``at`` of every cluster but ``first`` to
     ``last`` (positions ``z``, weights theta1 m1 + theta2 m2 ``wrho``), and
-    the synchronising condition for masses ``m1``, ``m2`` under it."""
-    gam = _attraction(at, z, wrho, kernel, slice(first, last + 1))
+    the synchronising condition for masses ``m1``, ``m2`` under it.  gamma
+    is sum_j wrho_j K'(at - z_j) over the other clusters; one at ``at``
+    itself adds 0."""
+    terms = (wrho * kernel.hat_deriv(at - z)).tolist()
+    del terms[first : last + 1]
+    # left to right from 0.0, as a scalar loop would add them
+    gam = sum(terms, 0.0)
     return gam, sync_condition(gam, m1, m2, p)
 
 

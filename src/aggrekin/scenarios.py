@@ -22,7 +22,7 @@ import numpy as np
 from . import fv as fv_mod
 from . import kinetic as kin_mod
 from . import particles as part_mod
-from .csvio import write_csv
+from .csvio import write_csv, write_grid_csv
 from .fv import GridState, extract_peaks
 from .kernel import PointyKernel, exponential_kernel, regularize
 from .measures import ModelParams, bump_mass_unit, sample_gaussian_bumps
@@ -516,11 +516,7 @@ def _run_fv(s: Scenario, kernel, out: Path) -> tuple[list[dict], dict, dict, lis
     peaks_payload = []
     for i, (t, state) in enumerate(res.snapshots):
         snap_path = out / f"snapshot_{i:03d}.csv"
-        write_csv(
-            snap_path,
-            ["x", "rho1_mass", "rho2_mass"],
-            zip(state.centers, state.rho1, state.rho2),
-        )
+        write_grid_csv(snap_path, ["x", "rho1_mass", "rho2_mass"], state.centers, state.rho1, state.rho2)
         files.append(snap_path.name)
         peaks_payload.append(
             {

@@ -2,8 +2,14 @@ import csv
 import math
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
-from aggrekin.csvio import write_csv
+from aggrekin.csvio import write_csv, write_grid_csv
+from aggrekin.fv import GridState, cfl_dt, make_flux, step
+from aggrekin.kernel import exponential_kernel
+from aggrekin.measures import ModelParams
 
 VALUES = [
     math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, -1e-300, 5e-324,
@@ -41,3 +47,98 @@ def test_array_columns_and_round_trip(tmp_path):
 def test_header_only(tmp_path):
     write_csv(tmp_path / "new.csv", ["a", "b"], [])
     assert (tmp_path / "new.csv").read_bytes() == b"a,b\r\n"
+
+
+# the grid writer against write_csv over the full arrays
+
+GRID_HEADER = ["x", "rho1_mass", "rho2_mass"]
+KERNEL = exponential_kernel()
+
+
+def assert_grid_file_is_write_csv(tmp_path, x, *masses, header=GRID_HEADER):
+    write_grid_csv(tmp_path / "grid.csv", header, x, *masses)
+    write_csv(tmp_path / "ref.csv", header, zip(x, *masses))
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def grid_state(n, lo, hi, rho2=None, xmin=-1.0, dx=0.01, seed=0):
+    """Masses of species 1 on cells [lo, hi) of an n-cell grid, species 2
+    as given (default: empty)."""
+    r1 = np.zeros(n)
+    r1[lo:hi] = np.random.default_rng(seed).uniform(0.0, 1.0, hi - lo)
+    return GridState(xmin, dx, r1, np.zeros(n) if rho2 is None else rho2)
+
+
+N_CELLS = 300
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(0, 20), (280, N_CELLS), (0, N_CELLS), (0, 1), (N_CELLS - 1, N_CELLS), (140, 141), (100, 180)]
+)
+def test_grid_writer_on_windows_touching_either_end(tmp_path, lo, hi):
+    st = grid_state(N_CELLS, lo, hi, seed=lo + hi)
+    assert st.window == (lo, hi)
+    assert_grid_file_is_write_csv(tmp_path, st.centers, st.rho1, st.rho2)
+
+
+def test_grid_writer_on_the_empty_state(tmp_path):
+    st = GridState(-1.0, 0.01, np.zeros(N_CELLS), np.zeros(N_CELLS))
+    assert st.window == (0, 0)
+    assert_grid_file_is_write_csv(tmp_path, st.centers, st.rho1, st.rho2)
+    assert (tmp_path / "grid.csv").read_bytes().count(b",0,0\r\n") == N_CELLS
+
+
+def test_grid_writer_keeps_negative_zeros_of_an_empty_species(tmp_path):
+    # a species with no mass has quantum 0, and snapping multiplies its
+    # cells by 0.0, so a -0.0 cell stays -0.0 -- also outside the window,
+    # and also after a step
+    r2 = np.zeros(N_CELLS)
+    r2[[0, 3, 250, N_CELLS - 1]] = -0.0
+    st = grid_state(N_CELLS, 100, 180, rho2=r2)
+    assert st.q2 == 0.0 and st.window == (100, 180)
+    assert np.signbit(st.rho2[[0, 3, 250, N_CELLS - 1]]).all()
+    assert_grid_file_is_write_csv(tmp_path, st.centers, st.rho1, st.rho2)
+    assert b"-0" in (tmp_path / "grid.csv").read_bytes()
+    p = ModelParams(chi1=3.0, chi2=0.5)
+    dt = cfl_dt(st.dx, KERNEL, p, 0.9, st.total_masses())
+    for _ in range(3):
+        st = step(st, make_flux(st, KERNEL, p), dt)
+        assert_grid_file_is_write_csv(tmp_path, st.centers, st.rho1, st.rho2)
+
+
+def test_grid_writer_on_a_negative_zero_outside_the_window(tmp_path):
+    x = np.linspace(-1.0, 1.0, 50)
+    for cell in (0, 7, 49):
+        m1, m2 = np.zeros(50), np.zeros(50)
+        m1[20:30] = 0.25
+        m2[cell] = -0.0
+        assert_grid_file_is_write_csv(tmp_path, x, m1, m2)
+
+
+def test_grids_of_equal_size_keep_their_own_rows(tmp_path):
+    # the same number of cells at other positions, written alternately
+    states = [grid_state(N_CELLS, 50, 60, xmin=xmin) for xmin in (-1.0, -1.0 + 1e-12, 2.0)]
+    for st in states + states[::-1]:
+        assert_grid_file_is_write_csv(tmp_path, st.centers, st.rho1, st.rho2)
+
+
+mass_values = hs.sampled_from([0.0, 0.0, 0.0, -0.0, 5e-324, 1e-300, 0.1, 1.0 / 3.0, 7.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    columns=hs.integers(1, 3).flatmap(
+        lambda k: hs.integers(1, 40).flatmap(
+            lambda n: hs.tuples(
+                hs.lists(hs.floats(allow_nan=True, allow_infinity=True), min_size=n, max_size=n),
+                hs.lists(hs.lists(mass_values, min_size=n, max_size=n), min_size=k, max_size=k),
+            )
+        )
+    )
+)
+def test_grid_writer_is_write_csv_on_any_columns(tmp_path_factory, columns):
+    x, masses = columns
+    header = ["x"] + [f"m{i}" for i in range(len(masses))]
+    assert_grid_file_is_write_csv(
+        tmp_path_factory.mktemp("grid"), np.array(x), *map(np.array, masses), header=header
+    )

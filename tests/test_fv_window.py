@@ -183,6 +183,68 @@ class TestWindowVelocity:
         assert res.diagnostics["min_cell"][-1] == 0.0
 
 
+class TestWindowFlux:
+    """``make_flux`` holds the scanned velocity of its state's padded window
+    and that window's max|a_hat|; the full-grid ``a_hat`` is assembled from
+    them only when read.  A hand-built field and the direct-sum path hold
+    the whole grid."""
+
+    @pytest.mark.parametrize("lo, hi", SUPPORTS + [(0, 0)])
+    def test_lazy_velocity_is_the_scanned_velocity_bit_for_bit(self, lo, hi):
+        st = state_on(N, lo, hi, np.random.default_rng(3 * lo + hi), holes=0.3)
+        flux = make_flux(st, KERNEL, PARAMS)
+        a, b = padded(st)
+        ref = assemble_velocity(st, KERNEL, PARAMS, method="scan")
+        assert flux.span == (a, b)
+        assert flux.velocity.tobytes() == ref[a:b].tobytes()
+        assert flux.amax == np.abs(ref[a:b]).max()
+        v, amax = flux.on_cells(a, b)
+        assert v is flux.velocity and amax == flux.amax
+        assert flux.a_hat.tobytes() == ref.tobytes()
+        assert flux.amax == np.abs(flux.a_hat[a:b]).max()
+
+    def test_other_cells_are_read_off_the_full_grid(self):
+        st = state_on(N, 600, 680, np.random.default_rng(4), holes=0.3)
+        flux = make_flux(st, KERNEL, PARAMS)
+        v, amax = flux.on_cells(100, 1200)
+        assert v.tobytes() == flux.a_hat[100:1200].tobytes()
+        assert amax == np.abs(flux.a_hat[100:1200]).max()
+
+    def test_hand_built_field_spans_the_grid(self):
+        rng = np.random.default_rng(5)
+        a_hat = rng.normal(size=N)
+        flux = FluxField(a_hat, 4.0, 0.7)
+        assert flux.a_hat is a_hat and flux.velocity is a_hat
+        assert flux.span == (0, N) and flux.amax == np.abs(a_hat).max()
+        st = state_on(N, 600, 680, rng)
+        a, b = padded(st)
+        v, amax = flux.on_cells(a, b)
+        assert v.tobytes() == a_hat[a:b].tobytes() and amax == np.abs(a_hat[a:b]).max()
+        dt = 0.9 * st.dx / (4.0 * amax)
+        ref1, ref2 = full_grid_step(st, flux, dt)
+        nxt = step(st, flux, dt)
+        assert np.array_equal(nxt.rho1, ref1) and np.array_equal(nxt.rho2, ref2)
+        # the CFL check reads the cells the step updates, as before
+        with pytest.raises(ValueError, match="CFL"):
+            step(st, flux, st.dx / (4.0 * amax))
+
+    def test_direct_path_holds_the_direct_sum(self):
+        # 120 cells are below the scan threshold, so make_flux sums directly
+        rng = np.random.default_rng(6)
+        p = ModelParams(chi1=4.0, chi2=0.7)
+        for st in random_states(rng, count=12):
+            flux = make_flux(st, KERNEL, p)
+            direct = assemble_velocity(st, KERNEL, p, method="direct")
+            assert flux.a_hat.tobytes() == direct.tobytes()
+            assert flux.span == (0, st.n_cells)
+            a, b = padded(st)
+            assert flux.on_cells(a, b)[1] == np.abs(direct[a:b]).max()
+            dt = cfl_dt(st.dx, KERNEL, p, 0.9, st.total_masses())
+            ref1, ref2 = full_grid_step(st, flux, dt)
+            nxt = step(st, flux, dt)
+            assert np.array_equal(nxt.rho1, ref1) and np.array_equal(nxt.rho2, ref2)
+
+
 def random_states(rng, n=120, count=40):
     """Quantized states with supports anywhere, including both grid ends
     and single cells, some with holes, some with one species."""

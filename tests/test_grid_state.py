@@ -74,6 +74,57 @@ class TestOneGridType:
         assert message == boundary_outcome(gst, 2.0)
 
 
+def old_centers(xmin, dx, lo, hi):
+    """The centres of cells [lo, hi) as every state computed them before
+    they were cached per grid."""
+    return xmin + (np.arange(lo, hi) + 0.5) * dx
+
+
+grids = hs.tuples(
+    hs.floats(-1e6, 1e6, allow_nan=False), hs.floats(1e-9, 1e3), hs.integers(1, 300)
+)
+
+
+class TestCellCentres:
+    @settings(max_examples=200, deadline=None)
+    @given(grid=grids, data=hs.data())
+    def test_window_centres_are_the_formula_bit_for_bit(self, grid, data):
+        xmin, dx, n = grid
+        lo = data.draw(hs.integers(0, n - 1), label="lo")
+        hi = data.draw(hs.integers(lo + 1, n), label="hi")
+        r = np.zeros(n)
+        r[lo] = r[hi - 1] = 1.0
+        for st in (GridState(xmin, dx, r, np.zeros(n)), KineticState(xmin, dx, np.zeros(n), r, r * 0, r * 0, 0.1)):
+            assert st.window == (lo, hi)
+            assert same_bits(st.window_centers, old_centers(xmin, dx, lo, hi))
+            assert same_bits(st.centers, old_centers(xmin, dx, 0, n))
+
+    def test_cached_centres_are_read_only(self):
+        st = GridState(-1.0, 0.01, np.ones(200), np.zeros(200))
+        assert st.centers is GridState(-1.0, 0.01, np.zeros(200), np.ones(200)).centers
+        for x in (st.centers, st.window_centers):
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[0] = 0.0
+        assert same_bits(st.centers, old_centers(-1.0, 0.01, 0, 200))
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid_a=grids, grid_b=grids)
+    def test_two_grids_never_share_centres(self, grid_a, grid_b):
+        # read alternately, so a shared cache entry would hand one grid the
+        # other's centres
+        states = [GridState(xmin, dx, np.ones(n), np.zeros(n)) for xmin, dx, n in (grid_a, grid_b)]
+        for _ in range(2):
+            for (xmin, dx, n), st in zip((grid_a, grid_b), states):
+                assert same_bits(st.centers, old_centers(xmin, dx, 0, n))
+
+    @pytest.mark.parametrize("xmin, other", [(0.0, -0.0), (1, 1.0), (np.float64(0.5), 0.5)])
+    def test_equal_keys_give_equal_centres(self, xmin, other):
+        # keys that compare equal share an entry, and their formulas agree
+        for a in (xmin, other):
+            assert same_bits(GridState(a, 0.25, np.ones(9), np.zeros(9)).centers, old_centers(a, 0.25, 0, 9))
+
+
 class TestStepSuccessors:
     @settings(max_examples=100, deadline=None)
     @given(

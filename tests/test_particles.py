@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from aggrekin import particles
 from aggrekin.kernel import exponential_kernel
 from aggrekin.measures import ModelParams, bump_mass_unit
 from aggrekin.particles import (
     Cluster,
     ClusterSet,
     advance,
-    external_attraction,
     glued_selection,
     run,
     sync_condition,
@@ -30,6 +30,17 @@ FROZEN_THREE_AGGREGATE_CONTACT = (0.789098, -0.143545, 0.289499)
 
 def params(chi1=10.0, chi2=1.0):
     return ModelParams(chi1=chi1, chi2=chi2)
+
+
+def external_gamma(cs, first, last, p, at=None):
+    """The external attraction on clusters ``first``..``last`` of ``cs`` as
+    the particle step finds it (``_sync``), at ``at`` or the first one's
+    position; it does not depend on the masses the condition is checked
+    for, so unit masses stand in for them."""
+    z = cs.positions()
+    wrho = np.array([p.theta1 * c.m1 + p.theta2 * c.m2 for c in cs.clusters])
+    at = z[first] if at is None else at
+    return particles._sync(z, wrho, first, last, at, 1.0, 1.0, KERNEL, p)[0]
 
 
 class TestClusterSet:
@@ -94,7 +105,7 @@ class TestVelocities:
     def test_glued_cluster_with_equal_sensitivities_moves_at_chi_gamma(self):
         p = params(chi1=2.0, chi2=2.0)
         cs = ClusterSet([Cluster(0.0, 1.0, 1.0), Cluster(1.0, 3.0, 0.0)])
-        gam = external_attraction(cs, 0, KERNEL, p)
+        gam = external_gamma(cs, 0, 0, p)
         v = velocities(cs, KERNEL, p)
         assert v[0] == pytest.approx(p.chi1 * gam, rel=1e-14)
 
@@ -115,12 +126,12 @@ class TestVelocities:
 class TestExternalAttraction:
     def test_lone_pair_has_no_external_pull(self):
         cs = ClusterSet([Cluster(0.0, 1.0, 2.0)])
-        assert external_attraction(cs, 0, KERNEL, params()) == 0.0
+        assert external_gamma(cs, 0, 0, params()) == 0.0
 
     def test_reference_arithmetic(self):
         # glued pair at -0.18 pulled by species-1 mass 2 m0 at +0.12
         cs = ClusterSet([Cluster(-0.18, 4 * M0, 2 * M0), Cluster(0.12, 2 * M0, 0.0)])
-        gam = external_attraction(cs, 0, KERNEL, params())
+        gam = external_gamma(cs, 0, 0, params())
         assert gam == pytest.approx(M0 * math.exp(-0.3), rel=1e-12)
         assert gam > 0.0
 
@@ -128,8 +139,8 @@ class TestExternalAttraction:
         cs = ClusterSet([Cluster(-0.18, 4.0, 2.0), Cluster(0.12, 2.0, 0.0)])
         mirrored = ClusterSet([Cluster(-0.12, 2.0, 0.0), Cluster(0.18, 4.0, 2.0)])
         p = params()
-        assert external_attraction(mirrored, 1, KERNEL, p) == pytest.approx(
-            -external_attraction(cs, 0, KERNEL, p), rel=1e-14
+        assert external_gamma(mirrored, 1, 1, p) == pytest.approx(
+            -external_gamma(cs, 0, 0, p), rel=1e-14
         )
 
     def test_pair_exclusion(self):
@@ -137,7 +148,7 @@ class TestExternalAttraction:
             [Cluster(-1.0, 1.0, 0.0), Cluster(0.0, 2.0, 0.0), Cluster(1e-6, 0.0, 3.0)]
         )
         p = params()
-        gam = external_attraction(cs, (1, 2), KERNEL, p, at=0.0)
+        gam = external_gamma(cs, 1, 2, p, at=0.0)
         assert gam == pytest.approx(1.0 * KERNEL.hat_deriv(1.0), rel=1e-14)
 
 

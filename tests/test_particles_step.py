@@ -2,9 +2,9 @@
 bit-identical to the scalar versions they replaced.
 
 ``velocities`` computes the mass-dependent constants (weights, per-cluster
-chi, glued indices) once, ``external_attraction`` sums from one vectorised
-kernel call, and ``advance`` makes every synchronising check from the
-step's own arrays, with the checked clusters sliced out of the sum.  A
+chi, glued indices) once, and ``advance`` makes every synchronising check
+through ``_sync`` from the step's own arrays, with the checked clusters
+sliced out of one vectorised kernel sum.  A
 glued cluster that fails at a step's start splits through the same
 resolver that handles contacts, and the set comes back untouched when none
 fails.  The versions as they were written before are copied below; the
@@ -31,7 +31,6 @@ from aggrekin.particles import (
     Event,
     _safe_split_positions,
     advance,
-    external_attraction,
     glued_selection,
     sync_condition,
 )
@@ -66,6 +65,19 @@ def reference_external_attraction(cs, exclude, kernel, p, at=None):
             continue
         total += (p.theta1 * c.m1 + p.theta2 * c.m2) * kernel.hat_deriv(at - c.position)
     return total
+
+
+def sync_gamma(cs, first, last, p, at=None):
+    """gamma as ``advance`` computes it: the attraction ``_sync`` finds on
+    clusters ``first``..``last`` of ``cs``, at ``at`` or the first one's
+    position.  gamma does not depend on the masses the condition is then
+    checked for, so unit masses stand in for them."""
+    z = cs.positions()
+    m1 = np.array([c.m1 for c in cs.clusters])
+    m2 = np.array([c.m2 for c in cs.clusters])
+    wrho, _, _ = particles._step_constants(m1, m2, p)
+    at = z[first] if at is None else at
+    return particles._sync(z, wrho, first, last, at, 1.0, 1.0, KERNEL, p)[0]
 
 
 def reference_unglue_pass(cs, kernel, p, gap_tol):
@@ -138,12 +150,10 @@ def test_velocities_match_reference():
         expected = reference_raw_velocities(cs.positions(), m1, m2, KERNEL, p)
         assert particles.velocities(cs, KERNEL, p).tolist() == expected.tolist()
         for i in range(n):
-            assert external_attraction(cs, i, KERNEL, p) == reference_external_attraction(
-                cs, i, KERNEL, p
-            )
+            assert sync_gamma(cs, i, i, p) == reference_external_attraction(cs, i, KERNEL, p)
             at = float(rng.uniform(-1.0, 1.0))
             group = [i, min(i + 1, n - 1)]
-            assert external_attraction(cs, group, KERNEL, p, at=at) == (
+            assert sync_gamma(cs, *group, p, at=at) == (
                 reference_external_attraction(cs, group, KERNEL, p, at=at)
             )
 
@@ -218,7 +228,7 @@ def assert_glued_checked(cs, p):
         return
     for i, c in enumerate(cs.clusters):
         if c.glued:
-            assert sync_condition(external_attraction(cs, i, KERNEL, p), c.m1, c.m2, p).holds
+            assert sync_condition(sync_gamma(cs, i, i, p), c.m1, c.m2, p).holds
 
 
 @settings(max_examples=40, deadline=None)
@@ -262,7 +272,7 @@ def test_unglue_root_at_a_step_end_is_checked_by_the_next_call(monkeypatch):
     )
     p = ModelParams(chi1=10.0, chi2=1.0)
     cs = ClusterSet([Cluster(0.0, 1.0, 1.0), Cluster(2.9, 20.0, 0.0)])
-    assert sync_condition(external_attraction(cs, 0, KERNEL, p), 1.0, 1.0, p).holds
+    assert sync_condition(sync_gamma(cs, 0, 0, p), 1.0, 1.0, p).holds
     kinds = []
     for _ in range(200):
         cs, events = advance(cs, KERNEL, p, 5e-2)
