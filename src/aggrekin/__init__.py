@@ -21,7 +21,7 @@ from .measures import (
     wasserstein2,
     weighted_center,
 )
-from .fv import FluxField, GridState, assemble_velocity, cfl_dt, extract_peaks
+from .fv import FluxField, GridState, cfl_dt, extract_peaks
 from .particles import Cluster, ClusterSet, Event, glued_selection, sync_condition
 from .kinetic import ChemoField, KineticState, check_positivity_condition, solve_chemo_field
 
@@ -42,7 +42,6 @@ __all__ = [
     "sample_gaussian_bumps",
     "GridState",
     "FluxField",
-    "assemble_velocity",
     "cfl_dt",
     "extract_peaks",
     "Cluster",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
     "FvEvent",
     "FvRunResult",
     "mass_quantum",
-    "assemble_velocity",
     "make_flux",
     "cfl_dt",
     "step",
@@ -56,102 +54,32 @@ class GridState(GridCells):
     q2: float = -1.0
 
 
+@dataclass(frozen=True)
 class FluxField:
-    """Velocity field for one time level.
+    """The velocity field of one state: the chi-free a_hat on the state's
+    padded window ``span`` = [a, b), the only cells that can send mass, and
+    ``amax`` = max|velocity|.  Each species moves at chi_a * a_hat, and
+    ``step`` forms the upwind interface transfers from it."""
 
-    ``a_hat`` is the chi-free velocity on every cell of the grid; each
-    species moves at chi_a * a_hat, and ``step`` forms the upwind
-    interface transfers from it on the cells it updates.  ``span`` is the
-    cells [a, b) whose velocity ``velocity`` = a_hat[a:b] holds, and
-    ``amax`` is max|velocity|.  A field built from ``a_hat`` spans the grid.
-    """
-
-    def __init__(self, a_hat: np.ndarray, chi1: float, chi2: float):
-        self.a_hat = a_hat
-        self.chi1 = chi1
-        self.chi2 = chi2
-        self.span = (0, a_hat.size)
-        self.velocity = a_hat
-        self.amax = float(np.abs(a_hat).max())
-
-    def on_cells(self, a: int, b: int) -> tuple[np.ndarray, float]:
-        """a_hat[a:b] and its max|.|, the held ones if [a, b) is ``span``."""
-        if (a, b) == self.span:
-            return self.velocity, self.amax
-        v = self.a_hat[a:b]
-        return v, float(np.abs(v).max())
-
-
-class _WindowFlux(FluxField):
-    """The scanned field of a state: it spans the padded window [a, b) of a
-    grid of ``n`` cells of width ``dx``, the only cells ``step`` reads, and
-    assembles the full-grid ``a_hat`` only when that is read."""
-
-    def __init__(self, velocity: np.ndarray, span: tuple[int, int], dx: float, n: int, p: ModelParams):
-        self.chi1 = p.chi1
-        self.chi2 = p.chi2
-        self.span = span
-        self.velocity = velocity
-        self.amax = float(np.abs(velocity).max())
-        self._grid = dx, n
-
-    @cached_property
-    def a_hat(self) -> np.ndarray:
-        return _with_tails(self.velocity, *self.span, *self._grid)
-
-
-def _scan_window(state: GridState, p: ModelParams, a: int, b: int) -> np.ndarray:
-    """The scanned velocity on the state's padded window [a, b)."""
-    return exp_velocity_scan(p.theta1 * state.rho1[a:b] + p.theta2 * state.rho2[a:b], state.dx)
-
-
-def _with_tails(v: np.ndarray, a: int, b: int, dx: float, n: int) -> np.ndarray:
-    """The velocity of every cell from ``v`` on [a, b): beyond those cells
-    no mass remains on the far side, so it decays by e^{-dx} per cell."""
-    a_hat = np.empty(n)
-    a_hat[a:b] = v
-    decay = _tail_decay(dx, n)
-    a_hat[:a] = a_hat[a] * decay[:a][::-1]
-    a_hat[b:] = a_hat[b - 1] * decay[: n - b]
-    return a_hat
-
-
-def assemble_velocity(
-    state: GridState, kernel: PointyKernel, p: ModelParams, method: str = "auto"
-) -> np.ndarray:
-    """Hatted-kernel velocity a_hat[j] = sum_{i != j} K'(x_j - x_i) w_i
-    with w = theta1 rho1 + theta2 rho2.
-
-    ``method`` is "auto", "direct" (O(N^2)) or "scan" (O(N)), chosen as
-    :func:`aggrekin.expconv.use_scan` says; the two agree to 1e-12 relative.
-
-    The scan runs only on the occupied window plus one empty cell on each
-    side.  Beyond those edge cells no mass remains on the far side, so the
-    velocity there is the edge value decaying by e^{-dx} per cell, and the
-    tails are filled exactly that way.  Hence max|a_hat| sits on the
-    scanned cells.
-    """
-    if not use_scan(method, kernel, state.n_cells):
-        return direct_velocity(state.centers, p.theta1 * state.rho1 + p.theta2 * state.rho2, kernel)
-    a, b = state._padded_window()
-    return _with_tails(_scan_window(state, p, a, b), a, b, state.dx, state.n_cells)
-
-
-@lru_cache(maxsize=8)
-def _tail_decay(dx: float, n: int) -> np.ndarray:
-    """e^{-k dx} for k = 1..n, read-only: the decay of the velocity tails."""
-    decay = np.exp(-dx * np.arange(1, n + 1))
-    decay.flags.writeable = False
-    return decay
+    chi1: float
+    chi2: float
+    span: tuple[int, int]
+    velocity: np.ndarray
+    amax: float
 
 
 def make_flux(state: GridState, kernel: PointyKernel, p: ModelParams) -> FluxField:
-    """The velocity field that ``step`` transports ``state`` with.  A
-    scanned field holds only the state's padded window and its max|a_hat|."""
-    if not use_scan("auto", kernel, state.n_cells):
-        return FluxField(assemble_velocity(state, kernel, p, "direct"), p.chi1, p.chi2)
+    """The field that ``step`` transports ``state`` with: a_hat[j] =
+    sum_{i != j} K'(x_j - x_i) w_i, w = theta1 rho1 + theta2 rho2.  Where
+    :func:`aggrekin.expconv.use_scan` picks the scan, it runs on the padded
+    window alone, as no mass lies outside; the direct sum runs over the
+    whole grid and is sliced to the window."""
     a, b = state._padded_window()
-    return _WindowFlux(_scan_window(state, p, a, b), (a, b), state.dx, state.n_cells, p)
+    if use_scan("auto", kernel, state.n_cells):
+        v = exp_velocity_scan(p.theta1 * state.rho1[a:b] + p.theta2 * state.rho2[a:b], state.dx)
+    else:
+        v = direct_velocity(state.centers, p.theta1 * state.rho1 + p.theta2 * state.rho2, kernel)[a:b]
+    return FluxField(p.chi1, p.chi2, (a, b), v, float(np.abs(v).max()))
 
 
 def cfl_dt(
@@ -203,7 +131,8 @@ def _quantized_outflows(
 
 
 def step(state: GridState, flux: FluxField, dt: float) -> GridState:
-    """One upwind step.  Refuses to move if dt violates the CFL condition.
+    """One upwind step.  Refuses to move if dt violates the CFL condition,
+    or if ``flux`` does not span the state's padded window.
 
     All cell updates are exact float operations on multiples of the species
     quantum, so per-species mass is conserved to 0 ulp and no cell ever
@@ -215,8 +144,9 @@ def step(state: GridState, flux: FluxField, dt: float) -> GridState:
     if not dt > 0:
         raise ValueError("dt must be positive")
     a, b = state._padded_window()
-    a_win, amax = flux.on_cells(a, b)
-    vmax = max(flux.chi1, flux.chi2) * amax
+    if flux.span != (a, b):
+        raise ValueError(f"flux spans cells {flux.span}, but the state's padded window is {(a, b)}")
+    vmax = max(flux.chi1, flux.chi2) * flux.amax
     if dt * vmax >= state.dx:
         raise ValueError(
             f"CFL violation: dt * max|chi a_hat| = {dt * vmax:.3e} >= dx = {state.dx:.3e}"
@@ -226,7 +156,7 @@ def step(state: GridState, flux: FluxField, dt: float) -> GridState:
     for chi, rho, q in ((flux.chi1, state.rho1, state.q1), (flux.chi2, state.rho2, state.q2)):
         # the outflows zero the slice's outer faces: at a grid end that is
         # the boundary rule, and inside the grid those end cells are empty
-        out_r, out_l = _quantized_outflows(rho[a:b], chi * a_win, c, q)
+        out_r, out_l = _quantized_outflows(rho[a:b], chi * flux.velocity, c, q)
         nxt = rho.copy()
         win = nxt[a:b]
         win -= out_r
@@ -424,12 +354,11 @@ def run(
             tracker.update(st.time, species_peaks(st, 1), species_peaks(st, 2))
         flux = make_flux(st, kernel, p)
         lo, hi = st.window
-        a, b = st._padded_window()
         diag["t"].append(st.time)
         diag["mass1"].append(float(st.rho1[lo:hi].sum()))
         diag["mass2"].append(float(st.rho2[lo:hi].sum()))
         diag["weighted_center"].append(st.weighted_center(p))
-        diag["max_velocity"].append(flux.on_cells(a, b)[1])
+        diag["max_velocity"].append(flux.amax)
         # a window narrower than the grid leaves empty cells outside it
         full = (lo, hi) == (0, st.n_cells)
         diag["min_cell"].append(float(min(np.min(st.rho1), np.min(st.rho2))) if full else 0.0)

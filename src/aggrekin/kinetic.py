@@ -101,34 +101,16 @@ def check_positivity_condition(p: ModelParams) -> bool:
     return p.chi1 * theta < 1.0 and p.chi2 * theta < 1.0
 
 
-def solve_chemo_field(
-    rho1: np.ndarray,
-    rho2: np.ndarray,
-    dx: float,
-    p: ModelParams,
-    kernel: PointyKernel | None = None,
-    centers: np.ndarray | None = None,
-    method: str = "auto",
-) -> ChemoField:
-    """S = K * (theta1 rho1 + theta2 rho2) and its hatted-kernel gradient.
-
-    ``method`` is "auto", "scan" (O(N), exponential kernel only) or
-    "direct" (O(N^2)), chosen as :func:`aggrekin.expconv.use_scan` says.
-    """
-    w = p.theta1 * np.asarray(rho1, dtype=float) + p.theta2 * np.asarray(rho2, dtype=float)
-    if kernel is None:
-        kernel = exponential_kernel()
-    if use_scan(method, kernel, w.size):
-        s, ds = exp_potential_scan(w, dx)
+def solve_chemo_field(state: GridCells, p: ModelParams, kernel: PointyKernel) -> ChemoField:
+    """S = K * (theta1 rho1 + theta2 rho2) at the state's cell centres and
+    its hatted-kernel gradient: scanned in O(N) or summed directly in
+    O(N^2), as :func:`aggrekin.expconv.use_scan` picks."""
+    w = p.theta1 * state.rho1 + p.theta2 * state.rho2
+    if use_scan("auto", kernel, w.size):
+        s, ds = exp_potential_scan(w, state.dx)
     else:
-        if centers is None:
-            centers = (np.arange(w.size) + 0.5) * dx
-        s, ds = direct_potential(centers, w, kernel)
+        s, ds = direct_potential(state.centers, w, kernel)
     return ChemoField(s, ds)
-
-
-def field_for(state: KineticState, p: ModelParams, kernel=None) -> ChemoField:
-    return solve_chemo_field(state.rho1, state.rho2, state.dx, p, kernel, state.centers)
 
 
 def _transport(rho: np.ndarray, j: np.ndarray, q: float, c: float) -> tuple[np.ndarray, np.ndarray]:
@@ -195,14 +177,14 @@ def well_prepared_state(
     grid_state: GridState,
     p: ModelParams,
     epsilon: float,
-    kernel: PointyKernel | None = None,
+    kernel: PointyKernel,
 ) -> KineticState:
     """Kinetic state with the equilibrium flux J = chi dS rho.
 
     Starting on the local equilibrium removes the initial layer so limit
     experiments isolate the spatial dynamics.
     """
-    field = solve_chemo_field(grid_state.rho1, grid_state.rho2, grid_state.dx, p, kernel)
+    field = solve_chemo_field(grid_state, p, kernel)
     return KineticState(
         grid_state.xmin,
         grid_state.dx,
@@ -238,15 +220,17 @@ def run(
 
     Snapshots are recorded at the last step boundary <= each requested
     time.  Aborts through :func:`aggrekin.lattice.check_boundary` if mass
-    reaches the outermost cells.
+    reaches the outermost cells.  ``kernel`` defaults to the exponential one.
     """
+    if kernel is None:
+        kernel = exponential_kernel()
     dt = initial.dx
     diag = {k: [] for k in ("t", "mass1", "mass2")}
     field = None  # the chemo field of the last recorded state
 
     def record(st: KineticState):
         nonlocal field
-        field = field_for(st, p, kernel)
+        field = solve_chemo_field(st, p, kernel)
         m1, m2 = st.total_masses()
         diag["t"].append(st.time)
         diag["mass1"].append(m1)

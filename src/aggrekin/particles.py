@@ -48,7 +48,6 @@ __all__ = [
     "Event",
     "DenseStep",
     "SyncCheck",
-    "velocities",
     "sync_condition",
     "glued_selection",
     "advance",
@@ -254,30 +253,17 @@ def _raw_velocities(
     chi: np.ndarray,
     glued: list[int],
     p: ModelParams,
-    w_max: float = math.inf,
 ) -> np.ndarray:
     """Cluster velocities from the kernel slopes between every pair,
-    ``slopes[i, j]`` = K'(z_i - z_j) with 0 on the diagonal; a glued
-    cluster's selection w is clamped into [-w_max, w_max]."""
+    ``slopes[i, j]`` = K'(z_i - z_j) with 0 on the diagonal: a free cluster
+    moves at chi_a times its pull, a glued one at the common selected
+    velocity."""
     pull = slopes @ wrho
     v = chi * pull
     for k in glued:
-        w_sel = min(w_max, max(-w_max, glued_selection(pull[k], m1[k], m2[k], p)))
+        w_sel = glued_selection(pull[k], m1[k], m2[k], p)
         v[k] = p.chi1 * (pull[k] + p.theta2 * m2[k] * w_sel)
     return v
-
-
-def velocities(cs: ClusterSet, kernel: PointyKernel, p: ModelParams) -> np.ndarray:
-    """Velocities of all clusters (free clusters: chi_a times the external
-    pull; glued clusters: the common selected velocity).  A glued cluster
-    that fails the synchronising condition is about to unglue: its
-    selection is clamped to the admissible +-1/2, the slope its species-1
-    part meets at the split."""
-    m1 = np.array([c.m1 for c in cs.clusters])
-    m2 = np.array([c.m2 for c in cs.clusters])
-    z = cs.positions()
-    slopes = kernel.hat_deriv(z[:, None] - z[None, :])
-    return _raw_velocities(slopes, m1, m2, *_step_constants(m1, m2, p), p, w_max=0.5)
 
 
 def _safe_split_positions(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +77,9 @@ Scenario JSON schema (all masses in absolute units):
 # the scalar settings a scenario file may leave to their Scenario defaults
 _OPTIONAL_NUMBERS = ("bump_width", "cfl_safety", "gap_tol", "dt_max", "epsilon")
 # the model parameters it may set; theta and psi default to ModelParams' 1.0
-_PARAM_KEYS = ("chi1", "chi2", "theta1", "theta2", "psi1", "psi2")
+_PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
+# the top-level keys: the first word of each SCHEMA line indented by two
+_KNOWN_KEYS = {line.split()[0] for line in SCHEMA.splitlines() if len(line) - len(line.lstrip()) == 2}
 
 
 class ScenarioError(ValueError):
@@ -194,14 +196,7 @@ class Scenario:
 def scenario_to_dict(s: Scenario) -> dict:
     d = {
         "name": s.name,
-        "params": {
-            "chi1": s.params.chi1,
-            "chi2": s.params.chi2,
-            "theta1": s.params.theta1,
-            "theta2": s.params.theta2,
-            "psi1": s.params.psi1,
-            "psi2": s.params.psi2,
-        },
+        "params": asdict(s.params),
         "kernel": dict(s.kernel_spec),
         "initial": {"species1": dict(s.initial1), "species2": dict(s.initial2)},
         "bump_width": s.bump_width,
@@ -209,10 +204,10 @@ def scenario_to_dict(s: Scenario) -> dict:
         "T": s.T,
         "snapshot_times": list(s.snapshot_times),
         "cfl_safety": s.cfl_safety,
-        "gap_tol": s.gap_tol,
-        "dt_max": s.dt_max,
         "epsilon": s.epsilon,
     }
+    if s.solver in ("particles", "compare"):  # the settings only particle runs read
+        d.update(gap_tol=s.gap_tol, dt_max=s.dt_max)
     if s.grid is not None:
         d["grid"] = {"xmin": s.grid[0], "xmax": s.grid[1], "dx": s.grid[2]}
     if s.eps_list is not None:
@@ -220,25 +215,6 @@ def scenario_to_dict(s: Scenario) -> dict:
     if s.output_dir is not None:
         d["output_dir"] = s.output_dir
     return d
-
-
-_KNOWN_KEYS = {
-    "name",
-    "params",
-    "kernel",
-    "initial",
-    "bump_width",
-    "solver",
-    "grid",
-    "T",
-    "snapshot_times",
-    "cfl_safety",
-    "gap_tol",
-    "dt_max",
-    "epsilon",
-    "eps_list",
-    "output_dir",
-}
 
 
 def scenario_from_dict(d: dict, name: str = "scenario") -> Scenario:

@@ -8,7 +8,6 @@ from hypothesis import strategies as hs
 
 from aggrekin.fv import (
     GridState,
-    assemble_velocity,
     cfl_dt,
     extract_peaks,
     make_flux,
@@ -17,6 +16,7 @@ from aggrekin.fv import (
     species_peaks,
     step,
 )
+from aggrekin.expconv import direct_velocity, exp_velocity_scan, use_scan
 from aggrekin.kernel import exponential_kernel, regularize
 from aggrekin.measures import ModelParams, bump_mass_unit, sample_gaussian_bumps
 
@@ -91,16 +91,19 @@ class TestGridState:
 
 
 class TestAssembleVelocity:
+    """The velocity a_hat: the expconv references and the field of make_flux."""
+
     def test_single_occupied_cell_is_stationary(self):
         rho1 = np.zeros(11)
         rho1[5] = 2.0
         st = GridState(-1.0, 2.0 / 11, rho1, np.zeros(11))
-        a = assemble_velocity(st, KERNEL, unit_params(), method="direct")
+        a = direct_velocity(st.centers, st.rho1 + st.rho2, KERNEL)
         assert a[5] == 0.0
+        assert make_flux(st, KERNEL, unit_params()).velocity[1] == 0.0
 
     def test_two_cell_pull_high_precision(self):
         st = GridState(-1.0, 1.0, [1.0, 1.0], [0.0, 0.0])
-        a = assemble_velocity(st, KERNEL, unit_params(chi1=1.0, chi2=7.0), method="direct")
+        a = direct_velocity(st.centers, st.rho1 + st.rho2, KERNEL)
         expected = Decimal("0.5") / Decimal(1).exp()
         assert abs(Decimal(a[0]) - expected) < Decimal("1e-16")
         assert a[1] == -a[0]
@@ -110,26 +113,25 @@ class TestAssembleVelocity:
         half = rng.uniform(0, 1, 16)
         rho1 = np.concatenate([half, half[::-1]])
         st = GridState(-1.0, 2.0 / 32, rho1, np.zeros(32))
-        a = assemble_velocity(st, KERNEL, unit_params(), method="direct")
+        a = direct_velocity(st.centers, st.rho1 + st.rho2, KERNEL)
         assert np.max(np.abs(a + a[::-1])) <= 1e-15
 
     def test_scan_agrees_with_direct_on_states(self):
         rng = np.random.default_rng(7)
         st = random_state(rng, n=2048)
-        p = unit_params(chi1=3.0, chi2=0.5)
-        fast = assemble_velocity(st, KERNEL, p, method="scan")
-        slow = assemble_velocity(st, KERNEL, p, method="direct")
+        w = st.rho1 + st.rho2
+        fast = exp_velocity_scan(w, st.dx)
+        slow = direct_velocity(st.centers, w, KERNEL)
         assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 
     def test_scan_refused_for_non_exponential_kernel(self):
-        st = GridState(-1.0, 1.0, [1.0, 1.0], [0.0, 0.0])
-        with pytest.raises(ValueError):
-            assemble_velocity(st, regularize(KERNEL, 2), unit_params(), method="scan")
+        with pytest.raises(ValueError, match="exponential"):
+            use_scan("scan", regularize(KERNEL, 2), 2)
 
     def test_theta_weights_enter_the_sum(self):
         st = GridState(-1.0, 1.0, [1.0, 0.0], [0.0, 1.0])
         p = ModelParams(chi1=1.0, chi2=1.0, theta1=1.0, theta2=3.0)
-        a = assemble_velocity(st, KERNEL, p, method="direct")
+        a = make_flux(st, KERNEL, p).velocity
         # left cell is pulled by theta2 * rho2 at the right cell
         assert a[0] == pytest.approx(3.0 * 0.5 * math.exp(-1.0), rel=1e-14)
 

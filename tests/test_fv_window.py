@@ -1,11 +1,11 @@
 """The finite-volume hot path works on the occupied window only.
 
-The velocity is scanned on the window and filled in geometrically outside
-it; ``step``, the peak finders and the run diagnostics touch the window
-only, and ``step`` hands its successor the window it finds on the slice it
-wrote.  These tests check the windowed velocity against the O(N^2) direct
-sum over the whole grid, and the windowed step, the peak finders and a
-whole run bit for bit against the full-grid versions written out below.
+The velocity field is held on the padded window only; ``step``, the peak
+finders and the run diagnostics touch the window only, and ``step`` hands
+its successor the window it finds on the slice it wrote.  These tests
+check the windowed velocity against the O(N^2) direct sum over the whole
+grid, and the windowed step, the peak finders and a whole run bit for bit
+against the full-grid versions written out below.
 """
 
 import math
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from aggrekin.expconv import direct_velocity, exp_velocity_scan
 from aggrekin.fv import (
     FluxField,
     GridState,
@@ -22,7 +23,6 @@ from aggrekin.fv import (
     _ContactTracker,
     _quantized_outflows,
     _runs,
-    assemble_velocity,
     cfl_dt,
     extract_peaks,
     make_flux,
@@ -57,6 +57,15 @@ def padded(state):
     return max(lo - 1, 0), min(hi + 1, state.n_cells)
 
 
+def weights(state, p=PARAMS):
+    return p.theta1 * state.rho1 + p.theta2 * state.rho2
+
+
+def direct_on_grid(state, p=PARAMS):
+    """The O(N^2) direct velocity sum on every cell of the grid."""
+    return direct_velocity(state.centers, weights(state, p), KERNEL)
+
+
 def window_of(rho1, rho2):
     """The occupied window recomputed from the cell arrays."""
     occupied = np.flatnonzero((rho1 > 0) | (rho2 > 0))
@@ -68,11 +77,19 @@ def window_of(rho1, rho2):
 # the update and the peak finders as they ran on the whole grid
 
 
+def on_grid(state, flux):
+    """The field's velocity on every cell, 0 outside its span: those cells
+    are empty, so no velocity there moves any mass."""
+    a_hat = np.zeros(state.n_cells)
+    a_hat[slice(*flux.span)] = flux.velocity
+    return a_hat
+
+
 def full_grid_step(state, flux, dt):
     c = dt / state.dx
     new = []
     for chi, rho, q in ((flux.chi1, state.rho1, state.q1), (flux.chi2, state.rho2, state.q2)):
-        v = chi * flux.a_hat
+        v = chi * on_grid(state, flux)
         out_r = c * np.maximum(v, 0.0) * rho
         out_l = c * np.maximum(-v, 0.0) * rho
         if q > 0.0:
@@ -146,87 +163,56 @@ class TestWindowVelocity:
     @pytest.mark.parametrize("species", [(1, 2), (1,), (2,)])
     def test_scan_matches_direct_on_the_whole_grid(self, lo, hi, species):
         st = state_on(N, lo, hi, np.random.default_rng(7 * lo + hi), species=species, holes=0.3)
-        fast = assemble_velocity(st, KERNEL, PARAMS, method="scan")
-        slow = assemble_velocity(st, KERNEL, PARAMS, method="direct")
+        flux = make_flux(st, KERNEL, PARAMS)
+        slow = direct_on_grid(st)
         scale = np.max(np.abs(slow))
-        assert np.max(np.abs(fast - slow)) <= 1e-12 * scale
-        # the tails outside the scanned cells, cell by cell
         a, b = padded(st)
-        for tail in (slice(0, a), slice(b, N)):
-            assert np.all(np.abs(fast[tail] - slow[tail]) <= 1e-12 * np.abs(slow[tail]))
-        # the largest speed sits on the scanned cells
-        assert np.max(np.abs(fast[a:b])) == np.max(np.abs(fast))
-        assert abs(np.max(np.abs(fast)) - scale) <= 1e-12 * scale
+        assert np.max(np.abs(flux.velocity - slow[a:b])) <= 1e-12 * scale
+        # the largest speed on the whole grid sits on the scanned cells
+        assert a <= np.argmax(np.abs(slow)) < b
+        assert abs(flux.amax - scale) <= 1e-12 * scale
 
     def test_fine_grid_with_long_tails(self):
-        # the benchmark's spacing: the tails span thousands of cells
+        # the benchmark's spacing: the empty cells span thousands of cells
         n, dx = 4000, 5e-4
         st = state_on(n, 1700, 2300, np.random.default_rng(3), dx=dx, holes=0.2)
-        fast = assemble_velocity(st, KERNEL, PARAMS, method="scan")
-        slow = assemble_velocity(st, KERNEL, PARAMS, method="direct")
-        assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
-        assert np.all(np.abs(fast[:1699] - slow[:1699]) <= 1e-12 * np.abs(slow[:1699]))
-        assert np.all(np.abs(fast[2301:] - slow[2301:]) <= 1e-12 * np.abs(slow[2301:]))
+        flux = make_flux(st, KERNEL, PARAMS)
+        slow = direct_on_grid(st)
+        assert flux.span == (1699, 2301)
+        assert np.max(np.abs(flux.velocity - slow[1699:2301])) <= 1e-12 * np.max(np.abs(slow))
+        assert np.max(np.abs(slow[:1699])) < flux.amax and np.max(np.abs(slow[2301:])) < flux.amax
 
     def test_empty_state_gives_zero_velocity(self):
         st = GridState(-1.0, 2.0 / 600, np.zeros(600), np.zeros(600))
-        a_hat = assemble_velocity(st, KERNEL, PARAMS, method="scan")
-        assert a_hat.shape == (600,)
-        assert np.all(a_hat == 0.0)
+        flux = make_flux(st, KERNEL, PARAMS)
+        assert flux.span == (0, 1)
+        assert np.all(flux.velocity == 0.0) and flux.amax == 0.0
 
     def test_run_reports_the_full_grid_maximum_speed(self):
         st = state_on(N, 600, 680, np.random.default_rng(11))
         res = run(st, KERNEL, PARAMS, T=0.02, track_peaks=False)
         state = res.final
-        a_hat = make_flux(state, KERNEL, PARAMS).a_hat
-        assert res.diagnostics["max_velocity"][-1] == np.max(np.abs(a_hat))
+        assert res.diagnostics["max_velocity"][-1] == make_flux(state, KERNEL, PARAMS).amax
+        scale = np.max(np.abs(direct_on_grid(state)))
+        assert abs(res.diagnostics["max_velocity"][-1] - scale) <= 1e-12 * scale
         assert res.diagnostics["min_cell"][-1] == 0.0
 
 
 class TestWindowFlux:
-    """``make_flux`` holds the scanned velocity of its state's padded window
-    and that window's max|a_hat|; the full-grid ``a_hat`` is assembled from
-    them only when read.  A hand-built field and the direct-sum path hold
-    the whole grid."""
+    """``make_flux`` holds the velocity of its state's padded window and
+    that window's max|a_hat|: scanned above the threshold, the direct sum
+    over the whole grid sliced to the window below it."""
 
     @pytest.mark.parametrize("lo, hi", SUPPORTS + [(0, 0)])
     def test_lazy_velocity_is_the_scanned_velocity_bit_for_bit(self, lo, hi):
         st = state_on(N, lo, hi, np.random.default_rng(3 * lo + hi), holes=0.3)
         flux = make_flux(st, KERNEL, PARAMS)
         a, b = padded(st)
-        ref = assemble_velocity(st, KERNEL, PARAMS, method="scan")
+        ref = exp_velocity_scan(weights(st)[a:b], st.dx)
         assert flux.span == (a, b)
-        assert flux.velocity.tobytes() == ref[a:b].tobytes()
-        assert flux.amax == np.abs(ref[a:b]).max()
-        v, amax = flux.on_cells(a, b)
-        assert v is flux.velocity and amax == flux.amax
-        assert flux.a_hat.tobytes() == ref.tobytes()
-        assert flux.amax == np.abs(flux.a_hat[a:b]).max()
-
-    def test_other_cells_are_read_off_the_full_grid(self):
-        st = state_on(N, 600, 680, np.random.default_rng(4), holes=0.3)
-        flux = make_flux(st, KERNEL, PARAMS)
-        v, amax = flux.on_cells(100, 1200)
-        assert v.tobytes() == flux.a_hat[100:1200].tobytes()
-        assert amax == np.abs(flux.a_hat[100:1200]).max()
-
-    def test_hand_built_field_spans_the_grid(self):
-        rng = np.random.default_rng(5)
-        a_hat = rng.normal(size=N)
-        flux = FluxField(a_hat, 4.0, 0.7)
-        assert flux.a_hat is a_hat and flux.velocity is a_hat
-        assert flux.span == (0, N) and flux.amax == np.abs(a_hat).max()
-        st = state_on(N, 600, 680, rng)
-        a, b = padded(st)
-        v, amax = flux.on_cells(a, b)
-        assert v.tobytes() == a_hat[a:b].tobytes() and amax == np.abs(a_hat[a:b]).max()
-        dt = 0.9 * st.dx / (4.0 * amax)
-        ref1, ref2 = full_grid_step(st, flux, dt)
-        nxt = step(st, flux, dt)
-        assert np.array_equal(nxt.rho1, ref1) and np.array_equal(nxt.rho2, ref2)
-        # the CFL check reads the cells the step updates, as before
-        with pytest.raises(ValueError, match="CFL"):
-            step(st, flux, st.dx / (4.0 * amax))
+        assert (flux.chi1, flux.chi2) == (PARAMS.chi1, PARAMS.chi2)
+        assert flux.velocity.tobytes() == ref.tobytes()
+        assert flux.amax == np.abs(ref).max()
 
     def test_direct_path_holds_the_direct_sum(self):
         # 120 cells are below the scan threshold, so make_flux sums directly
@@ -234,15 +220,29 @@ class TestWindowFlux:
         p = ModelParams(chi1=4.0, chi2=0.7)
         for st in random_states(rng, count=12):
             flux = make_flux(st, KERNEL, p)
-            direct = assemble_velocity(st, KERNEL, p, method="direct")
-            assert flux.a_hat.tobytes() == direct.tobytes()
-            assert flux.span == (0, st.n_cells)
             a, b = padded(st)
-            assert flux.on_cells(a, b)[1] == np.abs(direct[a:b]).max()
+            direct = direct_on_grid(st, p)
+            assert flux.span == (a, b)
+            assert flux.velocity.tobytes() == direct[a:b].tobytes()
+            assert flux.amax == np.abs(direct[a:b]).max()
             dt = cfl_dt(st.dx, KERNEL, p, 0.9, st.total_masses())
             ref1, ref2 = full_grid_step(st, flux, dt)
             nxt = step(st, flux, dt)
             assert np.array_equal(nxt.rho1, ref1) and np.array_equal(nxt.rho2, ref2)
+            # the CFL check reads the held max|a_hat|
+            with pytest.raises(ValueError, match="CFL"):
+                step(st, flux, st.dx / (4.0 * flux.amax))
+
+    def test_step_refuses_a_field_of_another_window(self):
+        rng = np.random.default_rng(9)
+        st = state_on(N, 600, 680, rng)
+        other = make_flux(state_on(N, 590, 680, rng), KERNEL, PARAMS)
+        with pytest.raises(ValueError, match=r"\(589, 681\).*\(599, 681\)"):
+            step(st, other, 1e-6)
+        v = rng.normal(size=N)
+        whole = FluxField(4.0, 0.7, (0, N), v, float(np.abs(v).max()))
+        with pytest.raises(ValueError, match=r"\(0, 1500\).*\(599, 681\)"):
+            step(st, whole, 1e-6)
 
 
 def random_states(rng, n=120, count=40):
@@ -285,8 +285,10 @@ def steps_hand_over_their_window(st, rng):
     # the attracting velocity points inwards at the window's edges, so it
     # never moves them; a random field also spreads mass outwards
     for _ in range(3):
-        flux = FluxField(rng.normal(size=st.n_cells), 4.0, 0.7)
-        dt = 0.9 * st.dx / (4.0 * np.max(np.abs(flux.a_hat)))
+        a, b = padded(st)
+        v = rng.normal(size=b - a)
+        flux = FluxField(4.0, 0.7, (a, b), v, float(np.abs(v).max()))
+        dt = 0.9 * st.dx / (4.0 * flux.amax)
         st = step(st, flux, dt)
         assert st.window == window_of(st.rho1, st.rho2)
 
@@ -371,7 +373,7 @@ def full_grid_run(initial, p, T):
             (p.theta1 / p.chi1) * float(np.sum(x * st.rho1[lo:hi]))
             + (p.theta2 / p.chi2) * float(np.sum(x * st.rho2[lo:hi]))
         )
-        diag["max_velocity"].append(float(np.max(np.abs(flux.a_hat))))
+        diag["max_velocity"].append(float(np.max(np.abs(on_grid(st, flux)))))
         diag["min_cell"].append(float(min(np.min(st.rho1), np.min(st.rho2))))
     return diag, tracker.events, st, n_steps
 

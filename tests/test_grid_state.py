@@ -14,7 +14,7 @@ from hypothesis import strategies as hs
 from aggrekin import fv, kinetic, particles
 from aggrekin.fv import GridState, cfl_dt, extract_peaks, make_flux, species_peaks
 from aggrekin.kernel import exponential_kernel
-from aggrekin.kinetic import KineticState, field_for
+from aggrekin.kinetic import KineticState, solve_chemo_field
 from aggrekin.lattice import GridCells, check_boundary
 from aggrekin.measures import ModelParams
 from aggrekin.particles import Cluster, ClusterSet
@@ -174,7 +174,7 @@ class TestStepSuccessors:
         st = KineticState(gst.xmin, gst.dx, rho1, rho2, u * rho1, -u * rho2, epsilon)
         p = ModelParams(chi1=0.45, chi2=0.3)
         for _ in range(n_steps):
-            nxt = kinetic.step(st, field_for(st, p), p, c * st.dx)
+            nxt = kinetic.step(st, solve_chemo_field(st, p, KERNEL), p, c * st.dx)
             for quanta in ((nxt.q1, nxt.q2), ()):
                 ref = KineticState(
                     nxt.xmin, nxt.dx, nxt.rho1, nxt.rho2, nxt.J1, nxt.J2,
@@ -231,7 +231,7 @@ class TestStepSuccessors:
         st = GridState(0.0, 0.1, [0.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0])
         assert st.window == (1, 2)
         p = ModelParams(chi1=1.0, chi2=1.0)
-        nxt = fv.step(st, fv.FluxField(np.full(5, 0.5), p.chi1, p.chi2), 0.1)
+        nxt = fv.step(st, fv.FluxField(p.chi1, p.chi2, (0, 3), np.full(3, 0.5), 0.5), 0.1)
         assert nxt.window == (1, 3)
 
 

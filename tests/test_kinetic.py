@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from aggrekin.expconv import direct_potential, exp_potential_scan
 from aggrekin.fv import GridState
 from aggrekin.kernel import exponential_kernel
 from aggrekin.kinetic import (
     ChemoField,
     KineticState,
     check_positivity_condition,
-    field_for,
     limit_experiment,
     run,
     solve_chemo_field,
@@ -42,44 +42,62 @@ class TestSolveChemoField:
         rho1 = np.zeros(n)
         rho1[n // 2] = 1.0
         centers = xmin + (np.arange(n) + 0.5) * dx
-        field = solve_chemo_field(rho1, np.zeros(n), dx, kinetic_params(), method="direct", centers=centers)
+        S, _ = direct_potential(centers, rho1, KERNEL)
         x_src = centers[n // 2]
         expected = 0.5 * np.exp(-np.abs(centers - x_src))
-        assert np.max(np.abs(field.S - expected)) <= 1e-14
-        assert field.S[n // 2] == 0.5
+        assert np.max(np.abs(S - expected)) <= 1e-14
+        assert S[n // 2] == 0.5
+        # 201 cells are below the scan threshold: the field is this sum
+        field = solve_chemo_field(GridState(xmin, dx, rho1, np.zeros(n)), kinetic_params(), KERNEL)
+        assert field.S.tobytes() == S.tobytes()
 
     def test_zero_density_gives_zero_field(self):
-        field = solve_chemo_field(np.zeros(64), np.zeros(64), 0.01, kinetic_params())
-        assert np.all(field.S == 0.0)
-        assert np.all(field.dS == 0.0)
+        for n in (64, 600):
+            field = solve_chemo_field(GridState(0.0, 0.01, np.zeros(n), np.zeros(n)), kinetic_params(), KERNEL)
+            assert np.all(field.S == 0.0)
+            assert np.all(field.dS == 0.0)
 
     def test_symmetric_density_gives_odd_gradient(self):
         n = 101
         rho = np.exp(-np.linspace(-3, 3, n) ** 2)
-        field = solve_chemo_field(rho, rho[::-1], 0.06, kinetic_params(), method="direct")
-        assert np.max(np.abs(field.dS + field.dS[::-1])) <= 1e-14
-        assert abs(field.dS[n // 2]) <= 1e-13
+        _, dS = direct_potential((np.arange(n) + 0.5) * 0.06, rho + rho[::-1], KERNEL)
+        assert np.max(np.abs(dS + dS[::-1])) <= 1e-14
+        assert abs(dS[n // 2]) <= 1e-13
 
     def test_scan_and_direct_agree(self):
         rng = np.random.default_rng(0)
         n = 4000
-        rho1 = rng.uniform(0, 1, n)
-        rho2 = rng.uniform(0, 1, n)
-        p = kinetic_params()
-        fast = solve_chemo_field(rho1, rho2, 5e-4, p, method="scan")
-        slow = solve_chemo_field(rho1, rho2, 5e-4, p, method="direct")
-        assert np.max(np.abs(fast.S - slow.S)) <= 1e-12 * np.max(np.abs(slow.S))
-        assert np.max(np.abs(fast.dS - slow.dS)) <= 1e-12 * np.max(np.abs(slow.dS))
+        w = rng.uniform(0, 1, n) + rng.uniform(0, 1, n)
+        fast = exp_potential_scan(w, 5e-4)
+        slow = direct_potential((np.arange(n) + 0.5) * 5e-4, w, KERNEL)
+        for f, s in zip(fast, slow):
+            assert np.max(np.abs(f - s)) <= 1e-12 * np.max(np.abs(s))
 
     def test_gradient_bound(self):
         rng = np.random.default_rng(1)
         n = 512
-        rho1 = rng.uniform(0, 1, n)
-        rho2 = rng.uniform(0, 1, n)
+        st = GridState(-0.25, 1e-3, rng.uniform(0, 1, n), rng.uniform(0, 1, n))
         p = ModelParams(chi1=0.3, chi2=0.2, theta1=1.5, theta2=0.5)
-        field = solve_chemo_field(rho1, rho2, 1e-3, p)
-        bound = 0.5 * (p.theta1 * rho1.sum() + p.theta2 * rho2.sum())
+        field = solve_chemo_field(st, p, KERNEL)
+        bound = 0.5 * (p.theta1 * st.rho1.sum() + p.theta2 * st.rho2.sum())
         assert np.max(np.abs(field.dS)) <= bound * (1 + 1e-12)
+
+
+class TestWellPreparedState:
+    def test_initial_flux_reads_the_field_of_the_state_centres(self):
+        # a grid below the scan threshold that does not start at x = 0: the
+        # direct sum reads the cell centres, and the initial J must be
+        # chi dS rho of the field every step reads, equal in every cell (the
+        # state's flux bound may turn an empty cell's -0.0 into 0.0)
+        p = kinetic_params(0.45, 0.3)
+        grid = (-1.3, 1.7, 1e-2)
+        r1 = sample_gaussian_bumps([(1.0, -0.3)], grid, width=50.0)
+        r2 = sample_gaussian_bumps([(1.0, 0.4)], grid, width=50.0)
+        kin = well_prepared_state(GridState(grid[0], grid[2], r1.masses, r2.masses), p, 0.1, KERNEL)
+        assert kin.n_cells <= 512
+        field = solve_chemo_field(kin, p, KERNEL)
+        assert np.array_equal(kin.J1, p.chi1 * field.dS * kin.rho1)
+        assert np.array_equal(kin.J2, p.chi2 * field.dS * kin.rho2)
 
 
 class TestPositivityCondition:
@@ -220,7 +238,7 @@ class TestStep:
         m1 = left_to_right_sum(st.rho1)
         m2 = left_to_right_sum(st.rho2)
         for _ in range(60):
-            field = field_for(st, p)
+            field = solve_chemo_field(st, p, KERNEL)
             st = step(st, field, p, st.dx)
         assert left_to_right_sum(st.rho1) - m1 == 0.0
         assert left_to_right_sum(st.rho2) - m2 == 0.0
@@ -238,7 +256,7 @@ class TestStep:
         p = kinetic_params(0.45, 0.3)
         assert check_positivity_condition(p)
         for _ in range(40):
-            field = field_for(st, p)
+            field = solve_chemo_field(st, p, KERNEL)
             st = step(st, field, p, st.dx)
             assert np.all(np.abs(st.J1) <= st.rho1)
             assert np.all(np.abs(st.J2) <= st.rho2)
@@ -251,8 +269,8 @@ class TestStep:
         r1 = sample_gaussian_bumps([(4.0, 0.0)], (xmin, xmax, dx), width=width)
         r2 = sample_gaussian_bumps([(4.0, 0.0)], (xmin, xmax, dx), width=width)
         st0 = GridState(xmin, dx, r1.masses, r2.masses)
-        kin = well_prepared_state(st0, p, epsilon=1e-6)
-        field = field_for(kin, p)
+        kin = well_prepared_state(st0, p, 1e-6, KERNEL)
+        field = solve_chemo_field(kin, p, KERNEL)
         assert np.max(np.abs(p.chi1 * field.dS)) < 1.0
         new = step(kin, field, p, dt=dx)
         for chi, j, rho in ((p.chi1, new.J1, new.rho1), (p.chi2, new.J2, new.rho2)):
@@ -267,7 +285,7 @@ class TestRun:
         grid = (-2.0, 2.0, 2e-3)
         r = sample_gaussian_bumps([(1.0, 0.0)], grid, width=500.0)
         st0 = GridState(grid[0], grid[2], r.masses, r.masses)
-        kin = well_prepared_state(st0, p, epsilon=0.2)
+        kin = well_prepared_state(st0, p, 0.2, KERNEL)
         res = run(kin, p, T=0.3)
         assert np.max(np.abs(res.final.rho1 - res.final.rho2)) <= 1e-10
 
@@ -277,7 +295,7 @@ class TestRun:
         r1 = sample_gaussian_bumps([(1.0, -0.4)], grid, width=200.0)
         r2 = sample_gaussian_bumps([(1.0, 0.4)], grid, width=200.0)
         st0 = GridState(grid[0], grid[2], r1.masses, r2.masses)
-        kin = well_prepared_state(st0, p, epsilon=0.1)
+        kin = well_prepared_state(st0, p, 0.1, KERNEL)
         res = run(kin, p, T=0.2, snapshot_times=(0.0, 0.1, 0.2))
         assert len(res.snapshots) == 3
         assert res.diagnostics["mass1"][0] == res.diagnostics["mass1"][-1]
@@ -287,7 +305,7 @@ class TestRun:
         p = kinetic_params(0.4, 0.3)
         grid = (-2.0, 2.0, 4e-3)
         r = sample_gaussian_bumps([(1.0, 0.0)], grid, width=200.0)
-        kin = well_prepared_state(GridState(grid[0], grid[2], r.masses, r.masses), p, epsilon=0.1)
+        kin = well_prepared_state(GridState(grid[0], grid[2], r.masses, r.masses), p, 0.1, KERNEL)
         with pytest.raises(ValueError, match=r"dt = 0\.004 .* T = 0\.001"):
             run(kin, p, T=1e-3)
 

@@ -15,8 +15,8 @@ from aggrekin.particles import (
     glued_selection,
     run,
     sync_condition,
-    velocities,
 )
+from test_particles_step import reference_raw_velocities
 
 KERNEL = exponential_kernel()
 M0 = bump_mass_unit()
@@ -41,6 +41,14 @@ def external_gamma(cs, first, last, p, at=None):
     wrho = np.array([p.theta1 * c.m1 + p.theta2 * c.m2 for c in cs.clusters])
     at = z[first] if at is None else at
     return particles._sync(z, wrho, first, last, at, 1.0, 1.0, KERNEL, p)[0]
+
+
+def reference_velocities(cs, p):
+    """The cluster velocities of ``cs`` by the reference sum of
+    test_particles_step.py."""
+    m1 = np.array([c.m1 for c in cs.clusters])
+    m2 = np.array([c.m2 for c in cs.clusters])
+    return reference_raw_velocities(cs.positions(), m1, m2, KERNEL, p)
 
 
 class TestClusterSet:
@@ -90,14 +98,14 @@ class TestClusterSet:
 class TestVelocities:
     def test_single_cluster_is_stationary(self):
         cs = ClusterSet([Cluster(0.3, 1.0, 0.5)])
-        assert velocities(cs, KERNEL, params())[0] == 0.0
+        assert reference_velocities(cs, params())[0] == 0.0
 
     def test_two_same_species_clusters_attract_symmetrically(self):
         m = 0.7
         d = 0.9
         cs = ClusterSet([Cluster(-d / 2, m, 0.0), Cluster(d / 2, m, 0.0)])
         p = params(chi1=3.0, chi2=1.0)
-        v = velocities(cs, KERNEL, p)
+        v = reference_velocities(cs, p)
         expected = p.chi1 * m * 0.5 * math.exp(-d)
         assert v[0] == pytest.approx(expected, rel=1e-14)
         assert v[1] == pytest.approx(-expected, rel=1e-14)
@@ -106,7 +114,7 @@ class TestVelocities:
         p = params(chi1=2.0, chi2=2.0)
         cs = ClusterSet([Cluster(0.0, 1.0, 1.0), Cluster(1.0, 3.0, 0.0)])
         gam = external_gamma(cs, 0, 0, p)
-        v = velocities(cs, KERNEL, p)
+        v = reference_velocities(cs, p)
         assert v[0] == pytest.approx(p.chi1 * gam, rel=1e-14)
 
     def test_glued_velocity_consistency_identity(self):
@@ -373,7 +381,7 @@ class TestAdvance:
             events.extend(evs)
             # the next step starts from the velocity of these clusters
             if cs.dense is not None and cs.dense.v_end is not None:
-                np.testing.assert_allclose(cs.dense.v_end, velocities(cs, KERNEL, p), rtol=1e-9)
+                np.testing.assert_allclose(cs.dense.v_end, reference_velocities(cs, p), rtol=1e-9)
             if len(cs) == 1:
                 break
         assert len(cs) == 1

@@ -106,6 +106,20 @@ class TestLoadScenario:
         write_scenario(path2, back)
         assert path.read_bytes() == path2.read_bytes()
 
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_particle_settings_are_echoed_for_particle_runs_only(self, tmp_path, solver):
+        particle = solver in ("particles", "compare")
+        s = preset("example2", solver=solver)
+        if particle:
+            s = replace(s, dt_max=0.01, gap_tol=1e-8)
+        d = scenario_to_dict(s)
+        assert ("dt_max" in d, "gap_tol" in d) == (particle, particle)
+        if particle:
+            assert (d["dt_max"], d["gap_tol"]) == (0.01, 1e-8)
+        path = tmp_path / "echo.json"
+        write_scenario(path, s)
+        assert load_scenario(path) == s
+
     def test_grid_solver_requires_grid(self):
         with pytest.raises(ScenarioError, match="grid"):
             scenario_from_dict(
