@@ -8,18 +8,16 @@ together with Wasserstein-metric and conservation diagnostics and a
 scenario-driven command line interface.
 """
 
-from .kernel import PointyKernel, exponential_kernel, pointy_kernel, regularize
+from .kernel import PointyKernel, exponential_kernel, regularize
 from .measures import (
     DiscreteMeasure,
     ModelParams,
     SpeciesPair,
     bump_mass_unit,
     coupled_w2,
-    moments,
     quantile,
     sample_gaussian_bumps,
     wasserstein2,
-    weighted_center,
 )
 from .fv import FluxField, GridState, cfl_dt, extract_peaks
 from .particles import Cluster, ClusterSet, Event, glued_selection, sync_condition
@@ -28,7 +26,6 @@ from .kinetic import ChemoField, KineticState, check_positivity_condition, solve
 __all__ = [
     "PointyKernel",
     "exponential_kernel",
-    "pointy_kernel",
     "regularize",
     "DiscreteMeasure",
     "SpeciesPair",
@@ -37,8 +34,6 @@ __all__ = [
     "quantile",
     "wasserstein2",
     "coupled_w2",
-    "weighted_center",
-    "moments",
     "sample_gaussian_bumps",
     "GridState",
     "FluxField",

@@ -86,7 +86,8 @@ def _cmd_limit(args) -> int:
     kernel = make_kernel(scenario.kernel_spec)
     st0 = initial_grid_state(scenario)
     rows = kin_mod.limit_experiment(
-        st0, scenario.params, list(scenario.eps_list), scenario.T, kernel
+        st0, scenario.params, list(scenario.eps_list), scenario.T, kernel,
+        safety=scenario.cfl_safety,
     )
     out = resolve_output_dir(scenario, args.out)
     kin_mod.write_limit_csv(out / "limit.csv", rows)

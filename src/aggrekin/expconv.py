@@ -28,28 +28,18 @@ __all__ = [
 # cap the in-block exponential rescaling at e^{0.25} to keep the blocked
 # cumulative sums accurate to ~1e-13 relative
 _MAX_BLOCK_SPAN = 0.25
-# "auto" sums directly up to this many cells and scans above it
+# the exponential kernel is summed directly up to this many cells and scanned above it
 _SCAN_THRESHOLD = 512
 # rows of the pairwise difference matrix formed at a time by the direct sums
 _CHUNK = 256
 
 
-def use_scan(method: str, kernel, n: int) -> bool:
-    """Whether a convolution over ``n`` cells runs the linear-time scan.
-
-    ``method`` is "scan", "direct" (the O(N^2) sum) or "auto", which scans
+def use_scan(kernel, n: int) -> bool:
+    """Whether a convolution over ``n`` cells runs the linear-time scan:
     for the exponential kernel above 512 cells.  The scan is exact only for
-    the exponential kernel; asking it of another kernel is an error.
+    the exponential kernel; every other kernel is summed directly.
     """
-    if method == "auto":
-        return kernel.kind == "exponential" and n > _SCAN_THRESHOLD
-    if method == "scan":
-        if kernel.kind != "exponential":
-            raise ValueError("the linear-time scan is only valid for the exponential kernel")
-        return True
-    if method == "direct":
-        return False
-    raise ValueError(f"unknown convolution method {method!r}")
+    return kernel.kind == "exponential" and n > _SCAN_THRESHOLD
 
 
 @lru_cache(maxsize=8)

@@ -75,7 +75,7 @@ def make_flux(state: GridState, kernel: PointyKernel, p: ModelParams) -> FluxFie
     window alone, as no mass lies outside; the direct sum runs over the
     whole grid and is sliced to the window."""
     a, b = state._padded_window()
-    if use_scan("auto", kernel, state.n_cells):
+    if use_scan(kernel, state.n_cells):
         v = exp_velocity_scan(p.theta1 * state.rho1[a:b] + p.theta2 * state.rho2[a:b], state.dx)
     else:
         v = direct_velocity(state.centers, p.theta1 * state.rho1 + p.theta2 * state.rho2, kernel)[a:b]
@@ -264,12 +264,17 @@ class FvEvent:
     peaks2: tuple[Peak, ...]
 
 
+# the contact enter and exit distances in cells (see FvEvent)
+_ENTER_CELLS = 1.5
+_EXIT_CELLS = 6.0
+
+
 class _ContactTracker:
     """Tracks cross-species peak contacts with enter/exit hysteresis."""
 
-    def __init__(self, dx: float, enter_cells: float = 1.5, exit_cells: float = 6.0):
-        self.enter = enter_cells * dx
-        self.exit = exit_cells * dx
+    def __init__(self, dx: float):
+        self.enter = _ENTER_CELLS * dx
+        self.exit = _EXIT_CELLS * dx
         self.active: list[float] = []
         self.prev1: list[float] | None = None
         self.prev2: list[float] | None = None

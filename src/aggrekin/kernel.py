@@ -16,16 +16,10 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "KernelValidationError",
     "PointyKernel",
-    "pointy_kernel",
     "exponential_kernel",
     "regularize",
 ]
-
-
-class KernelValidationError(ValueError):
-    """A candidate kernel failed one of the sampled hypothesis checks."""
 
 
 def _check_finite(x) -> np.ndarray:
@@ -52,7 +46,7 @@ class PointyKernel:
     deriv_fn: Callable = field(repr=False)
     lipschitz: float
     lam: float
-    kind: str = "custom"
+    kind: str
     branch_fn: Callable | None = field(default=None, repr=False)
 
     def value(self, x):
@@ -88,51 +82,6 @@ class PointyKernel:
         if self.branch_fn is not None:
             return self.branch_fn(x, side)
         return np.where(side == 0, 0.0, self.deriv_fn(x))
-
-
-def _sampled_hypothesis_checks(k: PointyKernel, n_samples: int = 1000, tol: float = 1e-10) -> None:
-    rng = np.random.default_rng(20240 + n_samples)
-    x = rng.uniform(-10.0, 10.0, size=n_samples)
-    y = rng.uniform(-10.0, 10.0, size=n_samples)
-    # force mixed-sign pairs into the sample
-    y[: n_samples // 4] = -np.abs(y[: n_samples // 4])
-    x[: n_samples // 4] = np.abs(x[: n_samples // 4])
-
-    if k.hat_deriv(0.0) != 0.0:
-        raise KernelValidationError("hat_deriv(0) must be exactly 0")
-
-    kv = k.value(x)
-    if np.max(np.abs(kv - k.value(-x))) > tol * max(1.0, float(np.max(np.abs(kv)))):
-        raise KernelValidationError("evenness K(x) = K(-x) violated")
-
-    hd_x = k.hat_deriv(x)
-    if np.max(np.abs(hd_x + k.hat_deriv(-x))) > tol:
-        raise KernelValidationError("oddness of hat_deriv violated")
-
-    if np.max(np.abs(hd_x)) > k.lipschitz + tol:
-        raise KernelValidationError("derivative exceeds declared Lipschitz bound")
-
-    gap = (hd_x - k.hat_deriv(y)) * (x - y) - k.lam * (x - y) ** 2
-    if np.max(gap) > tol:
-        raise KernelValidationError("one-sided concavity violated for declared lambda")
-
-
-def pointy_kernel(
-    value: Callable,
-    deriv: Callable,
-    lipschitz: float,
-    lam: float,
-    kind: str = "custom",
-    validate: bool = True,
-) -> PointyKernel:
-    """Build a kernel from callables, enforcing the pointy-potential
-    hypotheses by sampled checks (1000 sample pairs, tolerance 1e-10)."""
-    if lipschitz < 0 or lam < 0:
-        raise KernelValidationError("lipschitz and lam must be nonnegative")
-    k = PointyKernel(value, deriv, float(lipschitz), float(lam), kind)
-    if validate:
-        _sampled_hypothesis_checks(k)
-    return k
 
 
 def _exp_value(x):

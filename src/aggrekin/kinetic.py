@@ -2,12 +2,11 @@
 asymptotic-preserving splitting.
 
 The state carries the zeroth and first moments (rho, J) of the two-speed
-distribution per species; f(+-1) = (rho +- J)/2.  One step is (i) exact
-upwind transport of f(+-1) at speeds +-1 -- an exact lattice shift when
-dt = dx -- followed by (ii) pointwise implicit relaxation of J toward
-chi * dS * rho with rate 2 psi / epsilon.  The splitting is uniformly
-stable in epsilon, and as epsilon -> 0 the flux relaxes onto the
-aggregation-model limit flux.
+distribution per species; f(+-1) = (rho +- J)/2.  One step of dt = dx is
+(i) transport of f(+-1) at speeds +-1, an exact lattice shift, followed
+by (ii) pointwise implicit relaxation of J toward chi * dS * rho with
+rate 2 psi / epsilon.  The splitting is uniformly stable in epsilon, and
+as epsilon -> 0 the flux relaxes onto the aggregation-model limit flux.
 
 The chemoattractant solves (1 - d^2/dx^2) S = theta1 rho1 + theta2 rho2
 on the line, i.e. S is the exponential-kernel convolution of the weighted
@@ -106,53 +105,38 @@ def solve_chemo_field(state: GridCells, p: ModelParams, kernel: PointyKernel) ->
     its hatted-kernel gradient: scanned in O(N) or summed directly in
     O(N^2), as :func:`aggrekin.expconv.use_scan` picks."""
     w = p.theta1 * state.rho1 + p.theta2 * state.rho2
-    if use_scan("auto", kernel, w.size):
+    if use_scan(kernel, w.size):
         s, ds = exp_potential_scan(w, state.dx)
     else:
         s, ds = direct_potential(state.centers, w, kernel)
     return ChemoField(s, ds)
 
 
-def _transport(rho: np.ndarray, j: np.ndarray, q: float, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Upwind transport of f(+-1) at speeds +-1 with quantized parcels.
-
-    ``c`` = dt/dx <= 1; c == 1 is the exact lattice shift.  Outgoing mass
-    at the domain ends is retained in the boundary cell (the run driver
-    monitors that the boundary stays empty).
+def _transport(rho: np.ndarray, j: np.ndarray, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Transport of f(+-1) at speeds +-1 over dt = dx: the exact lattice
+    shift of quantized parcels.  Outgoing mass at the domain ends is
+    retained in the boundary cell (the run driver monitors that the
+    boundary stays empty).
     """
     if q == 0.0:
         return rho.copy(), j.copy()
     a = np.floor(((rho + j) * 0.5) / q) * q
     a = np.minimum(np.maximum(a, 0.0), rho)
     b = rho - a
-    if c >= 1.0:
-        a_new = np.empty_like(a)
-        a_new[0] = 0.0
-        a_new[1:] = a[:-1]
-        a_new[-1] += a[-1]
-        b_new = np.empty_like(b)
-        b_new[-1] = 0.0
-        b_new[:-1] = b[1:]
-        b_new[0] += b[0]
-    else:
-        t_a = np.floor(c * a / q) * q
-        a_new = a - t_a
-        a_new[1:] += t_a[:-1]
-        a_new[-1] += t_a[-1]
-        t_b = np.floor(c * b / q) * q
-        b_new = b - t_b
-        b_new[:-1] += t_b[1:]
-        b_new[0] += t_b[0]
+    a_new = np.empty_like(a)
+    a_new[0] = 0.0
+    a_new[1:] = a[:-1]
+    a_new[-1] += a[-1]
+    b_new = np.empty_like(b)
+    b_new[-1] = 0.0
+    b_new[:-1] = b[1:]
+    b_new[0] += b[0]
     return a_new + b_new, a_new - b_new
 
 
-def step(state: KineticState, field: ChemoField, p: ModelParams, dt: float) -> KineticState:
-    """One transport + relaxation step; refuses dt > dx (unit speeds)."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if dt > state.dx * (1.0 + 1e-12):
-        raise ValueError(f"CFL violation: dt = {dt} exceeds dx = {state.dx} at speeds +-1")
-    c = min(dt / state.dx, 1.0)
+def step(state: KineticState, field: ChemoField, p: ModelParams) -> KineticState:
+    """One transport + relaxation step of dt = dx (unit speeds)."""
+    dt = state.dx
     out = {}
     for alpha, (rho, j, q, chi, psi) in enumerate(
         (
@@ -161,7 +145,7 @@ def step(state: KineticState, field: ChemoField, p: ModelParams, dt: float) -> K
         ),
         start=1,
     ):
-        rho_new, j_t = _transport(rho, j, q, c)
+        rho_new, j_t = _transport(rho, j, q)
         beta = 2.0 * psi * dt / state.epsilon
         target = (j_t + beta * chi * field.dS * rho_new) / (1.0 + beta)
         delta = 0.5 * (target - j_t)
@@ -202,7 +186,6 @@ class KineticRunResult:
     snapshots: list[tuple[float, KineticState, ChemoField]]
     diagnostics: dict[str, np.ndarray]
     final: KineticState
-    final_field: ChemoField
     dt: float
     n_steps: int
     elapsed: float
@@ -238,13 +221,12 @@ def run(
         return st.time, st, field
 
     snapshots, final, n_steps, elapsed = march(
-        initial, T, dt, snapshot_times, lambda st: step(st, field, p, dt), record
+        initial, T, dt, snapshot_times, lambda st: step(st, field, p), record
     )
     return KineticRunResult(
         snapshots=snapshots,
         diagnostics={k: np.asarray(v) for k, v in diag.items()},
         final=final,
-        final_field=field,
         dt=dt,
         n_steps=n_steps,
         elapsed=elapsed,

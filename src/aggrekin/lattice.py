@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .measures import DiscreteMeasure, ModelParams, SpeciesPair
+from .measures import ModelParams
 
 __all__ = ["mass_quantum", "snap", "checked_cells", "GridCells", "check_boundary", "march"]
 
@@ -164,13 +164,6 @@ class GridCells:
     def centers(self) -> np.ndarray:
         """The cell centres, read-only and computed once per grid."""
         return _cell_centers(self.xmin, self.dx, self.n_cells)
-
-    def species_measure(self, species: int) -> DiscreteMeasure:
-        rho = self.rho1 if species == 1 else self.rho2
-        return DiscreteMeasure(self.centers, rho)
-
-    def species_pair(self) -> SpeciesPair:
-        return SpeciesPair(self.species_measure(1), self.species_measure(2))
 
     def total_masses(self) -> tuple[float, float]:
         return float(np.sum(self.rho1)), float(np.sum(self.rho2))

@@ -24,8 +24,6 @@ __all__ = [
     "quantile",
     "wasserstein2",
     "coupled_w2",
-    "weighted_center",
-    "moments",
     "sample_gaussian_bumps",
 ]
 
@@ -104,12 +102,6 @@ def bump_mass_unit(width: float = 5000.0) -> float:
     return math.sqrt(math.pi / width)
 
 
-def moments(m: DiscreteMeasure) -> tuple[float, float, float]:
-    """(total mass, first moment, second moment) as exact weighted sums."""
-    w, x = m.masses, m.positions
-    return float(np.sum(w)), float(np.sum(w * x)), float(np.sum(w * x * x))
-
-
 def _check_probability(m: DiscreteMeasure) -> None:
     if m.positions.size == 0:
         raise ValueError("measure has no atoms")
@@ -166,17 +158,6 @@ def coupled_w2(u: SpeciesPair, v: SpeciesPair, p: ModelParams) -> float:
     d2 = wasserstein2(u.rho2, v.rho2)
     weight = (p.chi1 * p.theta2) / (p.chi2 * p.theta1)
     return math.sqrt(d1 * d1 + weight * d2 * d2)
-
-
-def weighted_center(u: SpeciesPair, p: ModelParams) -> float:
-    """(theta1/chi1) * int x rho1 + (theta2/chi2) * int x rho2.
-
-    Uses raw (un-normalized) masses; this quantity is an exact invariant
-    of the dynamics and of both solvers.
-    """
-    m1 = float(np.sum(u.rho1.masses * u.rho1.positions)) if u.rho1.positions.size else 0.0
-    m2 = float(np.sum(u.rho2.masses * u.rho2.positions)) if u.rho2.positions.size else 0.0
-    return (p.theta1 / p.chi1) * m1 + (p.theta2 / p.chi2) * m2
 
 
 def sample_gaussian_bumps(

@@ -194,18 +194,7 @@ class Event:
     all_positions: tuple[float, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "time": self.time,
-            "kind": self.kind,
-            "participants": list(self.participants),
-            "positions": list(self.positions),
-            "m1": self.m1,
-            "m2": self.m2,
-            "gamma": self.gamma,
-            "sync_lhs": self.sync_lhs,
-            "sync_rhs": self.sync_rhs,
-            "all_positions": list(self.all_positions),
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
 
 
 def sync_condition(gamma_val: float, m1: float, m2: float, p: ModelParams) -> SyncCheck:

@@ -86,11 +86,11 @@ class ScenarioError(ValueError):
     """Configuration rejected, with the offending key in the message."""
 
 
-def _number(key: str, value, kind=float):
-    """``value`` as a ``kind`` (float or int); anything else -- a list, a
-    word, null -- is a ScenarioError that names ``key``."""
+def _number(key: str, value) -> float:
+    """``value`` as a float; anything else -- a list, a word, null -- is a
+    ScenarioError that names ``key``."""
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ScenarioError(f"{key}: expected a number, got {value!r}") from None
 
@@ -136,6 +136,8 @@ class Scenario:
                 raise ScenarioError(f"{key}: must be positive and finite, got {getattr(self, key)!r}")
         if not 0.0 < self.cfl_safety < 1.0:
             raise ScenarioError("cfl_safety: must lie in (0, 1)")
+        if self.output_dir is not None and not isinstance(self.output_dir, str):
+            raise ScenarioError(f"output_dir: expected a string, got {self.output_dir!r}")
         for label, attr in (("species1", "initial1"), ("species2", "initial2")):
             spec = getattr(self, attr)
             forms = [key for key in ("bumps", "clusters") if key in spec]
@@ -302,7 +304,10 @@ def make_kernel(spec: dict) -> PointyKernel:
     if kind == "regularized":
         if "n" not in spec:
             raise ScenarioError("kernel.n: required for the regularized kernel")
-        return regularize(exponential_kernel(), _number("kernel.n", spec["n"], int))
+        n = _number("kernel.n", spec["n"])
+        if isinstance(spec["n"], bool) or not n.is_integer() or n < 1:
+            raise ScenarioError(f"kernel.n: expected a positive integer, got {spec['n']!r}")
+        return regularize(exponential_kernel(), int(n))
     raise ScenarioError(f"kernel.kind: unknown tag {kind!r}; valid: exponential, regularized")
 
 

@@ -125,8 +125,9 @@ class TestAssembleVelocity:
         assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 
     def test_scan_refused_for_non_exponential_kernel(self):
-        with pytest.raises(ValueError, match="exponential"):
-            use_scan("scan", regularize(KERNEL, 2), 2)
+        assert not use_scan(regularize(KERNEL, 2), 10_000)
+        assert not use_scan(KERNEL, 512)
+        assert use_scan(KERNEL, 513)
 
     def test_theta_weights_enter_the_sum(self):
         st = GridState(-1.0, 1.0, [1.0, 0.0], [0.0, 1.0])

@@ -48,7 +48,7 @@ def boundary_outcome(state, total):
 class TestOneGridType:
     def test_both_states_are_the_shared_grid(self):
         assert issubclass(GridState, GridCells) and issubclass(KineticState, GridCells)
-        for name in ("n_cells", "centers", "total_masses", "species_pair", "window"):
+        for name in ("n_cells", "centers", "total_masses", "window"):
             assert name not in vars(KineticState) and name not in vars(GridState)
 
     @settings(max_examples=150, deadline=None)
@@ -165,16 +165,15 @@ class TestStepSuccessors:
         m2=cells,
         u=hs.floats(-1.0, 1.0),
         epsilon=hs.floats(1e-3, 10.0),
-        c=hs.one_of(hs.just(1.0), hs.floats(0.2, 1.0)),
         n_steps=hs.integers(1, 5),
     )
-    def test_kinetic_step_equals_its_checked_reconstruction(self, m1, m2, u, epsilon, c, n_steps):
+    def test_kinetic_step_equals_its_checked_reconstruction(self, m1, m2, u, epsilon, n_steps):
         gst, _ = grid_and_kinetic(m1, m2)
         rho1, rho2 = gst.rho1, gst.rho2
         st = KineticState(gst.xmin, gst.dx, rho1, rho2, u * rho1, -u * rho2, epsilon)
         p = ModelParams(chi1=0.45, chi2=0.3)
         for _ in range(n_steps):
-            nxt = kinetic.step(st, solve_chemo_field(st, p, KERNEL), p, c * st.dx)
+            nxt = kinetic.step(st, solve_chemo_field(st, p, KERNEL), p)
             for quanta in ((nxt.q1, nxt.q2), ()):
                 ref = KineticState(
                     nxt.xmin, nxt.dx, nxt.rho1, nxt.rho2, nxt.J1, nxt.J2,

@@ -4,12 +4,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from aggrekin.kernel import (
-    KernelValidationError,
-    exponential_kernel,
-    pointy_kernel,
-    regularize,
-)
+from aggrekin.kernel import exponential_kernel, regularize
 
 getcontext().prec = 50
 
@@ -116,43 +111,3 @@ class TestRegularize:
 
     def test_kind_tag(self):
         assert regularize(exponential_kernel(), 2).kind == "regularized"
-
-
-class TestCustomKernelValidation:
-    def test_valid_custom_kernel_accepted(self):
-        k = pointy_kernel(
-            value=lambda x: -np.abs(x),
-            deriv=lambda x: -np.sign(x),
-            lipschitz=1.0,
-            lam=0.0,
-        )
-        assert k.hat_deriv(0.0) == 0.0
-        assert k.value(2.0) == -2.0
-
-    def test_understated_lambda_rejected(self):
-        # x^2/2 has slope x, which is not 0-concave
-        with pytest.raises(KernelValidationError):
-            pointy_kernel(
-                value=lambda x: 0.5 * x * x,
-                deriv=lambda x: np.asarray(x, dtype=float),
-                lipschitz=100.0,
-                lam=0.0,
-            )
-
-    def test_odd_potential_rejected(self):
-        with pytest.raises(KernelValidationError):
-            pointy_kernel(
-                value=lambda x: np.asarray(x, dtype=float),
-                deriv=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                lipschitz=1.0,
-                lam=1.0,
-            )
-
-    def test_understated_lipschitz_rejected(self):
-        with pytest.raises(KernelValidationError):
-            pointy_kernel(
-                value=lambda x: 0.5 * np.exp(-np.abs(x)),
-                deriv=lambda x: -0.5 * np.sign(x) * np.exp(-np.abs(x)),
-                lipschitz=0.1,
-                lam=0.5,
-            )

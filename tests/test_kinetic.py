@@ -166,14 +166,8 @@ class TestStep:
     def test_zero_state_stays_zero(self):
         st = KineticState(0.0, 0.1, np.zeros(8), np.zeros(8), np.zeros(8), np.zeros(8), 0.5)
         field = ChemoField(np.zeros(8), np.zeros(8))
-        out = step(st, field, kinetic_params(), 0.1)
+        out = step(st, field, kinetic_params())
         assert np.all(out.rho1 == 0.0) and np.all(out.J1 == 0.0)
-
-    def test_refuses_dt_above_dx(self):
-        st = KineticState(0.0, 0.1, np.ones(8), np.ones(8), np.zeros(8), np.zeros(8), 0.5)
-        field = ChemoField(np.zeros(8), np.zeros(8))
-        with pytest.raises(ValueError):
-            step(st, field, kinetic_params(), 0.2)
 
     def test_relaxation_is_geometric_on_uniform_interior(self):
         n = 64
@@ -186,7 +180,7 @@ class TestStep:
         ds = np.full(n, 0.2)
         field = ChemoField(np.zeros(n), ds)
         p = kinetic_params(chi1=0.4)
-        out = step(st, field, p, dt)
+        out = step(st, field, p)
         beta = 2.0 * p.psi1 * dt / eps
         inner = slice(2, -2)
         target = p.chi1 * ds[inner] * rho[inner]
@@ -201,28 +195,9 @@ class TestStep:
         ds = np.full(n, 0.3)
         field = ChemoField(np.zeros(n), ds)
         p = kinetic_params(chi1=0.4)
-        out = step(st, field, p, dx)
+        out = step(st, field, p)
         inner = slice(2, -2)
         assert np.max(np.abs(out.J1[inner] - p.chi1 * 0.3 * 0.5)) <= 1e-9
-
-    def test_fractional_dt_upwind_transport(self):
-        # dt < dx falls back to first-order upwind; conservation stays exact
-        # huge epsilon: relaxation negligible, pure transport remains
-        n = 32
-        rho = np.zeros(n)
-        rho[10:20] = 1.0
-        st = KineticState(0.0, 0.1, rho, rho.copy(), 0.5 * rho, -0.5 * rho, 1e6)
-        p = kinetic_params()
-        field = ChemoField(np.zeros(n), np.zeros(n))
-        m0 = left_to_right_sum(st.rho1)
-        centroid0 = float(np.sum(st.centers * (st.rho1 + st.J1)))
-        for _ in range(25):
-            st = step(st, field, p, dt=0.04)
-        assert left_to_right_sum(st.rho1) - m0 == 0.0
-        assert np.all(np.abs(st.J1) <= st.rho1)
-        assert np.all(st.rho1 >= 0.0)
-        # the right-moving half of species 1 drifted right
-        assert float(np.sum(st.centers * (st.rho1 + st.J1))) > centroid0
 
     def test_exact_mass_conservation(self):
         rng = np.random.default_rng(4)
@@ -239,7 +214,7 @@ class TestStep:
         m2 = left_to_right_sum(st.rho2)
         for _ in range(60):
             field = solve_chemo_field(st, p, KERNEL)
-            st = step(st, field, p, st.dx)
+            st = step(st, field, p)
         assert left_to_right_sum(st.rho1) - m1 == 0.0
         assert left_to_right_sum(st.rho2) - m2 == 0.0
 
@@ -257,7 +232,7 @@ class TestStep:
         assert check_positivity_condition(p)
         for _ in range(40):
             field = solve_chemo_field(st, p, KERNEL)
-            st = step(st, field, p, st.dx)
+            st = step(st, field, p)
             assert np.all(np.abs(st.J1) <= st.rho1)
             assert np.all(np.abs(st.J2) <= st.rho2)
 
@@ -272,7 +247,7 @@ class TestStep:
         kin = well_prepared_state(st0, p, 1e-6, KERNEL)
         field = solve_chemo_field(kin, p, KERNEL)
         assert np.max(np.abs(p.chi1 * field.dS)) < 1.0
-        new = step(kin, field, p, dt=dx)
+        new = step(kin, field, p)
         for chi, j, rho in ((p.chi1, new.J1, new.rho1), (p.chi2, new.J2, new.rho2)):
             target = chi * field.dS * rho
             err = np.max(np.abs(j - target)) / np.max(np.abs(target))

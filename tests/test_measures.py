@@ -12,11 +12,9 @@ from aggrekin.measures import (
     SpeciesPair,
     bump_mass_unit,
     coupled_w2,
-    moments,
     quantile,
     sample_gaussian_bumps,
     wasserstein2,
-    weighted_center,
 )
 
 
@@ -176,38 +174,6 @@ class TestCoupledW2:
         u = SpeciesPair(DiscreteMeasure([0.0], [1.0]), DiscreteMeasure([0.0], [1.0]))
         v = SpeciesPair(DiscreteMeasure([0.0], [1.0]), DiscreteMeasure([0.3], [1.0]))
         assert coupled_w2(u, v, p) == pytest.approx(0.3 * math.sqrt(10.0), rel=1e-14)
-
-
-class TestWeightedCenter:
-    def test_direct_arithmetic(self):
-        p = ModelParams(chi1=10.0, chi2=1.0, theta1=1.0, theta2=1.0)
-        u = SpeciesPair(DiscreteMeasure([1.0], [1.0]), DiscreteMeasure([2.0], [1.0]))
-        assert weighted_center(u, p) == pytest.approx(2.1, abs=1e-15)
-
-    def test_symmetric_data_centered(self):
-        p = ModelParams(chi1=3.0, chi2=0.5)
-        sym = DiscreteMeasure([-1.0, 1.0], [0.5, 0.5])
-        assert weighted_center(SpeciesPair(sym, sym), p) == 0.0
-
-    def test_empty_species(self):
-        p = ModelParams(chi1=2.0, chi2=1.0, theta1=4.0)
-        u = SpeciesPair(DiscreteMeasure([3.0], [0.5]), DiscreteMeasure([], []))
-        assert weighted_center(u, p) == pytest.approx(4.0 / 2.0 * 0.5 * 3.0, abs=1e-15)
-
-
-class TestMoments:
-    def test_point_mass(self):
-        assert moments(DiscreteMeasure([0.0], [1.0])) == (1.0, 0.0, 0.0)
-
-    def test_symmetric_pair(self):
-        assert moments(DiscreteMeasure([-1.0, 1.0], [0.5, 0.5])) == (1.0, 0.0, 1.0)
-
-    def test_hand_arithmetic(self):
-        m = DiscreteMeasure([-1.0, 2.0], [0.7, 0.3])
-        mass, first, second = moments(m)
-        assert mass == pytest.approx(1.0, abs=1e-15)
-        assert first == pytest.approx(-0.1, abs=1e-15)
-        assert second == pytest.approx(1.9, abs=1e-15)
 
 
 class TestGaussianBumps:

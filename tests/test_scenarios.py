@@ -11,7 +11,8 @@ import pytest
 from aggrekin import particles as part_mod
 from aggrekin.cli import _build_parser
 from aggrekin.cli import main as cli_main
-from aggrekin.fv import extract_peaks
+from aggrekin.fv import cfl_dt, extract_peaks
+from aggrekin.kinetic import limit_experiment, write_limit_csv
 from aggrekin.measures import bump_mass_unit
 from aggrekin.scenarios import (
     PRESET_NAMES,
@@ -202,6 +203,9 @@ class TestMakeKernel:
     def test_regularized(self):
         k = make_kernel({"kind": "regularized", "n": 4})
         assert k.kind == "regularized"
+        # an integral float is that integer
+        x = np.linspace(-0.5, 0.5, 11)
+        assert np.array_equal(make_kernel({"kind": "regularized", "n": 4.0}).deriv(x), k.deriv(x))
 
     def test_unknown_kind(self):
         with pytest.raises(ScenarioError):
@@ -420,6 +424,21 @@ class TestCli:
         assert table[0] == "epsilon,w2_species1,w2_species2"
         assert len(table) == 3
 
+    def test_limit_command_reads_the_cfl_safety(self, tmp_path):
+        cfg = {**KINETIC_CONFIG, "eps_list": [0.1], "cfl_safety": 0.01}
+        path = tmp_path / "lim.json"
+        path.write_text(json.dumps(cfg))
+        s = load_scenario(path)
+        st0 = initial_grid_state(s)
+        kernel = make_kernel(s.kernel_spec)
+        # the safety, not the cap dt <= dx, sets the FV reference step
+        assert cfl_dt(st0.dx, kernel, s.params, 0.01, st0.total_masses()) < st0.dx
+        assert cli_main(["limit", str(path), "--out", str(tmp_path)]) == 0
+        rows = limit_experiment(st0, s.params, [0.1], s.T, kernel, safety=0.01)
+        write_limit_csv(tmp_path / "expected.csv", rows)
+        got = (tmp_path / "kin" / "limit.csv").read_bytes()
+        assert got == (tmp_path / "expected.csv").read_bytes()
+
 
 KINETIC_CONFIG = {
     "name": "kin",
@@ -504,13 +523,14 @@ class TestWronglyTypedValues:
         assert payload["error"] == "ScenarioError"
         assert payload["message"].startswith("initial.species1.bumps[0]:")
 
-    @pytest.mark.parametrize("n", ["x", [3], float("inf")])
+    @pytest.mark.parametrize("n", ["x", [3], float("inf"), 2.7, True, False, 0])
     def test_kernel_n_is_named(self, n):
         with pytest.raises(ScenarioError, match="kernel.n"):
             make_kernel({"kind": "regularized", "n": n})
 
     @pytest.mark.parametrize(
-        "key, value", [("epsilon", [0.1]), ("T", "x"), ("params", {"chi1": [0.4], "chi2": 0.3})]
+        "key, value",
+        [("epsilon", [0.1]), ("T", "x"), ("params", {"chi1": [0.4], "chi2": 0.3}), ("output_dir", 5)],
     )
     def test_cli_reports_the_key(self, tmp_path, capsys, key, value):
         path = tmp_path / "bad.json"
