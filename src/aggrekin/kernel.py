@@ -37,9 +37,6 @@ class PointyKernel:
     is only meaningful away from 0; use :meth:`hat_deriv` for the
     diagonal-zeroed version that the solvers consume.  ``lipschitz`` bounds
     ``|deriv|`` and ``lam`` is the one-sided concavity constant.
-    ``branch_fn(x, side)``, when given, is the branch of the derivative on
-    the side ``side`` = +-1 of the origin, continued across it (see
-    :meth:`branch_deriv`).
     """
 
     value_fn: Callable = field(repr=False)
@@ -47,7 +44,6 @@ class PointyKernel:
     lipschitz: float
     lam: float
     kind: str
-    branch_fn: Callable | None = field(default=None, repr=False)
 
     def value(self, x):
         """Potential value K(x); even in x."""
@@ -67,22 +63,6 @@ class PointyKernel:
         out = np.where(arr == 0.0, 0.0, self.deriv_fn(arr))
         return float(out) if arr.ndim == 0 else out
 
-    def branch_deriv(self, x: np.ndarray, side: np.ndarray) -> np.ndarray:
-        """The derivative on the branch ``side`` (+1, -1, or 0 for no
-        branch, which gives 0 like ``hat_deriv`` at the origin), continued
-        smoothly across the origin.
-
-        Equal to ``hat_deriv(x)`` wherever ``sign(x) == side``.  A pair of
-        points integrated with their ordering frozen sees no kink when a
-        trial step carries them past each other.  Without ``branch_fn`` the
-        continuation is ``deriv_fn`` itself, which is exact for a kernel
-        smooth through 0 such as :func:`regularize`'s.  No finite check:
-        the caller passes positions it has checked.
-        """
-        if self.branch_fn is not None:
-            return self.branch_fn(x, side)
-        return np.where(side == 0, 0.0, self.deriv_fn(x))
-
 
 def _exp_value(x):
     return 0.5 * np.exp(-np.abs(x))
@@ -91,11 +71,6 @@ def _exp_value(x):
 def _exp_deriv(x):
     # sign(0) = 0, so this is already the hatted derivative at the origin
     return -0.5 * np.sign(x) * np.exp(-np.abs(x))
-
-
-def _exp_branch(x, side):
-    # -0.5 sign(x) exp(-|x|) with sign(x) replaced by side; 0 where side is 0
-    return -0.5 * side * np.exp(-side * x)
 
 
 def exponential_kernel() -> PointyKernel:
@@ -107,7 +82,7 @@ def exponential_kernel() -> PointyKernel:
     constant is 1/2 (the supremum of K'' away from the origin; the
     downward kink at 0 only helps).
     """
-    return PointyKernel(_exp_value, _exp_deriv, 0.5, 0.5, kind="exponential", branch_fn=_exp_branch)
+    return PointyKernel(_exp_value, _exp_deriv, 0.5, 0.5, kind="exponential")
 
 
 def regularize(kernel: PointyKernel, n: int) -> PointyKernel:

@@ -6,9 +6,10 @@ the attraction ODEs driven by the hatted kernel.  Each call to
 :func:`advance` makes one Dormand-Prince 5(4) step under error control
 (relative tolerance ``RTOL``, absolute ``ATOL``; Hairer, Norsett & Wanner,
 *Solving ODEs I*, II.5) and carries Shampine's quartic interpolant of the
-step as its dense output (II.6).  Within a step the pair ordering is
-frozen, so a trial stage that lands past a contact sees the kernel slope
-continued smoothly rather than flipped.  Events are roots located on the
+step as its dense output (II.6), on Python floats.  Within a step the pair
+ordering is frozen, so a trial stage that lands past a contact sees the
+kernel slope continued smoothly rather than flipped (for the exponential
+kernel, an O(N) one-sided recursion).  Events are roots located on the
 interpolant to ``ROOT_TOL`` in time: a contact is an adjacent gap
 reaching ``gap_tol``, an unglue is a glued cluster's LHS - RHS of the
 synchronising condition reaching 0.  Same-species contacts merge;
@@ -21,9 +22,9 @@ where gamma is the external weighted attraction exerted by all other
 clusters on the colliding pair.  A step stops just past a glued cluster's
 unglue root, and the next step splits it.  Every check of the condition
 inside :func:`advance` (at a step's start, on its interpolant and at a
-contact) sums gamma from the step's own arrays in one helper, and one
-resolver turns contacts and unglues into the clusters and events that
-follow.
+contact) sums gamma with numpy from the step's own weights in one helper,
+and one resolver turns contacts and unglues into the clusters and events
+that follow.
 
 Cluster masses are quantized to a per-species power-of-two quantum at
 construction so that merging masses is an exact float operation and the
@@ -223,32 +224,54 @@ def glued_selection(gamma_val: float, m1: float, m2: float, p: ModelParams) -> f
     return (p.chi2 - p.chi1) * gamma_val / (p.chi1 * p.theta2 * m2 + p.chi2 * p.theta1 * m1)
 
 
-def _step_constants(
-    m1: np.ndarray, m2: np.ndarray, p: ModelParams
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _step_constants(m1: list[float], m2: list[float], p: ModelParams) -> tuple[list, list, list[int]]:
     """What the velocities need of the masses, fixed within one step: the
     weights theta1 m1 + theta2 m2, each cluster's chi and the glued indices."""
-    wrho = p.theta1 * m1 + p.theta2 * m2
-    chi = np.where(m1 > 0, p.chi1, p.chi2)
-    glued = np.flatnonzero((m1 > 0) & (m2 > 0)).tolist()
+    wrho = [p.theta1 * a + p.theta2 * b for a, b in zip(m1, m2)]
+    chi = [p.chi1 if a > 0 else p.chi2 for a in m1]
+    glued = [i for i, (a, b) in enumerate(zip(m1, m2)) if a > 0 and b > 0]
     return wrho, chi, glued
 
 
-def _raw_velocities(
-    slopes: np.ndarray,
-    m1: np.ndarray,
-    m2: np.ndarray,
-    wrho: np.ndarray,
-    chi: np.ndarray,
-    glued: list[int],
-    p: ModelParams,
-) -> np.ndarray:
-    """Cluster velocities from the kernel slopes between every pair,
-    ``slopes[i, j]`` = K'(z_i - z_j) with 0 on the diagonal: a free cluster
-    moves at chi_a times its pull, a glued one at the common selected
-    velocity."""
-    pull = slopes @ wrho
-    v = chi * pull
+def _pulls(z: list[float], wrho: list[float], kernel: PointyKernel) -> list[float]:
+    """sum_j wrho_j K'(z_i - z_j) over j != i, each pair on the branch of
+    its index order, the position order at the step's start, continued
+    across 0.  For the exponential kernel that is -s e^{-s (z_i - z_j)} / 2
+    with s = sign(i - j), so the pull is (R_i - L_i) / 2 with L_i =
+    e^{z_{i-1} - z_i} (L_{i-1} + wrho_{i-1}) and R_i mirrored: N - 1 calls
+    of ``math.exp``, which raises OverflowError on a stage far past a flip.
+    The regularized kernel, smooth through 0, is summed pairwise."""
+    if kernel.kind != "exponential":
+        with np.errstate(over="ignore", invalid="ignore"):
+            slopes = kernel.deriv_fn(np.subtract.outer(z, z))
+        np.fill_diagonal(slopes, 0.0)
+        return (slopes @ np.array(wrho)).tolist()
+    # e[i] = e^{z_i - z_{i+1}} serves L_{i+1} and R_i
+    e = [math.exp(a - b) for a, b in zip(z, z[1:])]
+    left = [0.0]
+    acc = 0.0
+    for f, w in zip(e, wrho):
+        acc = f * (acc + w)
+        left.append(acc)
+    # right to left: R_i from R_{i+1}, and the pull with it
+    pull = [-0.5 * acc]
+    acc = 0.0
+    for f, w, lft in zip(reversed(e), reversed(wrho), reversed(left[:-1])):
+        acc = f * (acc + w)
+        pull.append(0.5 * (acc - lft))
+    pull.reverse()
+    return pull
+
+
+def _velocities(
+    z: list[float], wrho: list[float], chi: list[float], glued: list[int],
+    m1: list[float], m2: list[float], kernel: PointyKernel, p: ModelParams,
+) -> list[float]:
+    """Cluster velocities at positions ``z`` in the step's frozen order
+    (:func:`_pulls`): a free cluster moves at chi_a times its pull, a glued
+    one at the common selected velocity."""
+    pull = _pulls(z, wrho, kernel)
+    v = [c * f for c, f in zip(chi, pull)]
     for k in glued:
         w_sel = glued_selection(pull[k], m1[k], m2[k], p)
         v[k] = p.chi1 * (pull[k] + p.theta2 * m2[k] * w_sel)
@@ -267,13 +290,11 @@ def _safe_split_positions(
     off = 0.5 * min(gap_tol, 0.5 * room if math.isfinite(room) else gap_tol)
     if off <= 0.0:
         off = 0.5 * gap_tol
-    s1 = pos + direction * off
-    s2 = pos - direction * off
-    return s1, s2
+    return pos + direction * off, pos - direction * off
 
 
 def _sync(
-    z: np.ndarray, wrho: np.ndarray, first: int, last: int, at: float,
+    z: list[float], wrho: list[float], first: int, last: int, at: float,
     m1: float, m2: float, kernel: PointyKernel, p: ModelParams,
 ) -> tuple[float, SyncCheck]:
     """gamma, the attraction at ``at`` of every cluster but ``first`` to
@@ -281,33 +302,26 @@ def _sync(
     the synchronising condition for masses ``m1``, ``m2`` under it.  gamma
     is sum_j wrho_j K'(at - z_j) over the other clusters; one at ``at``
     itself adds 0."""
-    terms = (wrho * kernel.hat_deriv(at - z)).tolist()
+    terms = (np.array(wrho) * kernel.hat_deriv(at - np.array(z))).tolist()
     del terms[first : last + 1]
     # left to right from 0.0, as a scalar loop would add them
     gam = sum(terms, 0.0)
     return gam, sync_condition(gam, m1, m2, p)
 
 
-def _contact_groups(gaps_touching: np.ndarray) -> list[list[int]]:
+def _contact_groups(gaps_touching: list[bool]) -> list[list[int]]:
     """Group cluster indices joined by touching adjacent gaps."""
     groups: list[list[int]] = []
-    current: list[int] = []
     for i, touching in enumerate(gaps_touching):
-        if touching:
-            if not current:
-                current = [i, i + 1]
-            else:
-                current.append(i + 1)
-        elif current:
-            groups.append(current)
-            current = []
-    if current:
-        groups.append(current)
+        if touching and groups and groups[-1][-1] == i:
+            groups[-1].append(i + 1)
+        elif touching:
+            groups.append([i, i + 1])
     return groups
 
 
 def _resolve(
-    cs: ClusterSet, groups: list[list[int]], wrho: np.ndarray,
+    cs: ClusterSet, groups: list[list[int]], wrho: list[float],
     kernel: PointyKernel, p: ModelParams, gap_tol: float,
 ) -> tuple[ClusterSet, list[Event]]:
     """The clusters that replace each group of consecutive clusters of
@@ -320,10 +334,10 @@ def _resolve(
     A separating pair puts species 1 the way the external attraction drives
     it relative to species 2, and neither part jumps over a neighbour.
     """
-    z = cs.positions()
-    all_pos = tuple(z.tolist())
+    z = [c.position for c in cs.clusters]
+    all_pos = tuple(z)
     in_group = set(i for g in groups for i in g)
-    out = [replace(c) for i, c in enumerate(cs.clusters) if i not in in_group]
+    out = [Cluster(c.position, c.m1, c.m2, c.id) for i, c in enumerate(cs.clusters) if i not in in_group]
     events: list[Event] = []
     next_id = cs.next_id
     for g in groups:
@@ -366,28 +380,26 @@ def _resolve(
 # Dormand-Prince 5(4) for the autonomous ODE (no nodes needed): stage
 # weights, the fifth-order weights (the seventh stage is the velocity at the
 # new point, reused by the next step) and the fifth- minus fourth-order
-# weights that estimate the error.
+# weights that estimate the error (neither takes the second stage).
 _A = (
-    None,
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
 )
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_E = np.array([-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
-# Shampine's interpolant: over a step of length h from z0 with stages K,
-# z(t0 + s h) = z0 + h K^T _P (s, s^2, s^3, s^4)
-_P = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+_B = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (-71 / 57600, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+# Shampine's interpolant: over a step of length h from z0 with stages k,
+# z(t0 + s h) = z0 + h (k1 s + sum_j (k1, k3, ..., k7) . _P[j] s^(j+2))
+_P = (
+    (-8048581381 / 2820520608, 131558114200 / 32700410799, -1754552775 / 470086768,
+     127303824393 / 49829197408, -282668133 / 205662961, 40617522 / 29380423),
+    (8663915743 / 2820520608, -68118460800 / 10900136933, 14199869525 / 1410260304,
+     -318862633887 / 49829197408, 2019193451 / 616988883, -110615467 / 29380423),
+    (-12715105075 / 11282082432, 87487479700 / 32700410799, -10690763975 / 1880347072,
+     701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423),
+)
 
 RTOL = 1e-10
 ATOL = 1e-12
@@ -403,46 +415,66 @@ class DenseStep:
 
     ``clusters`` are the clusters it moved, ``z0`` their positions at
     ``t0`` and ``q`` the interpolant's coefficients over the trial length
-    ``h``: z(t0 + s h) = z0 + q (s, s^2, s^3, s^4).  ``t1`` is ``t0 + h``
-    or the event the step stopped at.  ``v_end`` is the velocity at ``t1``
-    when the step ended there, ``h_next`` the step the error control
-    proposes next, ``n_rejected`` the trial steps it rejected and
-    ``root_iterations`` the iterations that located its event.
+    ``h``, one list per power: z(t0 + s h) = z0 + q (s, s^2, s^3, s^4).
+    ``t1`` is ``t0 + h`` or the event the step stopped at.  ``v_end`` is
+    the velocity at ``t1`` when the step ended there, ``h_next`` the step
+    the error control proposes next, ``n_rejected`` the trial steps it
+    rejected and ``root_iterations`` the iterations that located its event.
     """
 
     clusters: list[Cluster]
     t0: float
     t1: float
     h: float
-    z0: np.ndarray
-    q: np.ndarray
-    v_end: np.ndarray | None
+    z0: list[float]
+    q: list[list[float]]
+    v_end: list[float] | None
     h_next: float
     n_rejected: int
     root_iterations: int
 
     def clusters_at(self, t: float) -> list[Cluster]:
         z = _interpolate(self.z0, self.q, (t - self.t0) / self.h)
-        return [Cluster(x, c.m1, c.m2, c.id) for c, x in zip(self.clusters, z.tolist())]
+        return [Cluster(x, c.m1, c.m2, c.id) for c, x in zip(self.clusters, z)]
 
 
-def _interpolate(z0: np.ndarray, q: np.ndarray, s: float) -> np.ndarray:
+def _interpolate(z0: list[float], q: list[list[float]], s: float) -> list[float]:
     s2 = s * s
-    return z0 + q @ np.array([s, s2, s2 * s, s2 * s2])
+    s3, s4 = s2 * s, s2 * s2
+    return [x + (a * s + b * s2 + c * s3 + d * s4) for x, a, b, c, d in zip(z0, *q)]
 
 
-def _dp_step(vel, z0: np.ndarray, v0: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """The stages, the fifth-order point and the scaled RMS error estimate
-    of one Dormand-Prince step of length ``h``."""
-    K = np.empty((7, z0.size))
-    K[0] = v0
-    for i in range(1, 6):
-        K[i] = vel(z0 + h * (_A[i] @ K[:i]))
-    z1 = z0 + h * (_B @ K[:6])
-    K[6] = vel(z1)
-    scale = ATOL + RTOL * np.maximum(np.abs(z0), np.abs(z1))
-    err = float(np.sqrt(np.mean(np.square(h * (_E @ K) / scale))))
-    return K, z1, err
+def _dp_step(vel, z0: list[float], v0: list[float], h: float):
+    """One Dormand-Prince trial step of length ``h``, written out stage by
+    stage on Python floats: the fifth-order point, the velocity there, the
+    interpolant's coefficient lists (one per power of s) and the scaled RMS
+    error estimate.  ``vel`` may raise OverflowError; any other overflow
+    leaves the estimate inf or NaN."""
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _A
+    k1 = v0
+    k2 = vel([x + h * (a21 * u1) for x, u1 in zip(z0, k1)])
+    k3 = vel([x + h * (a31 * u1 + a32 * u2) for x, u1, u2 in zip(z0, k1, k2)])
+    k4 = vel([x + h * (a41 * u1 + a42 * u2 + a43 * u3) for x, u1, u2, u3 in zip(z0, k1, k2, k3)])
+    k5 = vel([x + h * (a51 * u1 + a52 * u2 + a53 * u3 + a54 * u4)
+              for x, u1, u2, u3, u4 in zip(z0, k1, k2, k3, k4)])
+    k6 = vel([x + h * (a61 * u1 + a62 * u2 + a63 * u3 + a64 * u4 + a65 * u5)
+              for x, u1, u2, u3, u4, u5 in zip(z0, k1, k2, k3, k4, k5)])
+    b1, b3, b4, b5, b6 = _B
+    z1 = [x + h * (b1 * u1 + b3 * u3 + b4 * u4 + b5 * u5 + b6 * u6)
+          for x, u1, u3, u4, u5, u6 in zip(z0, k1, k3, k4, k5, k6)]
+    k7 = vel(z1)
+    ks = list(zip(k1, k3, k4, k5, k6, k7))
+    e1, e3, e4, e5, e6, e7 = _E
+    sq = 0.0
+    for x0, x1, (u1, u3, u4, u5, u6, u7) in zip(z0, z1, ks):
+        scale = ATOL + RTOL * max(abs(x0), abs(x1))
+        e = h * (e1 * u1 + e3 * u3 + e4 * u4 + e5 * u5 + e6 * u6 + e7 * u7) / scale
+        sq += e * e
+    q = [[h * u for u in k1]] + [
+        [h * (c1 * u1 + c3 * u3 + c4 * u4 + c5 * u5 + c6 * u6 + c7 * u7) for u1, u3, u4, u5, u6, u7 in ks]
+        for c1, c3, c4, c5, c6, c7 in _P
+    ]
+    return z1, k7, q, math.sqrt(sq / len(z0))
 
 
 def _first_root(f, hi: float, tol: float, f_max: float = math.inf) -> tuple[float, int]:
@@ -493,7 +525,7 @@ def advance(
     Otherwise a Dormand-Prince 5(4) step is tried, from the step length the
     error control proposed for ``cs``, and shortened until its error
     estimate is within ``RTOL``/``ATOL``.  The stage velocities keep the
-    pair ordering of the step's start (:meth:`PointyKernel.branch_deriv`).
+    pair ordering of the step's start (:func:`_pulls`).
     If an adjacent gap closes below ``gap_tol`` within the step, or a glued
     cluster's condition fails, the first such root on the step's
     interpolant is located to ``ROOT_TOL`` and the step ends there (for a
@@ -513,12 +545,12 @@ def advance(
         out.time = cs.time + dt_max
         return out, []
 
-    z0 = cs.positions()
-    m1 = np.array([c.m1 for c in cs.clusters])
-    m2 = np.array([c.m2 for c in cs.clusters])
+    z0 = [c.position for c in cs.clusters]
+    m1 = [c.m1 for c in cs.clusters]
+    m2 = [c.m2 for c in cs.clusters]
     wrho, chi, glued = _step_constants(m1, m2, p)
 
-    def unglue_excess(z: np.ndarray, i: int) -> float:
+    def unglue_excess(z: list[float], i: int) -> float:
         _, chk = _sync(z, wrho, i, i, z[i], m1[i], m2[i], kernel, p)
         return chk.lhs - chk.rhs
 
@@ -528,28 +560,28 @@ def advance(
         if failing:
             return _resolve(cs, failing, wrho, kernel, p, gap_tol)
 
-    side = np.sign(z0[:, None] - z0[None, :])
-
-    def vel(z: np.ndarray) -> np.ndarray:
-        return _raw_velocities(kernel.branch_deriv(z[:, None] - z[None, :], side), m1, m2, wrho, chi, glued, p)
+    def vel(z: list[float]) -> list[float]:
+        return _velocities(z, wrho, chi, glued, m1, m2, kernel, p)
 
     # the velocity at the end of an uninterrupted step is this set's
     v0 = last.v_end if last is not None and last.v_end is not None else vel(z0)
 
-    gaps = z0[1:] - z0[:-1]
-    touching = (gaps <= 1.5 * gap_tol) & (v0[1:] - v0[:-1] < 0)
-    if touching.any():
+    gaps = [b - a for a, b in zip(z0, z0[1:])]
+    touching = [g <= 1.5 * gap_tol and vb - va < 0 for g, va, vb in zip(gaps, v0, v0[1:])]
+    if any(touching):
         return _resolve(cs, _contact_groups(touching), wrho, kernel, p, gap_tol)
 
     seed = last.h_next if last is not None else dt_max
     h = min(seed, dt_max)
     n_rejected = 0
     while True:
-        # a trial step too long for the frozen ordering can overflow the
-        # continued slope; its error estimate is then not finite and it is
-        # rejected like any other
-        with np.errstate(over="ignore", invalid="ignore"):
-            K, z1, err = _dp_step(vel, z0, v0, h)
+        try:
+            z1, v1, q, err = _dp_step(vel, z0, v0, h)
+        except OverflowError:
+            # a trial step too long for the frozen ordering can overflow the
+            # continued slope; it is rejected like any other whose error
+            # estimate is not finite
+            err = math.inf
         if err <= 1.0:
             break
         n_rejected += 1
@@ -561,9 +593,8 @@ def advance(
     if h < seed and not n_rejected:
         # cut short by dt_max, not by the error: the proposal stands
         h_next = max(h_next, seed)
-    q = h * (K.T @ _P)
 
-    def at(s: float) -> np.ndarray:
+    def at(s: float) -> list[float]:
         return z1 if s == 1.0 else _interpolate(z0, q, s)
 
     # the event functions, positive past their root: first the adjacent
@@ -572,14 +603,14 @@ def advance(
     # synchronising condition fails
     def gap_excess(s: float) -> float:
         z = at(s)
-        return float(max(gap_tol - (z[k + 1] - z[k]) for k in closing))
+        return max(gap_tol - (z[k + 1] - z[k]) for k in closing)
 
     def sync_excess(s: float) -> float:
         z = at(s)
-        return float(max(unglue_excess(z, i) for i in ungluing))
+        return max(unglue_excess(z, i) for i in ungluing)
 
     s_end, n_iter = 1.0, 0
-    closing = np.flatnonzero((z1[1:] - z1[:-1] < gap_tol) & (gaps >= gap_tol)).tolist()
+    closing = [k for k, g in enumerate(gaps) if z1[k + 1] - z1[k] < gap_tol and g >= gap_tol]
     if closing:
         # past the root, but before the pair's gap closes to 0
         s_end, n_iter = _first_root(gap_excess, 1.0, ROOT_TOL / h, gap_tol)
@@ -592,15 +623,14 @@ def advance(
     t_end = cs.time + s_end * h
     # only a closing pair whose root was located is a contact: a pair that
     # starts inside gap_tol is separating, wherever dt_max ends the step
-    touching = np.zeros(gaps.size, dtype=bool)
-    touching[closing] = (z_end[1:] - z_end[:-1])[closing] < gap_tol
-    # K[6] is the velocity of these clusters at z1, not of what a contact
+    touching = [k in closing and z_end[k + 1] - z_end[k] < gap_tol for k in range(len(gaps))]
+    # v1 is the velocity of these clusters at z1, not of what a contact
     # or the next call's unglue makes of them; a step that ran to its end
     # has checked every glued cluster there
-    v_end = K[6] if s_end == 1.0 and not touching.any() and not ungluing else None
+    v_end = v1 if s_end == 1.0 and not any(touching) and not ungluing else None
     step = DenseStep(cs.clusters, cs.time, t_end, h, z0, q, v_end, h_next, n_rejected, n_iter)
-    out, events = cs._moved(z_end.tolist(), t_end), []
-    if touching.any():
+    out, events = cs._moved(z_end, t_end), []
+    if any(touching):
         out, events = _resolve(out, _contact_groups(touching), wrho, kernel, p, gap_tol)
     out.dense = step
     return out, events
@@ -688,17 +718,8 @@ def run(
             k_sample += 1
         if len(cs) == 1 and evs:
             c = cs.clusters[0]
-            events.append(
-                Event(
-                    cs.time,
-                    "final_collapse",
-                    (c.id,),
-                    (c.position,),
-                    c.m1,
-                    c.m2,
-                    all_positions=(c.position,),
-                )
-            )
+            ends = (c.position,)
+            events.append(Event(cs.time, "final_collapse", (c.id,), ends, c.m1, c.m2, all_positions=ends))
             root_iterations.append(0)
             break
     while pending:

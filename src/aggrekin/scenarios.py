@@ -131,6 +131,7 @@ class Scenario:
     def __post_init__(self):
         if self.solver not in SOLVERS:
             raise ScenarioError(f"solver: unknown tag {self.solver!r}; valid: {', '.join(SOLVERS)}")
+        make_kernel(self.kernel_spec)  # a bad kernel spec fails here, by its key
         for key in ("T", "bump_width", "gap_tol", "dt_max", "epsilon"):
             if not 0.0 < getattr(self, key) < math.inf:
                 raise ScenarioError(f"{key}: must be positive and finite, got {getattr(self, key)!r}")
@@ -299,16 +300,19 @@ def write_scenario(path, s: Scenario) -> None:
 
 def make_kernel(spec: dict) -> PointyKernel:
     kind = spec.get("kind")
+    if kind not in ("exponential", "regularized"):
+        raise ScenarioError(f"kernel.kind: unknown tag {kind!r}; valid: exponential, regularized")
+    unknown = sorted(set(spec) - {"kind", "n" if kind == "regularized" else "kind"})
+    if unknown:
+        raise ScenarioError(f"kernel.{unknown[0]}: not a key of the {kind} kernel")
     if kind == "exponential":
         return exponential_kernel()
-    if kind == "regularized":
-        if "n" not in spec:
-            raise ScenarioError("kernel.n: required for the regularized kernel")
-        n = _number("kernel.n", spec["n"])
-        if isinstance(spec["n"], bool) or not n.is_integer() or n < 1:
-            raise ScenarioError(f"kernel.n: expected a positive integer, got {spec['n']!r}")
-        return regularize(exponential_kernel(), int(n))
-    raise ScenarioError(f"kernel.kind: unknown tag {kind!r}; valid: exponential, regularized")
+    if "n" not in spec:
+        raise ScenarioError("kernel.n: required for the regularized kernel")
+    n = _number("kernel.n", spec["n"])
+    if isinstance(spec["n"], bool) or not n.is_integer() or n < 1:
+        raise ScenarioError(f"kernel.n: expected a positive integer, got {spec['n']!r}")
+    return regularize(exponential_kernel(), int(n))
 
 
 # --- presets -----------------------------------------------------------

@@ -411,6 +411,21 @@ class TestAdvance:
         assert [e.kind for e in res.events] == ["merge_same_species", "glue", "final_collapse"]
         assert res.final.total_masses() == masses
 
+    def test_overflowing_trial_step_is_rejected(self):
+        # a fast-closing cross-species pair under a huge dt_max: the first
+        # trial's second stage carries the pair past each other by far more
+        # than exp can take on the continued slope, so that trial (and the
+        # next few) must be rejected like any other with a non-finite error
+        cs = ClusterSet([Cluster(0.0, 1.0, 0.0), Cluster(1.0, 0.0, 1.0)])
+        p = params()
+        dt_max = 1e6
+        v = reference_velocities(cs, p)
+        assert dt_max / 5 * (v[0] - v[1]) > 1000.0
+        out, _ = advance(cs, KERNEL, p, dt_max)
+        assert all(math.isfinite(c.position) for c in out.clusters)
+        assert out.dense.n_rejected >= 1
+        assert out.total_masses() == cs.total_masses()
+
     def test_exact_snapshots(self):
         cs = ClusterSet([Cluster(-0.4, 1.0, 0.0), Cluster(0.4, 0.0, 1.0)])
         res = run(cs, KERNEL, params(chi1=1.0, chi2=1.0), T=0.5, snapshot_times=(0.1, 0.25, 0.5))

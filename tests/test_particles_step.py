@@ -1,14 +1,18 @@
-"""The velocities, the external attraction and the unglue resolution are
-bit-identical to the scalar versions they replaced.
+"""The velocities, the external attraction and the unglue resolution
+against the scalar versions they replaced.
 
 ``advance`` computes the mass-dependent constants of the velocities
 (weights, per-cluster chi, glued indices) once per step, and makes every
-synchronising check through ``_sync`` from the step's own arrays, with the
+synchronising check through ``_sync`` from the step's own weights, with the
 checked clusters sliced out of one vectorised kernel sum.  A glued cluster
 that fails at a step's start splits through the same resolver that
-handles contacts, and the set comes back untouched when none fails.  The versions as they were written before are copied below; the
-tests compare the two with ``==`` on positions, masses, ids, times and
-every event field.  A set made by an uninterrupted step skips the check at
+handles contacts, and the set comes back untouched when none fails.  The
+versions as they were written before are copied below.  gamma and the
+unglue path are compared with ``==`` on positions, masses, ids, times and
+every event field.  The velocities are summed on Python floats in another
+order than the reference's matrix product (the exponential kernel's by a
+one-sided recursion), so they are compared to a few ulp of the sum of the
+terms' magnitudes.  A set made by an uninterrupted step skips the check at
 its start, so every glued cluster of such a set must pass it.  The
 integration step itself is checked against an independent ODE oracle in
 ``test_particles_oracle.py``.
@@ -148,15 +152,19 @@ def test_velocities_match_reference():
         m2 = np.array([c.m2 for c in cs.clusters])
         z = cs.positions()
         expected = reference_raw_velocities(z, m1, m2, KERNEL, p)
-        slopes = KERNEL.hat_deriv(z[:, None] - z[None, :])
-        raw = particles._raw_velocities(slopes, m1, m2, *particles._step_constants(m1, m2, p), p)
+        raw = np.array(particles._velocities(
+            z.tolist(), *particles._step_constants(m1.tolist(), m2.tolist(), p), m1.tolist(), m2.tolist(), KERNEL, p
+        ))
+        # 8 ulp of what the terms add up to in magnitude
+        wrho = p.theta1 * m1 + p.theta2 * m2
+        magnitude = max(p.chi1, p.chi2) * (np.abs(KERNEL.hat_deriv(z[:, None] - z[None, :])) @ wrho)
         # the reference clamps a failing glued cluster's selection, which
         # advance never reads: it splits such a cluster first
         held = [
             k for k in range(n)
             if not (m1[k] > 0 and m2[k] > 0) or sync_condition(sync_gamma(cs, k, k, p), m1[k], m2[k], p).holds
         ]
-        assert raw[held].tolist() == expected[held].tolist()
+        assert np.all(np.abs(raw - expected)[held] <= 8 * np.finfo(float).eps * magnitude[held])
         for i in range(n):
             assert sync_gamma(cs, i, i, p) == reference_external_attraction(cs, i, KERNEL, p)
             at = float(rng.uniform(-1.0, 1.0))
@@ -164,6 +172,65 @@ def test_velocities_match_reference():
             assert sync_gamma(cs, *group, p, at=at) == (
                 reference_external_attraction(cs, group, KERNEL, p, at=at)
             )
+
+
+def pairwise_velocities(z, m1, m2, p):
+    """Velocities at stage positions ``z`` for clusters whose start order is
+    their index order, summed pair by pair with ``math.fsum``: the pull on i
+    is sum_j -s_ij w_j e^{-s_ij (z_i - z_j)} / 2 with s_ij = sign(i - j).
+    Also returns, per cluster, the magnitude the velocity is a sum of."""
+    n = len(z)
+    w = [p.theta1 * a + p.theta2 * b for a, b in zip(m1, m2)]
+    v, magnitude = [], []
+    for i in range(n):
+        terms = []
+        for j in range(n):
+            if j != i:
+                s = 1.0 if i > j else -1.0
+                terms.append(-0.5 * s * w[j] * math.exp(-s * (z[i] - z[j])))
+        pull = math.fsum(terms)
+        if m1[i] > 0 and m2[i] > 0:
+            factor = p.theta2 * m2[i] * (p.chi2 - p.chi1) / (p.chi1 * p.theta2 * m2[i] + p.chi2 * p.theta1 * m1[i])
+            v.append(p.chi1 * (pull + p.theta2 * m2[i] * glued_selection(pull, m1[i], m2[i], p)))
+            magnitude.append(p.chi1 * (1.0 + abs(factor)) * math.fsum(map(abs, terms)))
+        else:
+            chi = p.chi1 if m1[i] > 0 else p.chi2
+            v.append(chi * pull)
+            magnitude.append(chi * math.fsum(map(abs, terms)))
+    return v, magnitude
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hs.lists(
+        hs.tuples(
+            hs.floats(1e-3, 0.5),
+            hs.sampled_from(["1", "2", "glued"]),
+            hs.floats(0.1, 4.0),
+            hs.floats(0.1, 4.0),
+            hs.floats(-0.05, 0.05),
+        ),
+        min_size=2,
+        max_size=40,
+    ),
+    hs.booleans(),
+    hs.floats(0.5, 10.0),
+    hs.floats(0.5, 10.0),
+)
+def test_recursion_velocities_match_pairwise_oracle(config, perturb, chi1, chi2):
+    # the clusters start sorted; a trial stage may carry adjacent pairs past
+    # each other by up to 0.1, and their slopes stay on the start-order branch
+    p = ModelParams(chi1=chi1, chi2=chi2)
+    start = np.cumsum([gap for gap, *_ in config]).tolist()
+    z = [x + (shift if perturb else 0.0) for x, (*_, shift) in zip(start, config)]
+    m1 = [a if kind != "2" else 0.0 for _, kind, a, _, _ in config]
+    m2 = [b if kind != "1" else 0.0 for _, kind, _, b, _ in config]
+    got = particles._velocities(z, *particles._step_constants(m1, m2, p), m1, m2, KERNEL, p)
+    expected, magnitude = pairwise_velocities(z, m1, m2, p)
+    for g, e, mag in zip(got, expected, magnitude):
+        # rtol 1e-12 of the velocity, or of the magnitude of its terms where
+        # they cancel
+        assert math.isclose(g, e, rel_tol=1e-12, abs_tol=1e-12 * mag)
 
 
 # configuration, parameters, (dt_max, gap_tol), steps, the event kinds
@@ -208,11 +275,11 @@ CASES = {
 def test_advance_matches_reference_through_events(name, monkeypatch):
     config, p, (dt_max, gap_tol), n_steps, wanted, bisects = CASES[name]
     n_vel, per_step = [0], []
-    raw = particles._raw_velocities
+    velocities = particles._velocities
 
     def counting(*args):
         n_vel[0] += 1
-        return raw(*args)
+        return velocities(*args)
 
     def counted_advance(*args):
         before = n_vel[0]
@@ -220,7 +287,7 @@ def test_advance_matches_reference_through_events(name, monkeypatch):
         per_step.append(n_vel[0] - before)
         return out
 
-    monkeypatch.setattr(particles, "_raw_velocities", counting)
+    monkeypatch.setattr(particles, "_velocities", counting)
     cs = ClusterSet([Cluster(*c) for c in config])
     kinds = assert_same_path(cs, p, n_steps, dt_max, gap_tol, step=counted_advance)
     assert wanted <= set(kinds)

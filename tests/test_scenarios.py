@@ -211,6 +211,29 @@ class TestMakeKernel:
         with pytest.raises(ScenarioError):
             make_kernel({"kind": "newtonian"})
 
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"kind": "exponential", "n": 50}, "n"),
+            ({"kind": "regularized", "n": 4, "typo": 1}, "typo"),
+            ({"kind": "exponential", "width": 2.0}, "width"),
+        ],
+    )
+    def test_unknown_key_is_named(self, tmp_path, spec, key):
+        cfg = json.loads(quick_particle_config(tmp_path).read_text())
+        with pytest.raises(ScenarioError, match=rf"^kernel\.{key}:"):
+            scenario_from_dict({**cfg, "kernel": spec})
+
+    def test_cli_names_an_unknown_kernel_key(self, tmp_path, capsys):
+        path = quick_particle_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        path.write_text(json.dumps({**cfg, "kernel": {"kind": "regularized", "n": 4, "typo": 1}}))
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ScenarioError"
+        assert payload["message"].startswith("kernel.typo:")
+        assert not (tmp_path / "out").exists()
+
 
 class TestRunScenario:
     def test_particle_run_writes_outputs(self, tmp_path):
