@@ -5,8 +5,8 @@ e^{-|x_k - x_i|} turns the one-sided convolution sums into first-order
 recursions.  They are evaluated blockwise so everything vectorizes while
 the local exponential rescaling stays well inside float64 range.  A
 chunked O(N^2) direct summation over the pairwise difference matrix is
-kept as the reference path; the two must agree to 1e-12 relative.
-:func:`use_scan` is the one place that picks between them.
+kept for every other kernel and as the reference path; the two must
+agree to 1e-12 relative.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "use_scan",
     "exp_one_sided_sums",
     "exp_velocity_scan",
     "exp_potential_scan",
@@ -28,18 +27,8 @@ __all__ = [
 # cap the in-block exponential rescaling at e^{0.25} to keep the blocked
 # cumulative sums accurate to ~1e-13 relative
 _MAX_BLOCK_SPAN = 0.25
-# the exponential kernel is summed directly up to this many cells and scanned above it
-_SCAN_THRESHOLD = 512
 # rows of the pairwise difference matrix formed at a time by the direct sums
 _CHUNK = 256
-
-
-def use_scan(kernel, n: int) -> bool:
-    """Whether a convolution over ``n`` cells runs the linear-time scan:
-    for the exponential kernel above 512 cells.  The scan is exact only for
-    the exponential kernel; every other kernel is summed directly.
-    """
-    return kernel.kind == "exponential" and n > _SCAN_THRESHOLD
 
 
 @lru_cache(maxsize=8)

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expconv import direct_velocity, exp_velocity_scan, use_scan
+from .expconv import direct_velocity, exp_velocity_scan
 from .kernel import PointyKernel
-from .lattice import GridCells, _occupied_span, check_boundary, mass_quantum, march
+from .lattice import GridCells, _occupied_span, check_boundary, mass_quantum, march, whole_quanta
 from .measures import ModelParams
 
 __all__ = [
@@ -70,15 +70,15 @@ class FluxField:
 
 def make_flux(state: GridState, kernel: PointyKernel, p: ModelParams) -> FluxField:
     """The field that ``step`` transports ``state`` with: a_hat[j] =
-    sum_{i != j} K'(x_j - x_i) w_i, w = theta1 rho1 + theta2 rho2.  Where
-    :func:`aggrekin.expconv.use_scan` picks the scan, it runs on the padded
-    window alone, as no mass lies outside; the direct sum runs over the
-    whole grid and is sliced to the window."""
+    sum_{i != j} K'(x_j - x_i) w_i, w = theta1 rho1 + theta2 rho2, on the
+    padded window alone, as no mass lies outside.  The exponential kernel
+    is scanned in O(N); any other kernel is summed directly in O(N^2)."""
     a, b = state._padded_window()
-    if use_scan(kernel, state.n_cells):
-        v = exp_velocity_scan(p.theta1 * state.rho1[a:b] + p.theta2 * state.rho2[a:b], state.dx)
+    w = p.theta1 * state.rho1[a:b] + p.theta2 * state.rho2[a:b]
+    if kernel.kind == "exponential":
+        v = exp_velocity_scan(w, state.dx)
     else:
-        v = direct_velocity(state.centers, p.theta1 * state.rho1 + p.theta2 * state.rho2, kernel)[a:b]
+        v = direct_velocity(state.centers[a:b], w, kernel)
     return FluxField(p.chi1, p.chi2, (a, b), v, float(np.abs(v).max()))
 
 
@@ -113,14 +113,8 @@ def _quantized_outflows(
     rho: np.ndarray, v: np.ndarray, c: float, q: float
 ) -> tuple[np.ndarray, np.ndarray]:
     # a cell sends c |v| rho one way only, so one signed transfer t holds
-    # both outflows; rounding is symmetric, so trunc(t / q) = +-floor(|t| / q)
-    t = c * v * rho
-    if q > 0.0:
-        # q is a power of two, so x * (1/q) is x / q exactly unless a
-        # subnormal q has no finite reciprocal
-        inv = 1.0 / q
-        t = np.trunc(t * inv if math.isfinite(inv) else t / q)
-        t *= q
+    # both outflows; rounding toward zero is symmetric in its sign
+    t = whole_quanta(c * v * rho, q)
     t[0] = max(t[0], 0.0)
     t[-1] = min(t[-1], 0.0)
     # trunc + strict CFL already guarantee |t| <= rho; the clamp only

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import write_csv
-from .expconv import direct_potential, exp_potential_scan, use_scan
+from .expconv import direct_potential, exp_potential_scan
 from .fv import GridState
 from .fv import run as fv_run
 from .kernel import PointyKernel, exponential_kernel
-from .lattice import GridCells, march
+from .lattice import GridCells, march, whole_quanta
 from .measures import DiscreteMeasure, ModelParams, wasserstein2
 
 __all__ = [
@@ -102,10 +102,10 @@ def check_positivity_condition(p: ModelParams) -> bool:
 
 def solve_chemo_field(state: GridCells, p: ModelParams, kernel: PointyKernel) -> ChemoField:
     """S = K * (theta1 rho1 + theta2 rho2) at the state's cell centres and
-    its hatted-kernel gradient: scanned in O(N) or summed directly in
-    O(N^2), as :func:`aggrekin.expconv.use_scan` picks."""
+    its hatted-kernel gradient on every cell: scanned in O(N) for the
+    exponential kernel, summed directly in O(N^2) for any other."""
     w = p.theta1 * state.rho1 + p.theta2 * state.rho2
-    if use_scan(kernel, w.size):
+    if kernel.kind == "exponential":
         s, ds = exp_potential_scan(w, state.dx)
     else:
         s, ds = direct_potential(state.centers, w, kernel)
@@ -120,7 +120,8 @@ def _transport(rho: np.ndarray, j: np.ndarray, q: float) -> tuple[np.ndarray, np
     """
     if q == 0.0:
         return rho.copy(), j.copy()
-    a = np.floor(((rho + j) * 0.5) / q) * q
+    # |j| <= rho, so the right-moving half (rho + j)/2 is nonnegative
+    a = whole_quanta((rho + j) * 0.5, q)
     a = np.minimum(np.maximum(a, 0.0), rho)
     b = rho - a
     a_new = np.empty_like(a)
@@ -148,9 +149,7 @@ def step(state: KineticState, field: ChemoField, p: ModelParams) -> KineticState
         rho_new, j_t = _transport(rho, j, q)
         beta = 2.0 * psi * dt / state.epsilon
         target = (j_t + beta * chi * field.dS * rho_new) / (1.0 + beta)
-        delta = 0.5 * (target - j_t)
-        if q > 0.0:
-            delta = np.trunc(delta / q) * q
+        delta = whole_quanta(0.5 * (target - j_t), q)
         j_new = np.clip(j_t + 2.0 * delta, -rho_new, rho_new)
         out[f"rho{alpha}"] = rho_new
         out[f"J{alpha}"] = j_new

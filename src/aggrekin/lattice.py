@@ -19,7 +19,7 @@ import numpy as np
 
 from .measures import ModelParams
 
-__all__ = ["mass_quantum", "snap", "checked_cells", "GridCells", "check_boundary", "march"]
+__all__ = ["mass_quantum", "snap", "whole_quanta", "checked_cells", "GridCells", "check_boundary", "march"]
 
 
 def mass_quantum(total: float) -> float:
@@ -53,6 +53,18 @@ def snap(values, q: float):
     x += _ROUND_TO_INTEGER
     x -= _ROUND_TO_INTEGER
     x *= q
+    return x
+
+
+def whole_quanta(x: np.ndarray, q: float) -> np.ndarray:
+    """The transfers ``x``, a fresh array, rounded toward zero to whole
+    multiples of the quantum ``q`` (unchanged if q is 0), so that cells stay
+    on the lattice.  q is a power of two, so x * (1/q) is x / q exactly
+    unless a subnormal q has no finite reciprocal."""
+    if q > 0.0:
+        inv = 1.0 / q
+        x = np.trunc(x * inv if math.isfinite(inv) else x / q)
+        x *= q
     return x
 
 

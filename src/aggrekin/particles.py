@@ -594,16 +594,19 @@ def advance(
         # cut short by dt_max, not by the error: the proposal stands
         h_next = max(h_next, seed)
 
-    def at(s: float) -> list[float]:
-        return z1 if s == 1.0 else _interpolate(z0, q, s)
+    # the positions of clusters [lo, hi) at step fraction s; at s = 1 the
+    # step's end point z1, not the interpolant
+    def at(s: float, lo: int = 0, hi: int | None = None) -> list[float]:
+        if s == 1.0:
+            return z1[lo:hi]
+        return _interpolate(z0[lo:hi], [c[lo:hi] for c in q], s)
 
     # the event functions, positive past their root: first the adjacent
     # gaps that close below gap_tol, then, up to the first contact (past it
     # a glued cluster's attraction jumps), the glued clusters whose
     # synchronising condition fails
     def gap_excess(s: float) -> float:
-        z = at(s)
-        return max(gap_tol - (z[k + 1] - z[k]) for k in closing)
+        return max(gap_tol - (b - a) for a, b in (at(s, k, k + 2) for k in closing))
 
     def sync_excess(s: float) -> float:
         z = at(s)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -80,6 +81,7 @@ _OPTIONAL_NUMBERS = ("bump_width", "cfl_safety", "gap_tol", "dt_max", "epsilon")
 _PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
 # the top-level keys: the first word of each SCHEMA line indented by two
 _KNOWN_KEYS = {line.split()[0] for line in SCHEMA.splitlines() if len(line) - len(line.lstrip()) == 2}
+_KERNEL_KEYS = {"exponential": ("kind",), "regularized": ("kind", "n")}
 
 
 class ScenarioError(ValueError):
@@ -87,19 +89,28 @@ class ScenarioError(ValueError):
 
 
 def _number(key: str, value) -> float:
-    """``value`` as a float; anything else -- a list, a word, null -- is a
-    ScenarioError that names ``key``."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(f"{key}: expected a number, got {value!r}") from None
+    """``value``, a real number, as a float; anything else -- a string, a
+    boolean, a list, null -- is a ScenarioError that names ``key``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ScenarioError(f"{key}: expected a number, got {value!r}")
 
 
-def _object(key: str, value) -> dict:
-    """``value``, which must be a JSON object; anything else is a
-    ScenarioError that names ``key``."""
+def _object(key: str, value, known=None, required=()) -> dict:
+    """``value``, which must be a JSON object holding every key of
+    ``required`` and no key outside ``known`` (when given); anything else
+    is a ScenarioError that names ``key`` or the first offending key below
+    it (``key`` "" is the scenario itself)."""
     if not isinstance(value, dict):
-        raise ScenarioError(f"{key}: expected a JSON object, got {value!r}")
+        raise ScenarioError(f"{key or 'scenario'}: expected a JSON object, got {value!r}")
+    unknown = sorted(set(value) - set(known), key=str) if known is not None else []
+    missing = [k for k in required if k not in value]
+    if unknown or missing:
+        k, what = (unknown[0], "unknown key") if unknown else (missing[0], "missing required key")
+        raise ScenarioError(f"{key + '.' if key else ''}{k}: {what}")
     return value
 
 
@@ -140,7 +151,7 @@ class Scenario:
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ScenarioError(f"output_dir: expected a string, got {self.output_dir!r}")
         for label, attr in (("species1", "initial1"), ("species2", "initial2")):
-            spec = getattr(self, attr)
+            spec = _object(f"initial.{label}", getattr(self, attr), ("bumps", "clusters"))
             forms = [key for key in ("bumps", "clusters") if key in spec]
             if len(forms) != 1:
                 raise ScenarioError(
@@ -221,31 +232,19 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def scenario_from_dict(d: dict, name: str = "scenario") -> Scenario:
-    unknown = set(d) - _KNOWN_KEYS
-    if unknown:
-        raise ScenarioError(f"unknown key(s): {', '.join(sorted(unknown))}")
-    for key in ("params", "initial", "solver", "T"):
-        if key not in d:
-            raise ScenarioError(f"{key}: missing required key")
-    prm = _object("params", d["params"])
-    for key in ("chi1", "chi2"):
-        if key not in prm:
-            raise ScenarioError(f"params.{key}: missing required key")
+    _object("", d, _KNOWN_KEYS, ("params", "initial", "solver", "T"))
+    prm = _object("params", d["params"], _PARAM_KEYS, ("chi1", "chi2"))
     values = {key: _number(f"params.{key}", prm[key]) for key in _PARAM_KEYS if key in prm}
     try:
         params = ModelParams(**values)
     except ValueError as exc:
         raise ScenarioError(f"params: {exc}") from exc
+    # its keys depend on its kind, and make_kernel checks them
     kernel_spec = dict(_object("kernel", d.get("kernel", {"kind": "exponential"})))
-    initial = _object("initial", d["initial"])
-    if "species1" not in initial or "species2" not in initial:
-        raise ScenarioError("initial: needs 'species1' and 'species2' entries")
+    initial = _object("initial", d["initial"], ("species1", "species2"), ("species1", "species2"))
     grid = None
     if "grid" in d:
-        g = _object("grid", d["grid"])
-        for key in ("xmin", "xmax", "dx"):
-            if key not in g:
-                raise ScenarioError(f"grid.{key}: missing required key")
+        g = _object("grid", d["grid"], ("xmin", "xmax", "dx"), ("xmin", "xmax", "dx"))
         grid = tuple(_number(f"grid.{key}", g[key]) for key in ("xmin", "xmax", "dx"))
     T = _number("T", d["T"])
     snapshot_times = d.get("snapshot_times")
@@ -255,8 +254,8 @@ def scenario_from_dict(d: dict, name: str = "scenario") -> Scenario:
         name=str(d.get("name", name)),
         params=params,
         kernel_spec=kernel_spec,
-        initial1=dict(_object("initial.species1", initial["species1"])),
-        initial2=dict(_object("initial.species2", initial["species2"])),
+        initial1=initial["species1"],
+        initial2=initial["species2"],
         solver=str(d["solver"]),
         T=T,
         grid=grid,
@@ -300,17 +299,15 @@ def write_scenario(path, s: Scenario) -> None:
 
 def make_kernel(spec: dict) -> PointyKernel:
     kind = spec.get("kind")
-    if kind not in ("exponential", "regularized"):
+    if kind not in _KERNEL_KEYS:
         raise ScenarioError(f"kernel.kind: unknown tag {kind!r}; valid: exponential, regularized")
-    unknown = sorted(set(spec) - {"kind", "n" if kind == "regularized" else "kind"})
-    if unknown:
-        raise ScenarioError(f"kernel.{unknown[0]}: not a key of the {kind} kernel")
+    _object("kernel", spec, _KERNEL_KEYS[kind])
     if kind == "exponential":
         return exponential_kernel()
     if "n" not in spec:
         raise ScenarioError("kernel.n: required for the regularized kernel")
     n = _number("kernel.n", spec["n"])
-    if isinstance(spec["n"], bool) or not n.is_integer() or n < 1:
+    if not n.is_integer() or n < 1:
         raise ScenarioError(f"kernel.n: expected a positive integer, got {spec['n']!r}")
     return regularize(exponential_kernel(), int(n))
 

@@ -16,8 +16,9 @@ from aggrekin.fv import (
     species_peaks,
     step,
 )
-from aggrekin.expconv import direct_velocity, exp_velocity_scan, use_scan
+from aggrekin.expconv import direct_potential, direct_velocity, exp_potential_scan, exp_velocity_scan
 from aggrekin.kernel import exponential_kernel, regularize
+from aggrekin.kinetic import solve_chemo_field
 from aggrekin.measures import ModelParams, bump_mass_unit, sample_gaussian_bumps
 
 getcontext().prec = 50
@@ -125,9 +126,24 @@ class TestAssembleVelocity:
         assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 
     def test_scan_refused_for_non_exponential_kernel(self):
-        assert not use_scan(regularize(KERNEL, 2), 10_000)
-        assert not use_scan(KERNEL, 512)
-        assert use_scan(KERNEL, 513)
+        # the kernel alone picks the path, at every grid size: the scan for
+        # the exponential kernel, the direct sum for any other
+        p = unit_params()
+        reg = regularize(KERNEL, 2)
+        for n in (17, 64, 600):
+            st = random_state(np.random.default_rng(n), n=n, pad=3)
+            a, b = st._padded_window()
+            w = st.rho1 + st.rho2
+            scan = exp_velocity_scan(w[a:b], st.dx)
+            assert make_flux(st, KERNEL, p).velocity.tobytes() == scan.tobytes()
+            direct = direct_velocity(st.centers[a:b], w[a:b], reg)
+            assert make_flux(st, reg, p).velocity.tobytes() == direct.tobytes()
+            for kernel, (s, ds) in (
+                (KERNEL, exp_potential_scan(w, st.dx)),
+                (reg, direct_potential(st.centers, w, reg)),
+            ):
+                field = solve_chemo_field(st, p, kernel)
+                assert field.S.tobytes() == s.tobytes() and field.dS.tobytes() == ds.tobytes()
 
     def test_theta_weights_enter_the_sum(self):
         st = GridState(-1.0, 1.0, [1.0, 0.0], [0.0, 1.0])

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from aggrekin import fv
 from aggrekin.expconv import direct_velocity, exp_velocity_scan
 from aggrekin.fv import (
     FluxField,
@@ -30,7 +31,7 @@ from aggrekin.fv import (
     species_peaks,
     step,
 )
-from aggrekin.kernel import exponential_kernel
+from aggrekin.kernel import exponential_kernel, regularize
 from aggrekin.lattice import mass_quantum, snap
 from aggrekin.measures import ModelParams
 from aggrekin.scenarios import initial_grid_state, preset
@@ -61,9 +62,9 @@ def weights(state, p=PARAMS):
     return p.theta1 * state.rho1 + p.theta2 * state.rho2
 
 
-def direct_on_grid(state, p=PARAMS):
+def direct_on_grid(state, p=PARAMS, kernel=KERNEL):
     """The O(N^2) direct velocity sum on every cell of the grid."""
-    return direct_velocity(state.centers, weights(state, p), KERNEL)
+    return direct_velocity(state.centers, weights(state, p), kernel)
 
 
 def window_of(rho1, rho2):
@@ -200,8 +201,8 @@ class TestWindowVelocity:
 
 class TestWindowFlux:
     """``make_flux`` holds the velocity of its state's padded window and
-    that window's max|a_hat|: scanned above the threshold, the direct sum
-    over the whole grid sliced to the window below it."""
+    that window's max|a_hat|: scanned for the exponential kernel, summed
+    directly on the window for any other."""
 
     @pytest.mark.parametrize("lo, hi", SUPPORTS + [(0, 0)])
     def test_lazy_velocity_is_the_scanned_velocity_bit_for_bit(self, lo, hi):
@@ -214,18 +215,29 @@ class TestWindowFlux:
         assert flux.velocity.tobytes() == ref.tobytes()
         assert flux.amax == np.abs(ref).max()
 
+    def test_small_exponential_grid_is_scanned(self):
+        # 120 cells: the exponential kernel is scanned at every grid size
+        rng = np.random.default_rng(5)
+        for st in random_states(rng, count=12):
+            flux = make_flux(st, KERNEL, PARAMS)
+            a, b = padded(st)
+            assert flux.velocity.tobytes() == exp_velocity_scan(weights(st)[a:b], st.dx).tobytes()
+
     def test_direct_path_holds_the_direct_sum(self):
-        # 120 cells are below the scan threshold, so make_flux sums directly
+        # the regularized kernel is summed directly on the padded window
         rng = np.random.default_rng(6)
         p = ModelParams(chi1=4.0, chi2=0.7)
+        kernel = regularize(KERNEL, 50)
         for st in random_states(rng, count=12):
-            flux = make_flux(st, KERNEL, p)
+            flux = make_flux(st, kernel, p)
             a, b = padded(st)
-            direct = direct_on_grid(st, p)
+            direct = direct_velocity(st.centers[a:b], weights(st, p)[a:b], kernel)
             assert flux.span == (a, b)
-            assert flux.velocity.tobytes() == direct[a:b].tobytes()
-            assert flux.amax == np.abs(direct[a:b]).max()
-            dt = cfl_dt(st.dx, KERNEL, p, 0.9, st.total_masses())
+            assert flux.velocity.tobytes() == direct.tobytes()
+            assert flux.amax == np.abs(direct).max()
+            whole = direct_on_grid(st, p, kernel)
+            assert np.max(np.abs(flux.velocity - whole[a:b])) <= 1e-12 * np.max(np.abs(whole))
+            dt = cfl_dt(st.dx, kernel, p, 0.9, st.total_masses())
             ref1, ref2 = full_grid_step(st, flux, dt)
             nxt = step(st, flux, dt)
             assert np.array_equal(nxt.rho1, ref1) and np.array_equal(nxt.rho2, ref2)
@@ -380,14 +392,13 @@ def full_grid_run(initial, p, T):
 
 class TestRunMatchesFullGridRun:
     def test_example1_through_its_first_contact(self):
-        # 3200 cells, so the velocity is scanned; example 1's first contact
-        # comes at t ~ 0.95, near the end of the run's ~890 steps
+        # 3200 cells; example 1's first contact comes at t ~ 0.95, near the
+        # end of the run's ~890 steps
         s = preset("example1", solver="fv", dx=1.25e-3)
         initial = initial_grid_state(s)
         res = run(initial, KERNEL, s.params, T=1.0)
         diag, events, final, n_steps = full_grid_run(initial, s.params, 1.0)
         assert res.n_steps == n_steps >= 300
-        assert initial.n_cells > 512
         assert [e.kind for e in res.events] == ["contact"]
         assert res.events == events
         for key in DIAGNOSTICS:
@@ -395,3 +406,35 @@ class TestRunMatchesFullGridRun:
         assert res.final.time == final.time
         assert res.final.rho1.tobytes() == final.rho1.tobytes()
         assert res.final.rho2.tobytes() == final.rho2.tobytes()
+
+
+class TestRegularizedRun:
+    """A run on the regularized kernel, whose field is the direct sum on
+    the padded window."""
+
+    def test_conserves_each_species_and_holds_the_whole_grid_field(self, monkeypatch):
+        kernel = regularize(KERNEL, 50)
+        # 300 cells of 0.01: the kernel's linear part spans two cells each way
+        st = state_on(300, 120, 180, np.random.default_rng(13), dx=0.01, holes=0.2)
+        fluxes = []
+
+        def held(state, kernel, p):
+            flux = make_flux(state, kernel, p)
+            fluxes.append((state, flux))
+            return flux
+
+        monkeypatch.setattr(fv, "make_flux", held)
+        dt = cfl_dt(st.dx, kernel, PARAMS, 0.9, st.total_masses())
+        res = run(st, kernel, PARAMS, T=60 * dt, snapshot_times=(0.0, 30 * dt, 60 * dt))
+        assert res.n_steps == 60 and len(fluxes) == 61
+        assert not np.array_equal(res.final.rho1, st.rho1)
+        assert res.final.total_masses() == st.total_masses()
+        assert np.all(res.diagnostics["mass1"] == st.total_masses()[0])
+        assert np.all(res.diagnostics["mass2"] == st.total_masses()[1])
+        for _, snap in res.snapshots:
+            assert min(snap.rho1.min(), snap.rho2.min()) >= 0.0
+        for state, flux in fluxes:
+            a, b = padded(state)
+            whole = direct_on_grid(state, PARAMS, kernel)
+            assert flux.span == (a, b)
+            assert np.max(np.abs(flux.velocity - whole[a:b])) <= 1e-12 * np.max(np.abs(whole))

@@ -15,7 +15,7 @@ from aggrekin import fv, kinetic, particles
 from aggrekin.fv import GridState, cfl_dt, extract_peaks, make_flux, species_peaks
 from aggrekin.kernel import exponential_kernel
 from aggrekin.kinetic import KineticState, solve_chemo_field
-from aggrekin.lattice import GridCells, check_boundary
+from aggrekin.lattice import GridCells, check_boundary, mass_quantum, whole_quanta
 from aggrekin.measures import ModelParams
 from aggrekin.particles import Cluster, ClusterSet
 
@@ -83,6 +83,23 @@ def old_centers(xmin, dx, lo, hi):
 grids = hs.tuples(
     hs.floats(-1e6, 1e6, allow_nan=False), hs.floats(1e-9, 1e3), hs.integers(1, 300)
 )
+
+
+class TestWholeQuanta:
+    """Every solver rounds a transfer to whole quanta through one helper."""
+
+    @pytest.mark.parametrize("total", [1e-300, 1.0, 1e300])
+    def test_rounds_toward_zero_as_dividing_does(self, total):
+        # 1e-300 has a subnormal quantum whose reciprocal overflows
+        q = mass_quantum(total)
+        x = np.random.default_rng(3).normal(size=400) * (total / 50)
+        assert same_bits(whole_quanta(x.copy(), q), np.trunc(x / q) * q)
+        # on nonnegative transfers toward zero is down
+        assert same_bits(whole_quanta(np.abs(x), q), np.floor(np.abs(x) / q) * q)
+
+    def test_a_zero_quantum_leaves_the_transfers(self):
+        x = np.array([0.0, 0.0, -0.0])
+        assert same_bits(whole_quanta(x, 0.0), x)
 
 
 class TestCellCentres:

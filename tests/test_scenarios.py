@@ -528,13 +528,75 @@ class TestWronglyTypedValues:
             scenario_from_dict(data)
         assert str(exc.value).startswith(key + ":")
 
-    def test_initial_entries_are_read_like_params(self):
+    @pytest.mark.parametrize(
+        "path, value, key",
+        [
+            pytest.param(("T",), "2.5", "T", id="T-string"),
+            pytest.param(("T",), True, "T", id="T-bool"),
+            pytest.param(("params", "chi1"), "10", "params.chi1", id="chi1-string"),
+            pytest.param(
+                ("initial", "species1", "bumps"), [["4", -0.4]], "initial.species1.bumps[0]",
+                id="amplitude-string",
+            ),
+            pytest.param(("kernel",), {"kind": "regularized", "n": "4"}, "kernel.n", id="kernel-n-string"),
+            pytest.param(("grid", "dx"), False, "grid.dx", id="dx-bool"),
+        ],
+    )
+    def test_strings_and_booleans_are_not_numbers(self, path, value, key):
+        data = json.loads(json.dumps(KINETIC_CONFIG))
+        node = data
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = value
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(data)
+        assert str(exc.value).startswith(key + ": expected a number")
+
+    def test_numpy_reals_are_numbers(self):
         data = json.loads(json.dumps(KINETIC_CONFIG))
         plain = scenario_from_dict(data)
-        bump = data["initial"]["species1"]["bumps"][0]
-        data["initial"]["species1"]["bumps"][0] = [str(v) for v in bump]
-        data["params"]["chi1"] = str(data["params"]["chi1"])
+        data["T"] = np.float64(data["T"])
+        data["initial"]["species1"]["bumps"] = [[np.int64(1), np.float64(-0.4)]]
         assert scenario_from_dict(data) == plain
+
+    @pytest.mark.parametrize(
+        "path, key",
+        [
+            (("theta",), "theta"),
+            (("params", "theta"), "params.theta"),
+            (("grid", "nx"), "grid.nx"),
+            (("initial", "species3"), "initial.species3"),
+            (("initial", "species1", "width"), "initial.species1.width"),
+            (("initial", "species2", "bump"), "initial.species2.bump"),
+        ],
+    )
+    def test_unknown_key_of_every_object_is_named(self, path, key):
+        data = json.loads(json.dumps(KINETIC_CONFIG))
+        node = data
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = 1.0
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(data)
+        assert str(exc.value) == f"{key}: unknown key"
+
+    @pytest.mark.parametrize(
+        "path, value, key",
+        [(("params", "theta"), 2.0, "params.theta"), (("T",), "0.2", "T")],
+    )
+    def test_cli_refuses_a_typo_and_a_string(self, tmp_path, capsys, path, value, key):
+        data = json.loads(json.dumps(KINETIC_CONFIG))
+        node = data
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = value
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(data))
+        assert cli_main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ScenarioError"
+        assert payload["message"].startswith(key + ":")
+        assert not (tmp_path / "out").exists()
 
     def test_cli_names_a_wrongly_typed_bump(self, tmp_path, capsys):
         data = json.loads(json.dumps(KINETIC_CONFIG))
