@@ -109,14 +109,12 @@ def cfl_dt(
     return dt
 
 
-def _quantized_outflows(
-    rho: np.ndarray, v: np.ndarray, c: float, q: float
-) -> tuple[np.ndarray, np.ndarray]:
-    # a cell sends c |v| rho one way only, so one signed transfer t holds
-    # both outflows; rounding toward zero is symmetric in its sign
+def _quantized_outflows(rho: np.ndarray, v: np.ndarray, c: float, q) -> tuple[np.ndarray, np.ndarray]:
+    # on (2, w) blocks of both species: a cell sends c |v| rho one way only, so one
+    # signed transfer t holds both outflows; rounding toward zero is symmetric in its sign
     t = whole_quanta(c * v * rho, q)
-    t[0] = max(t[0], 0.0)
-    t[-1] = min(t[-1], 0.0)
+    np.maximum(t[:, 0], 0.0, out=t[:, 0])
+    np.minimum(t[:, -1], 0.0, out=t[:, -1])
     # trunc + strict CFL already guarantee |t| <= rho; the clamp only
     # defends against degenerate safety factors within one ulp of 1
     np.minimum(t, rho, out=t)
@@ -131,9 +129,9 @@ def step(state: GridState, flux: FluxField, dt: float) -> GridState:
     All cell updates are exact float operations on multiples of the species
     quantum, so per-species mass is conserved to 0 ulp and no cell ever
     goes negative.  Only the occupied window plus one cell on each side can
-    change, so the update runs on that slice; an empty cell sends nothing,
-    which makes the result bit-identical to the full-grid update.  The
-    successor's window lies in that slice, and is found there and handed over.
+    change, so the update runs on that slice of both species; an empty cell
+    sends nothing, which makes the result bit-identical to the full-grid
+    update.  The successor's window lies in that slice, and is found there.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -146,20 +144,17 @@ def step(state: GridState, flux: FluxField, dt: float) -> GridState:
             f"CFL violation: dt * max|chi a_hat| = {dt * vmax:.3e} >= dx = {state.dx:.3e}"
         )
     c = dt / state.dx
-    new = []
-    for chi, rho, q in ((flux.chi1, state.rho1, state.q1), (flux.chi2, state.rho2, state.q2)):
-        # the outflows zero the slice's outer faces: at a grid end that is
-        # the boundary rule, and inside the grid those end cells are empty
-        out_r, out_l = _quantized_outflows(rho[a:b], chi * flux.velocity, c, q)
-        nxt = rho.copy()
-        win = nxt[a:b]
-        win -= out_r
-        win -= out_l
-        win[1:] += out_r[:-1]
-        win[:-1] += out_l[1:]
-        new.append(nxt)
-    window = _occupied_span(new[0][a:b], new[1][a:b], a)
-    return state._successor(state.time + dt, rho1=new[0], rho2=new[1], window=window)
+    v = np.multiply.outer((flux.chi1, flux.chi2), flux.velocity)
+    # the outflows zero the slice's outer faces: at a grid end that is
+    # the boundary rule, and inside the grid those end cells are empty
+    out_r, out_l = _quantized_outflows(state.rho[:, a:b], v, c, (state.q1, state.q2))
+    nxt = state.rho.copy()
+    win = nxt[:, a:b]
+    win -= out_r
+    win -= out_l
+    win[:, 1:] += out_r[:, :-1]
+    win[:, :-1] += out_l[:, 1:]
+    return state._successor(state.time + dt, window=_occupied_span(win, a), rho=nxt)
 
 
 @dataclass(frozen=True)

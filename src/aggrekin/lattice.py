@@ -56,15 +56,21 @@ def snap(values, q: float):
     return x
 
 
-def whole_quanta(x: np.ndarray, q: float) -> np.ndarray:
-    """The transfers ``x``, a fresh array, rounded toward zero to whole
-    multiples of the quantum ``q`` (unchanged if q is 0), so that cells stay
-    on the lattice.  q is a power of two, so x * (1/q) is x / q exactly
-    unless a subnormal q has no finite reciprocal."""
-    if q > 0.0:
-        inv = 1.0 / q
-        x = np.trunc(x * inv if math.isfinite(inv) else x / q)
-        x *= q
+def whole_quanta(x: np.ndarray, q) -> np.ndarray:
+    """The transfers ``x``, a fresh (2, w) array of both species, rounded in
+    place toward zero to whole multiples of their quanta ``q`` = (q1, q2)
+    so that cells stay on the lattice; a row whose q is 0 is unchanged.  q
+    is a power of two, so x * (1/q) is x / q exactly unless a subnormal q
+    has no finite reciprocal; such a row is divided instead."""
+    if min(q) > 0.0 and math.isfinite(1.0 / min(q)):
+        scales = np.array([[1.0 / q[0], q[0]], [1.0 / q[1], q[1]]])
+        x *= scales[:, :1]
+        np.trunc(x, out=x)
+        x *= scales[:, 1:]
+    else:
+        for row, qa in zip(x, q):
+            if qa > 0.0:
+                row[:] = np.trunc(row * (1.0 / qa) if math.isfinite(1.0 / qa) else row / qa) * qa
     return x
 
 
@@ -85,13 +91,14 @@ def checked_cells(name: str, values) -> np.ndarray:
     return r
 
 
-def _occupied_span(rho1: np.ndarray, rho2: np.ndarray, offset: int = 0) -> tuple[int, int]:
-    """(lo, hi) spanning the nonzero cells of rho1 + rho2, shifted by ``offset``; (0, 0) if none."""
-    occupied = (rho1 + rho2) != 0
-    lo = int(np.argmax(occupied))
+def _occupied_span(rho: np.ndarray, offset: int = 0) -> tuple[int, int]:
+    """(lo, hi) spanning the nonzero cells of rho[0] + rho[1], a (2, w) block
+    of both species, shifted by ``offset``; (0, 0) if none."""
+    occupied = (rho[0] + rho[1]) != 0
+    lo = int(occupied.argmax())
     if not occupied[lo]:
         return 0, 0
-    return offset + lo, offset + occupied.size - int(np.argmax(occupied[::-1]))
+    return offset + lo, offset + occupied.size - int(occupied[::-1].argmax())
 
 
 @lru_cache(maxsize=8)
@@ -107,13 +114,14 @@ class GridCells:
     """Per-cell masses of both species on a uniform grid.
 
     ``xmin`` is the left edge of the first cell; cell centers sit at
-    xmin + (j + 1/2) dx.  Cell values are masses (density times dx).  Each
-    subclass declares ``time``, ``q1`` and ``q2`` after its own fields.  On
-    construction each species is snapped to its mass quantum (computed from
-    its total unless given as ``q1``/``q2`` >= 0); the quanta ride along so
-    subsequent steps stay on the same lattice.  Non-finite input (NaN or
-    inf in ``xmin``, ``dx`` or a cell mass) is rejected with the name of the
-    offending field.
+    xmin + (j + 1/2) dx.  Cell values are masses (density times dx), kept
+    in one C-contiguous (2, n) array ``rho`` whose rows ``rho1`` and
+    ``rho2`` are the two species.  Each subclass declares ``time``, ``q1``
+    and ``q2`` after its own fields.  On construction each species is
+    snapped to its mass quantum (computed from its total unless given as
+    ``q1``/``q2`` >= 0); the quanta ride along so subsequent steps stay on
+    the same lattice.  Non-finite input (NaN or inf in ``xmin``, ``dx`` or
+    a cell mass) is rejected with the name of the offending field.
     """
 
     xmin: float
@@ -130,23 +138,27 @@ class GridCells:
             raise ValueError(f"xmin must be finite, got {self.xmin!r}")
         if not (self.dx > 0 and math.isfinite(self.dx)):
             raise ValueError(f"dx must be positive and finite, got {self.dx!r}")
-        for name, r, q in (("1", r1, self.q1), ("2", r2, self.q2)):
+        rho = np.empty((2, r1.size))
+        for k, (name, r, q) in enumerate((("1", r1, self.q1), ("2", r2, self.q2))):
             q = q if q >= 0 else mass_quantum(float(np.sum(r)))
-            object.__setattr__(self, "rho" + name, snap(r, q))
+            rho[k] = snap(r, q)
             object.__setattr__(self, "q" + name, q)
+        self.__dict__.update(rho=rho, rho1=rho[0], rho2=rho[1])
 
-    def _successor(self, time: float, **cells):
-        """This state at ``time`` with the arrays ``cells`` replaced.
+    def _successor(self, time: float, window: tuple[int, int], **blocks):
+        """This state at ``time`` with the (2, n) arrays ``blocks`` (``rho``,
+        and ``J`` for the kinetic state) and their row views replaced.
 
         A solver step's successor: its cells are already values of this
         state's lattice, so it skips the copy, the checks and the snap of
-        the public constructor, which would return it unchanged.  A step
-        that knows the successor's ``window`` passes it among ``cells``.
+        the public constructor, which would return it unchanged.  The step
+        knows the successor's ``window`` and hands it over.
         """
         new = object.__new__(type(self))
         values = {name: getattr(self, name) for name in self.__dataclass_fields__}
-        values.update(cells, time=time)
-        new.__dict__.update(values)
+        for name, block in blocks.items():
+            values.update({name: block, name + "1": block[0], name + "2": block[1]})
+        new.__dict__.update(values, time=time, window=window)
         return new
 
     @property
@@ -159,7 +171,7 @@ class GridCells:
         species; (0, 0) for the empty state.  Every cell outside is zero.
         Computed once per state, so the cell arrays must not be written to
         after construction."""
-        return _occupied_span(self.rho1, self.rho2)
+        return _occupied_span(self.rho)
 
     @cached_property
     def window_centers(self) -> np.ndarray:
@@ -178,13 +190,12 @@ class GridCells:
         return _cell_centers(self.xmin, self.dx, self.n_cells)
 
     def total_masses(self) -> tuple[float, float]:
-        return float(np.sum(self.rho1)), float(np.sum(self.rho2))
+        return tuple(self.rho.sum(axis=1).tolist())
 
     def weighted_center(self, p: ModelParams) -> float:
         lo, hi = self.window
-        return (p.theta1 / p.chi1) * float((self.window_centers * self.rho1[lo:hi]).sum()) + (
-            p.theta2 / p.chi2
-        ) * float((self.window_centers * self.rho2[lo:hi]).sum())
+        s1, s2 = (self.window_centers * self.rho[:, lo:hi]).sum(axis=1).tolist()
+        return (p.theta1 / p.chi1) * s1 + (p.theta2 / p.chi2) * s2
 
 
 def check_boundary(state: GridCells, total: float) -> None:

@@ -340,22 +340,24 @@ class TestQuantizedOutflows:
     @pytest.mark.parametrize("total", [1e-300, 1.0, 1e300])
     def test_multiplying_by_the_reciprocal_is_dividing(self, total):
         # 1e-300 has a subnormal quantum whose reciprocal overflows, so the
-        # outflows fall back to dividing; the others multiply by 1/q
+        # outflows fall back to dividing; the others multiply by 1/q.  Both
+        # species go through at once, the second on a quantum 2^10 larger
         rng = np.random.default_rng(8)
         n = 500
-        q = mass_quantum(total)
-        assert math.isinf(1.0 / q) == (total == 1e-300)
-        rho = snap(rng.uniform(size=n) * (total / n), q)
-        v = rng.normal(size=n)
+        q = (mass_quantum(total), mass_quantum(total) * 1024)
+        assert math.isinf(1.0 / q[0]) == (total == 1e-300)
+        rho = np.array([snap(rng.uniform(size=n) * (total / n), qa) for qa in q])
+        v = rng.normal(size=(2, n))
         c = 0.9 / np.max(np.abs(v))
         out_r, out_l = _quantized_outflows(rho, v, c, q)
-        ref_r = np.floor(c * np.maximum(v, 0.0) * rho / q) * q
-        ref_l = np.floor(c * np.maximum(-v, 0.0) * rho / q) * q
-        ref_r[-1] = 0.0
-        ref_l[0] = 0.0
-        assert np.count_nonzero(out_r) > n // 3 and np.count_nonzero(out_l) > n // 3
-        assert np.array_equal(out_r, ref_r)
-        assert np.array_equal(out_l, ref_l)
+        for k, qa in enumerate(q):
+            ref_r = np.floor(c * np.maximum(v[k], 0.0) * rho[k] / qa) * qa
+            ref_l = np.floor(c * np.maximum(-v[k], 0.0) * rho[k] / qa) * qa
+            ref_r[-1] = 0.0
+            ref_l[0] = 0.0
+            assert np.count_nonzero(out_r[k]) > n // 3 and np.count_nonzero(out_l[k]) > n // 3
+            assert np.array_equal(out_r[k], ref_r)
+            assert np.array_equal(out_l[k], ref_l)
 
 
 DIAGNOSTICS = ("t", "mass1", "mass2", "weighted_center", "max_velocity", "min_cell")

@@ -6,6 +6,8 @@ Each successor must equal, bit for bit, the state that the fully checking
 public constructor builds from the same data.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings
@@ -74,6 +76,51 @@ class TestOneGridType:
         assert message == boundary_outcome(gst, 2.0)
 
 
+def assert_row_views(block, row1, row2):
+    """``row1`` and ``row2`` are the rows of ``block``, one C-contiguous (2, n) array."""
+    assert block.shape == (2, row1.size) and block.flags.c_contiguous
+    assert row1.base is block and row2.base is block
+    assert same_bits(row1, block[0]) and same_bits(row2, block[1])
+
+
+def assert_reads_like_its_rows(st, p):
+    """The block-wide reductions give the 1-D computations on each row, bit for bit."""
+    occupied = np.flatnonzero((st.rho1 + st.rho2) != 0)
+    lo, hi = (int(occupied[0]), int(occupied[-1]) + 1) if occupied.size else (0, 0)
+    assert st.window == (lo, hi)
+    assert st.total_masses() == (float(np.sum(st.rho1)), float(np.sum(st.rho2)))
+    x = st.centers[lo:hi]
+    center = (p.theta1 / p.chi1) * float((x * st.rho1[lo:hi]).sum()) + (p.theta2 / p.chi2) * float(
+        (x * st.rho2[lo:hi]).sum()
+    )
+    assert same_bits(st.weighted_center(p), center)
+
+
+class TestOneBlockPerState:
+    """Both species of a grid state live in one (2, n) array, and so do the
+    kinetic fluxes; every successor keeps the views on its own block."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(m1=cells, m2=cells, u=hs.floats(-1.0, 1.0), theta2=hs.sampled_from([1.0, 0.5, 2.0]))
+    def test_species_are_row_views_of_one_block(self, m1, m2, u, theta2):
+        gst, _ = grid_and_kinetic(m1, m2)
+        p = ModelParams(chi1=0.45, chi2=0.3, theta2=theta2)
+        kst = KineticState(gst.xmin, gst.dx, gst.rho1, gst.rho2, u * gst.rho1, -u * gst.rho2, 0.1)
+        states = [gst, kst]
+        if sum(gst.total_masses()) > 0:
+            dt = 0.5 * cfl_dt(gst.dx, KERNEL, p, total_masses=gst.total_masses())
+            states.append(fv.step(gst, make_flux(gst, KERNEL, p), dt))
+        nxt = kinetic.step(kst, solve_chemo_field(kst, p, KERNEL, kst._padded_window()), p)
+        for st in states + [nxt]:
+            assert_row_views(st.rho, st.rho1, st.rho2)
+            assert_reads_like_its_rows(st, p)
+        for st in (kst, nxt):
+            assert_row_views(st.J, st.J1, st.J2)
+        # the successors own new blocks; the state they came from is untouched
+        assert nxt.rho is not kst.rho and nxt.J is not kst.J
+        assert same_bits(kst.rho1, gst.rho1) and same_bits(kst.rho2, gst.rho2)
+
+
 def old_centers(xmin, dx, lo, hi):
     """The centres of cells [lo, hi) as every state computed them before
     they were cached per grid."""
@@ -85,21 +132,47 @@ grids = hs.tuples(
 )
 
 
+def whole_quanta_1d(x, q):
+    """One species' transfers rounded toward zero to whole quanta, as each
+    species was rounded on its own before both went through at once."""
+    if q > 0.0:
+        inv = 1.0 / q
+        x = np.trunc(x * inv if math.isfinite(inv) else x / q)
+        x *= q
+    return x
+
+
 class TestWholeQuanta:
-    """Every solver rounds a transfer to whole quanta through one helper."""
+    """Every solver rounds a transfer to whole quanta through one helper,
+    on a (2, w) block of both species with one quantum per row."""
 
     @pytest.mark.parametrize("total", [1e-300, 1.0, 1e300])
     def test_rounds_toward_zero_as_dividing_does(self, total):
         # 1e-300 has a subnormal quantum whose reciprocal overflows
         q = mass_quantum(total)
-        x = np.random.default_rng(3).normal(size=400) * (total / 50)
-        assert same_bits(whole_quanta(x.copy(), q), np.trunc(x / q) * q)
+        x = np.random.default_rng(3).normal(size=(2, 400)) * (total / 50)
+        assert same_bits(whole_quanta(x.copy(), (q, q)), np.trunc(x / q) * q)
         # on nonnegative transfers toward zero is down
-        assert same_bits(whole_quanta(np.abs(x), q), np.floor(np.abs(x) / q) * q)
+        assert same_bits(whole_quanta(np.abs(x), (q, q)), np.floor(np.abs(x) / q) * q)
 
     def test_a_zero_quantum_leaves_the_transfers(self):
-        x = np.array([0.0, 0.0, -0.0])
-        assert same_bits(whole_quanta(x, 0.0), x)
+        x = np.array([[0.0, 0.0, -0.0], [-0.0, 0.0, 0.0]])
+        assert same_bits(whole_quanta(x.copy(), (0.0, 0.0)), x)
+
+    @pytest.mark.parametrize("other_total", [1e-300, 0.0], ids=["subnormal", "empty"])
+    def test_each_row_is_the_one_species_rounding(self, other_total):
+        # one normal quantum beside a subnormal one (divided) or beside an
+        # empty species (q = 0, unchanged, and no 1/0 is computed), in
+        # either row
+        rng = np.random.default_rng(5)
+        for q in ((1.0 / 1024, mass_quantum(other_total)), (mass_quantum(other_total), 1.0 / 1024)):
+            # about a thousand quanta per transfer, or unit transfers for q = 0
+            x = rng.normal(size=(2, 300)) * np.array([[qa * 1e3 if qa else 1.0] for qa in q])
+            out = whole_quanta(x.copy(), q)
+            for k in range(2):
+                assert same_bits(out[k], whole_quanta_1d(x[k].copy(), q[k]))
+            if 0.0 in q:
+                assert same_bits(out[q.index(0.0)], x[q.index(0.0)])
 
 
 class TestCellCentres:
@@ -190,7 +263,7 @@ class TestStepSuccessors:
         st = KineticState(gst.xmin, gst.dx, rho1, rho2, u * rho1, -u * rho2, epsilon)
         p = ModelParams(chi1=0.45, chi2=0.3)
         for _ in range(n_steps):
-            nxt = kinetic.step(st, solve_chemo_field(st, p, KERNEL), p)
+            nxt = kinetic.step(st, solve_chemo_field(st, p, KERNEL, st._padded_window()), p)
             for quanta in ((nxt.q1, nxt.q2), ()):
                 ref = KineticState(
                     nxt.xmin, nxt.dx, nxt.rho1, nxt.rho2, nxt.J1, nxt.J2,

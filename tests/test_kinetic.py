@@ -7,7 +7,7 @@ from hypothesis import strategies as hs
 
 from aggrekin.expconv import direct_potential, exp_potential_scan
 from aggrekin.fv import GridState
-from aggrekin.kernel import exponential_kernel
+from aggrekin.kernel import exponential_kernel, regularize
 from aggrekin.kinetic import (
     ChemoField,
     KineticState,
@@ -19,6 +19,7 @@ from aggrekin.kinetic import (
     well_prepared_state,
 )
 from aggrekin.measures import ModelParams, sample_gaussian_bumps
+from test_grid_state import same_bits, whole_quanta_1d
 
 KERNEL = exponential_kernel()
 
@@ -165,7 +166,8 @@ class TestKineticState:
 class TestStep:
     def test_zero_state_stays_zero(self):
         st = KineticState(0.0, 0.1, np.zeros(8), np.zeros(8), np.zeros(8), np.zeros(8), 0.5)
-        field = ChemoField(np.zeros(8), np.zeros(8))
+        a, b = st._padded_window()
+        field = ChemoField(np.zeros(b - a), np.zeros(b - a), (a, b))
         out = step(st, field, kinetic_params())
         assert np.all(out.rho1 == 0.0) and np.all(out.J1 == 0.0)
 
@@ -178,7 +180,7 @@ class TestStep:
         j0 = np.full(n, 0.1)
         st = KineticState(0.0, dx, rho, np.zeros(n), j0, np.zeros(n), eps)
         ds = np.full(n, 0.2)
-        field = ChemoField(np.zeros(n), ds)
+        field = ChemoField(np.zeros(n), ds, (0, n))
         p = kinetic_params(chi1=0.4)
         out = step(st, field, p)
         beta = 2.0 * p.psi1 * dt / eps
@@ -193,7 +195,7 @@ class TestStep:
         rho = np.full(n, 0.5)
         st = KineticState(0.0, dx, rho, np.zeros(n), np.zeros(n), np.zeros(n), 1e-12)
         ds = np.full(n, 0.3)
-        field = ChemoField(np.zeros(n), ds)
+        field = ChemoField(np.zeros(n), ds, (0, n))
         p = kinetic_params(chi1=0.4)
         out = step(st, field, p)
         inner = slice(2, -2)
@@ -213,7 +215,7 @@ class TestStep:
         m1 = left_to_right_sum(st.rho1)
         m2 = left_to_right_sum(st.rho2)
         for _ in range(60):
-            field = solve_chemo_field(st, p, KERNEL)
+            field = solve_chemo_field(st, p, KERNEL, st._padded_window())
             st = step(st, field, p)
         assert left_to_right_sum(st.rho1) - m1 == 0.0
         assert left_to_right_sum(st.rho2) - m2 == 0.0
@@ -231,7 +233,7 @@ class TestStep:
         p = kinetic_params(0.45, 0.3)
         assert check_positivity_condition(p)
         for _ in range(40):
-            field = solve_chemo_field(st, p, KERNEL)
+            field = solve_chemo_field(st, p, KERNEL, st._padded_window())
             st = step(st, field, p)
             assert np.all(np.abs(st.J1) <= st.rho1)
             assert np.all(np.abs(st.J2) <= st.rho2)
@@ -245,13 +247,121 @@ class TestStep:
         r2 = sample_gaussian_bumps([(4.0, 0.0)], (xmin, xmax, dx), width=width)
         st0 = GridState(xmin, dx, r1.masses, r2.masses)
         kin = well_prepared_state(st0, p, 1e-6, KERNEL)
-        field = solve_chemo_field(kin, p, KERNEL)
+        a, b = kin._padded_window()
+        field = solve_chemo_field(kin, p, KERNEL, (a, b))
         assert np.max(np.abs(p.chi1 * field.dS)) < 1.0
         new = step(kin, field, p)
-        for chi, j, rho in ((p.chi1, new.J1, new.rho1), (p.chi2, new.J2, new.rho2)):
+        for chi, j, rho in ((p.chi1, new.J1[a:b], new.rho1[a:b]), (p.chi2, new.J2[a:b], new.rho2[a:b])):
             target = chi * field.dS * rho
             err = np.max(np.abs(j - target)) / np.max(np.abs(target))
             assert err <= 1e-6
+
+
+def whole_grid_transport(rho, j, q):
+    """The lattice shift of one species over every cell, outgoing mass
+    retained in the cells at both grid ends."""
+    if q == 0.0:
+        return rho.copy(), j.copy()
+    a = whole_quanta_1d((rho + j) * 0.5, q)
+    a = np.minimum(np.maximum(a, 0.0), rho)
+    b = rho - a
+    a_new = np.empty_like(a)
+    a_new[0] = 0.0
+    a_new[1:] = a[:-1]
+    a_new[-1] += a[-1]
+    b_new = np.empty_like(b)
+    b_new[-1] = 0.0
+    b_new[:-1] = b[1:]
+    b_new[0] += b[0]
+    return a_new + b_new, a_new - b_new
+
+
+def whole_grid_step(st, ds, p):
+    """``step`` written out per species on all n cells, with the gradient
+    ``ds`` given on every cell: rho1, J1, rho2, J2 of the successor."""
+    out = []
+    species = ((st.rho1, st.J1, st.q1, p.chi1, p.psi1), (st.rho2, st.J2, st.q2, p.chi2, p.psi2))
+    for rho, j, q, chi, psi in species:
+        rho_new, j_t = whole_grid_transport(rho, j, q)
+        beta = 2.0 * psi * st.dx / st.epsilon
+        target = (j_t + beta * chi * ds * rho_new) / (1.0 + beta)
+        delta = whole_quanta_1d(0.5 * (target - j_t), q)
+        out += [rho_new, np.clip(j_t + 2.0 * delta, -rho_new, rho_new)]
+    return out
+
+
+class TestWindowedStep:
+    """The step works on the padded window for both species at once; every
+    cell outside stays 0, so it equals the whole-grid step fed the same
+    gradient on the window and zeros elsewhere."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=hs.data(),
+        n=hs.integers(5, 60),
+        place=hs.sampled_from(["mid", "left", "right", "whole"]),
+        held=hs.sampled_from([(1, 2), (1,), (2,)]),
+        scale=hs.sampled_from([1.0, 1e-300]),
+        epsilon=hs.floats(1e-3, 10.0),
+        u=hs.floats(-1.0, 1.0),
+    )
+    def test_equals_the_whole_grid_step(self, data, n, place, held, scale, epsilon, u):
+        # place: a support strictly inside the grid, or touching cell 0,
+        # cell n - 1 or both (the retention rule); held: the species with
+        # mass (the other has q = 0); scale 1e-300: a subnormal quantum
+        # that has no finite reciprocal
+        width = n if place == "whole" else data.draw(hs.integers(1, n - 4), label="width")
+        if place == "mid":
+            lo = data.draw(hs.integers(2, n - 2 - width), label="lo")
+        else:
+            lo = n - width if place == "right" else 0
+        rho = np.zeros((2, n))
+        for sp in held:
+            masses = data.draw(hs.lists(hs.floats(0.0, 5.0), min_size=width, max_size=width), label="masses")
+            rho[sp - 1, lo : lo + width] = np.array(masses) * scale
+            rho[sp - 1, lo] = rho[sp - 1, lo + width - 1] = 0.7 * scale
+        st = KineticState(-1.0, 2.0 / n, rho[0], rho[1], u * rho[0], -0.5 * u * rho[1], epsilon)
+        assert 0.0 in (st.q1, st.q2) or len(held) == 2
+        assert (scale < 1.0) == math.isinf(1.0 / max(st.q1, st.q2))
+        a, b = st._padded_window()
+        assert (a == 0, b == n) == (place in ("left", "whole"), place in ("right", "whole"))
+        ds = np.array(data.draw(hs.lists(hs.floats(-3.0, 3.0), min_size=b - a, max_size=b - a), label="ds"))
+        p = ModelParams(chi1=0.45, chi2=0.3, psi2=0.5)
+        nxt = step(st, ChemoField(np.zeros(b - a), ds, (a, b)), p)
+        ds_grid = np.zeros(n)
+        ds_grid[a:b] = ds
+        ref = whole_grid_step(st, ds_grid, p)
+        for name, want in zip(("rho1", "J1", "rho2", "J2"), ref):
+            assert same_bits(getattr(nxt, name), want), name
+        lo_new, hi_new = nxt.window
+        assert a <= lo_new and hi_new <= b
+        assert nxt.window == KineticState(nxt.xmin, nxt.dx, nxt.rho1, nxt.rho2, nxt.J1, nxt.J2, epsilon).window
+
+    def test_refuses_a_field_of_another_span(self):
+        rho = np.zeros(40)
+        rho[10:20] = 0.1
+        st = KineticState(-1.0, 0.05, rho, rho, np.zeros(40), np.zeros(40), 0.1)
+        p = kinetic_params()
+        for span in (None, (8, 21), (9, 22)):
+            with pytest.raises(ValueError, match=r"spans cells .*\(9, 21\)"):
+                step(st, solve_chemo_field(st, p, KERNEL, span), p)
+        assert step(st, solve_chemo_field(st, p, KERNEL, (9, 21)), p).window == (9, 21)
+
+    @pytest.mark.parametrize("kernel", [KERNEL, regularize(KERNEL, 20)], ids=["exponential", "regularized"])
+    def test_window_field_is_the_whole_grid_sum(self, kernel):
+        # the window's field against the direct sum over every cell of the grid
+        grid = (-2.0, 2.0, 1e-2)
+        r1 = sample_gaussian_bumps([(1.0, -0.4)], grid, width=50.0)
+        r2 = sample_gaussian_bumps([(1.0, 0.4)], grid, width=50.0)
+        st = GridState(grid[0], grid[2], r1.masses, r2.masses)
+        p = kinetic_params(0.45, 0.3)
+        a, b = st._padded_window()
+        assert b - a < st.n_cells
+        field = solve_chemo_field(st, p, kernel, (a, b))
+        s, ds = direct_potential(st.centers, p.theta1 * st.rho1 + p.theta2 * st.rho2, kernel)
+        assert field.span == (a, b)
+        assert np.max(np.abs(field.S - s[a:b])) <= 1e-12 * np.max(np.abs(s))
+        assert np.max(np.abs(field.dS - ds[a:b])) <= 1e-12 * np.max(np.abs(ds))
 
 
 class TestRun:
