@@ -1,12 +1,11 @@
-"""Linear-time convolution with the exponential kernel on a uniform grid.
+"""Linear-time convolution with every kernel of the package on a uniform grid.
 
 For ordered nodes the factorization e^{-|x_j - x_i|} = e^{-|x_j - x_k|} *
-e^{-|x_k - x_i|} turns the one-sided convolution sums into first-order
-recursions.  They are evaluated blockwise so everything vectorizes while
-the local exponential rescaling stays well inside float64 range.  A
-chunked O(N^2) direct summation over the pairwise difference matrix is
-kept for every other kernel and as the reference path; the two must
-agree to 1e-12 relative.
+e^{-|x_k - x_i|} turns the one-sided sums with the exponential kernel into
+first-order recursions, evaluated blockwise so everything vectorizes while
+the local exponential rescaling stays well inside float64 range.  A kernel
+that differs from it only on |x| <= 1/n, the regularized K_n, adds the
+difference as a stencil over the cells within 1/n (empty for the former).
 """
 
 from __future__ import annotations
@@ -16,19 +15,13 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = [
-    "exp_one_sided_sums",
-    "exp_velocity_scan",
-    "exp_potential_scan",
-    "direct_velocity",
-    "direct_potential",
-]
+from .kernel import PointyKernel, _exp_deriv, _exp_value
+
+__all__ = ["exp_one_sided_sums", "exp_velocity_scan", "exp_potential_scan", "near_field", "add_near_field"]
 
 # cap the in-block exponential rescaling at e^{0.25} to keep the blocked
 # cumulative sums accurate to ~1e-13 relative
 _MAX_BLOCK_SPAN = 0.25
-# rows of the pairwise difference matrix formed at a time by the direct sums
-_CHUNK = 256
 
 
 @lru_cache(maxsize=8)
@@ -102,31 +95,24 @@ def exp_potential_scan(w: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray
     return s, ds
 
 
-def _direct_sums(x: np.ndarray, w: np.ndarray, kernel_fns) -> list[np.ndarray]:
-    """out[j] = sum_i f(x_j - x_i) w_i for each f of ``kernel_fns``, over
-    row chunks of the pairwise difference matrix."""
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    n = x.size
-    outs = [np.empty(n) for _ in kernel_fns]
-    for start in range(0, n, _CHUNK):
-        diff = x[start : start + _CHUNK, None] - x[None, :]
-        for out, f in zip(outs, kernel_fns):
-            out[start : start + _CHUNK] = f(diff) @ w
-    return outs
+@lru_cache(maxsize=8)
+def near_field(kernel: PointyKernel, dx: float) -> tuple[np.ndarray, np.ndarray]:
+    """The stencils (K - E)(k dx) and (K' - E')(k dx), hatted at 0, that ``kernel`` adds to
+    the scan of the exponential kernel E, for |k| <= floor(inv_n / dx) + 1; empty for E."""
+    if not kernel.inv_n:
+        return np.zeros(0), np.zeros(0)
+    m = int(kernel.inv_n / dx) + 1
+    x = np.arange(-m, m + 1) * dx
+    c_s, c_ds = kernel.value_fn(x) - _exp_value(x), kernel.hat_deriv(x) - _exp_deriv(x)
+    c_s.flags.writeable = c_ds.flags.writeable = False
+    return c_s, c_ds
 
 
-def direct_velocity(x: np.ndarray, w: np.ndarray, kernel) -> np.ndarray:
-    """O(N^2) velocity sum a[j] = sum_{i != j} K'(x_j - x_i) * w_i."""
-    (a,) = _direct_sums(x, w, (kernel.hat_deriv,))
-    return a
-
-
-def direct_potential(x: np.ndarray, w: np.ndarray, kernel) -> tuple[np.ndarray, np.ndarray]:
-    """O(N^2) potential and hatted-derivative convolutions.
-
-    S[j] = sum_i K(x_j - x_i) w_i  (self term included; K(0) is finite),
-    dS[j] = sum_{i != j} K'(x_j - x_i) w_i.
-    """
-    s, ds = _direct_sums(x, w, (kernel.value, kernel.hat_deriv))
-    return s, ds
+def add_near_field(field: np.ndarray, w: np.ndarray, stencil: np.ndarray) -> np.ndarray:
+    """``field`` plus sum_i w[i] stencil[j - i] on the cells of ``w``, in place,
+    for a :func:`near_field` stencil (centred, cut to the window's width)."""
+    if stencil.size:
+        mid = stencil.size // 2
+        m = min(mid, w.size - 1)
+        field += np.convolve(w, stencil[mid - m : mid + m + 1])[m : m + w.size]
+    return field

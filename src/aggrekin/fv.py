@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expconv import direct_velocity, exp_velocity_scan
+from .expconv import add_near_field, exp_velocity_scan, near_field
 from .kernel import PointyKernel
 from .lattice import GridCells, _occupied_span, check_boundary, mass_quantum, march, whole_quanta
 from .measures import ModelParams
@@ -71,14 +71,11 @@ class FluxField:
 def make_flux(state: GridState, kernel: PointyKernel, p: ModelParams) -> FluxField:
     """The field that ``step`` transports ``state`` with: a_hat[j] =
     sum_{i != j} K'(x_j - x_i) w_i, w = theta1 rho1 + theta2 rho2, on the
-    padded window alone, as no mass lies outside.  The exponential kernel
-    is scanned in O(N); any other kernel is summed directly in O(N^2)."""
+    padded window alone, as no mass lies outside.  It is the exponential
+    scan plus the kernel's near-field stencil, O(N) for every kernel."""
     a, b = state._padded_window()
     w = p.theta1 * state.rho1[a:b] + p.theta2 * state.rho2[a:b]
-    if kernel.kind == "exponential":
-        v = exp_velocity_scan(w, state.dx)
-    else:
-        v = direct_velocity(state.centers[a:b], w, kernel)
+    v = add_near_field(exp_velocity_scan(w, state.dx), w, near_field(kernel, state.dx)[1])
     return FluxField(p.chi1, p.chi2, (a, b), v, float(np.abs(v).max()))
 
 

@@ -11,6 +11,7 @@ amounts to excluding the self-interaction term.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -36,7 +37,9 @@ class PointyKernel:
     ``value`` and ``deriv`` must accept scalars or numpy arrays.  ``deriv``
     is only meaningful away from 0; use :meth:`hat_deriv` for the
     diagonal-zeroed version that the solvers consume.  ``lipschitz`` bounds
-    ``|deriv|`` and ``lam`` is the one-sided concavity constant.
+    ``|deriv|`` and ``lam`` is the one-sided concavity constant.  Outside
+    |x| <= ``inv_n`` (0 for the exponential kernel, 1/n for K_n) the kernel
+    is the exponential one; inside, its slope is linear (:attr:`band_slope`).
     """
 
     value_fn: Callable = field(repr=False)
@@ -44,6 +47,7 @@ class PointyKernel:
     lipschitz: float
     lam: float
     kind: str
+    inv_n: float = 0.0
 
     def value(self, x):
         """Potential value K(x); even in x."""
@@ -62,6 +66,11 @@ class PointyKernel:
         arr = _check_finite(x)
         out = np.where(arr == 0.0, 0.0, self.deriv_fn(arr))
         return float(out) if arr.ndim == 0 else out
+
+    @cached_property
+    def band_slope(self) -> float:
+        """K'(x) / x on |x| <= ``inv_n``; 0 for the exponential kernel."""
+        return self.deriv(self.inv_n) / self.inv_n if self.inv_n else 0.0
 
 
 def _exp_value(x):
@@ -107,4 +116,5 @@ def regularize(kernel: PointyKernel, n: int) -> PointyKernel:
         inner = _k.value_fn(np.full_like(x, _inv)) + 0.5 * _s * (x * x - _inv * _inv)
         return np.where(np.abs(x) > _inv, _k.value_fn(x), inner)
 
-    return PointyKernel(reg_value, reg_deriv, kernel.lipschitz, kernel.lam, kind="regularized")
+    band = max(kernel.inv_n, inv_n)  # where the result differs from the exponential kernel
+    return PointyKernel(reg_value, reg_deriv, kernel.lipschitz, kernel.lam, kind="regularized", inv_n=band)

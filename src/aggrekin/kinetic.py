@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import write_csv
-from .expconv import direct_potential, exp_potential_scan
+from .expconv import add_near_field, exp_potential_scan, near_field
 from .fv import GridState
 from .fv import run as fv_run
 from .kernel import PointyKernel, exponential_kernel
@@ -109,15 +109,12 @@ def solve_chemo_field(
 ) -> ChemoField:
     """S = K * (theta1 rho1 + theta2 rho2) and its hatted-kernel gradient on
     the cells ``span`` (default: all), which must cover the state's window:
-    scanned in O(N) for the exponential kernel, summed directly in O(N^2)
-    for any other."""
+    the exponential scan plus the kernel's near-field stencils, O(N) for
+    every kernel."""
     a, b = (0, state.n_cells) if span is None else span
     w = p.theta1 * state.rho1[a:b] + p.theta2 * state.rho2[a:b]
-    if kernel.kind == "exponential":
-        s, ds = exp_potential_scan(w, state.dx)
-    else:
-        s, ds = direct_potential(state.centers[a:b], w, kernel)
-    return ChemoField(s, ds, (a, b))
+    fields = zip(exp_potential_scan(w, state.dx), near_field(kernel, state.dx))
+    return ChemoField(*(add_near_field(f, w, c) for f, c in fields), (a, b))
 
 
 def step(state: KineticState, field: ChemoField, p: ModelParams) -> KineticState:

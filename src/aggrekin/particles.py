@@ -8,8 +8,8 @@ the attraction ODEs driven by the hatted kernel.  Each call to
 *Solving ODEs I*, II.5) and carries Shampine's quartic interpolant of the
 step as its dense output (II.6), on Python floats.  Within a step the pair
 ordering is frozen, so a trial stage that lands past a contact sees the
-kernel slope continued smoothly rather than flipped (for the exponential
-kernel, an O(N) one-sided recursion).  Events are roots located on the
+kernel slope continued smoothly rather than flipped (an O(N) one-sided
+recursion plus K_n's pairs within 1/n).  Events are roots located on the
 interpolant to ``ROOT_TOL`` in time: a contact is an adjacent gap
 reaching ``gap_tol``, an unglue is a glued cluster's LHS - RHS of the
 synchronising condition reaching 0.  Same-species contacts merge;
@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -240,12 +241,9 @@ def _pulls(z: list[float], wrho: list[float], kernel: PointyKernel) -> list[floa
     with s = sign(i - j), so the pull is (R_i - L_i) / 2 with L_i =
     e^{z_{i-1} - z_i} (L_{i-1} + wrho_{i-1}) and R_i mirrored: N - 1 calls
     of ``math.exp``, which raises OverflowError on a stage far past a flip.
-    The regularized kernel, smooth through 0, is summed pairwise."""
-    if kernel.kind != "exponential":
-        with np.errstate(over="ignore", invalid="ignore"):
-            slopes = kernel.deriv_fn(np.subtract.outer(z, z))
-        np.fill_diagonal(slopes, 0.0)
-        return (slopes @ np.array(wrho)).tolist()
+    K_n, smooth through 0, swaps that slope for its own K_n'(z_i - z_j) on
+    each pair i < j with z_j - z_i <= 1/n, flipped ones included, found by
+    walking right from each i while min(z[j:]) - z_i <= 1/n."""
     # e[i] = e^{z_i - z_{i+1}} serves L_{i+1} and R_i
     e = [math.exp(a - b) for a, b in zip(z, z[1:])]
     left = [0.0]
@@ -260,6 +258,17 @@ def _pulls(z: list[float], wrho: list[float], kernel: PointyKernel) -> list[floa
         acc = f * (acc + w)
         pull.append(0.5 * (acc - lft))
     pull.reverse()
+    if kernel.inv_n:
+        reach, slope, low = kernel.inv_n, kernel.band_slope, list(accumulate(reversed(z), min))[::-1]
+        for i, zi in enumerate(z):
+            j = i + 1
+            while j < len(z) and low[j] - zi <= reach:
+                if (x := zi - z[j]) >= -reach:
+                    # K_n' is linear within reach, and exponential on a pair flipped past it
+                    d = (slope * x if x <= reach else -0.5 * math.exp(-x)) - 0.5 * math.exp(x)
+                    pull[i] += wrho[j] * d
+                    pull[j] -= wrho[i] * d
+                j += 1
     return pull
 
 

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from aggrekin.expconv import direct_potential, direct_velocity, exp_potential_scan, exp_velocity_scan
+from aggrekin.expconv import exp_potential_scan, exp_velocity_scan
 from aggrekin.fv import GridState, cfl_dt, make_flux, run as fv_run, species_peaks, step as fv_step
 from aggrekin.kernel import exponential_kernel
 from aggrekin.kinetic import limit_experiment
@@ -27,6 +27,7 @@ from aggrekin.measures import (
 )
 from aggrekin.particles import Cluster, ClusterSet, _sync, glued_selection, run as particle_run, sync_condition
 from aggrekin.scenarios import initial_cluster_set, initial_grid_state, preset
+from oracle import direct_potential, direct_velocity
 
 KERNEL = exponential_kernel()
 M0 = bump_mass_unit()

@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from aggrekin.expconv import (
-    direct_potential,
-    direct_velocity,
-    exp_one_sided_sums,
-    exp_potential_scan,
-    exp_velocity_scan,
-)
-from aggrekin.kernel import exponential_kernel
+from aggrekin.expconv import add_near_field, exp_one_sided_sums, exp_potential_scan, exp_velocity_scan, near_field
+from aggrekin.kernel import exponential_kernel, regularize
+from oracle import direct_potential, direct_velocity
 
 
 def brute_one_sided(w, dx):
@@ -110,28 +105,56 @@ class TestOneSidedSums:
             exp_one_sided_sums(np.ones(3), 0.0)
 
 
-@pytest.mark.parametrize("n", [128, 1024, 10_000])
-def test_scan_matches_direct_velocity(n):
+# (cells, dx, n): n = 0 is the exponential kernel, any other the regularized
+# K_n, whose near-field stencil is added to the scan: wider than the window,
+# on a one-cell window, and with 1/n a whole number of cells
+GRIDS = [pytest.param(n, 5e-4, 0, id=str(n)) for n in (128, 1024, 10_000)] + [
+    pytest.param(50, 1e-2, 1, id="stencil-wider-than-window"),
+    pytest.param(1, 1e-2, 20, id="one-cell"),
+    pytest.param(300, 2**-9, 16, id="inv-n-whole-cells"),
+    pytest.param(200, 1e-2, 25, id="inv-n-whole-decimal-cells"),
+    pytest.param(2320, 5e-4, 50, id="example1-window"),
+]
+
+
+def kernel_of(n):
+    return exponential_kernel() if n == 0 else regularize(exponential_kernel(), n)
+
+
+@pytest.mark.parametrize("n, dx, reg", GRIDS)
+def test_scan_matches_direct_velocity(n, dx, reg):
     rng = np.random.default_rng(n)
-    dx = 5e-4
     w = rng.uniform(0, 1, n)
     x = (np.arange(n) + 0.5) * dx
-    fast = exp_velocity_scan(w, dx)
-    slow = direct_velocity(x, w, exponential_kernel())
+    kernel = kernel_of(reg)
+    fast = add_near_field(exp_velocity_scan(w, dx), w, near_field(kernel, dx)[1])
+    slow = direct_velocity(x, w, kernel)
     scale = np.max(np.abs(slow))
     assert np.max(np.abs(fast - slow)) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("n", [128, 1024, 10_000])
-def test_scan_matches_direct_potential(n):
+@pytest.mark.parametrize("n, dx, reg", GRIDS)
+def test_scan_matches_direct_potential(n, dx, reg):
     rng = np.random.default_rng(n + 1)
-    dx = 5e-4
     w = rng.uniform(0, 1, n)
     x = (np.arange(n) + 0.5) * dx
+    kernel = kernel_of(reg)
     s_fast, ds_fast = exp_potential_scan(w, dx)
-    s_slow, ds_slow = direct_potential(x, w, exponential_kernel())
+    c_s, c_ds = near_field(kernel, dx)
+    s_fast, ds_fast = add_near_field(s_fast, w, c_s), add_near_field(ds_fast, w, c_ds)
+    s_slow, ds_slow = direct_potential(x, w, kernel)
     assert np.max(np.abs(s_fast - s_slow)) <= 1e-12 * np.max(np.abs(s_slow))
     assert np.max(np.abs(ds_fast - ds_slow)) <= 1e-12 * np.max(np.abs(ds_slow))
+
+
+def test_near_field_stencil():
+    # empty for the exponential kernel; for K_n it spans the cells within
+    # 1/n plus one, whose last entries are 0
+    assert near_field(exponential_kernel(), 0.1)[0].size == 0
+    c_s, c_ds = near_field(regularize(exponential_kernel(), 16), 2**-9)
+    assert c_s.size == c_ds.size == 2 * 33 + 1
+    assert c_s[0] == c_s[-1] == c_ds[0] == c_ds[-1] == 0.0
+    assert np.array_equal(c_s, c_s[::-1]) and np.array_equal(c_ds, -c_ds[::-1])
 
 
 def test_scan_matches_direct_on_coarse_grids():

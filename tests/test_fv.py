@@ -16,10 +16,11 @@ from aggrekin.fv import (
     species_peaks,
     step,
 )
-from aggrekin.expconv import direct_potential, direct_velocity, exp_potential_scan, exp_velocity_scan
+from aggrekin.expconv import exp_potential_scan, exp_velocity_scan
 from aggrekin.kernel import exponential_kernel, regularize
 from aggrekin.kinetic import solve_chemo_field
 from aggrekin.measures import ModelParams, bump_mass_unit, sample_gaussian_bumps
+from oracle import direct_potential, direct_velocity
 
 getcontext().prec = 50
 
@@ -126,8 +127,9 @@ class TestAssembleVelocity:
         assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow))
 
     def test_scan_refused_for_non_exponential_kernel(self):
-        # the kernel alone picks the path, at every grid size: the scan for
-        # the exponential kernel, the direct sum for any other
+        # every kernel is scanned, at every grid size: the exponential kernel's
+        # field is the scan itself, the regularized one's adds its stencil
+        # and holds the direct sum to 1e-12
         p = unit_params()
         reg = regularize(KERNEL, 2)
         for n in (17, 64, 600):
@@ -137,13 +139,14 @@ class TestAssembleVelocity:
             scan = exp_velocity_scan(w[a:b], st.dx)
             assert make_flux(st, KERNEL, p).velocity.tobytes() == scan.tobytes()
             direct = direct_velocity(st.centers[a:b], w[a:b], reg)
-            assert make_flux(st, reg, p).velocity.tobytes() == direct.tobytes()
-            for kernel, (s, ds) in (
-                (KERNEL, exp_potential_scan(w, st.dx)),
-                (reg, direct_potential(st.centers, w, reg)),
-            ):
-                field = solve_chemo_field(st, p, kernel)
-                assert field.S.tobytes() == s.tobytes() and field.dS.tobytes() == ds.tobytes()
+            v = make_flux(st, reg, p).velocity
+            assert np.max(np.abs(v - direct)) <= 1e-12 * np.max(np.abs(direct))
+            s, ds = exp_potential_scan(w, st.dx)
+            field = solve_chemo_field(st, p, KERNEL)
+            assert field.S.tobytes() == s.tobytes() and field.dS.tobytes() == ds.tobytes()
+            field = solve_chemo_field(st, p, reg)
+            for got, want in zip((field.S, field.dS), direct_potential(st.centers, w, reg)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_theta_weights_enter_the_sum(self):
         st = GridState(-1.0, 1.0, [1.0, 0.0], [0.0, 1.0])

@@ -111,3 +111,17 @@ class TestRegularize:
 
     def test_kind_tag(self):
         assert regularize(exponential_kernel(), 2).kind == "regularized"
+
+    def test_band_and_its_linear_slope(self):
+        # outside |x| <= inv_n the kernel is the exponential one; inside, its
+        # slope is band_slope * x, also when a regularized kernel is regularized again
+        k = exponential_kernel()
+        assert k.inv_n == 0.0 and k.band_slope == 0.0
+        nested = (regularize(regularize(k, 4), 32), regularize(regularize(k, 32), 4))
+        for r, band in ((regularize(k, 4), 0.25), (nested[0], 0.25), (nested[1], 0.25), (regularize(k, 50), 0.02)):
+            assert r.inv_n == band
+            x = np.linspace(-band, band, 101)
+            assert np.max(np.abs(r.deriv(x) - r.band_slope * x)) <= 1e-15
+            far = np.linspace(band, 3.0, 51)[1:]
+            assert np.array_equal(r.deriv(far), k.deriv(far))
+            assert np.array_equal(r.deriv(-far), k.deriv(-far))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from aggrekin.expconv import direct_potential, exp_potential_scan
+from aggrekin.expconv import exp_potential_scan
 from aggrekin.fv import GridState
 from aggrekin.kernel import exponential_kernel, regularize
 from aggrekin.kinetic import (
@@ -20,6 +20,7 @@ from aggrekin.kinetic import (
 )
 from aggrekin.measures import ModelParams, sample_gaussian_bumps
 from test_grid_state import same_bits, whole_quanta_1d
+from oracle import direct_potential
 
 KERNEL = exponential_kernel()
 
@@ -347,13 +348,31 @@ class TestWindowedStep:
                 step(st, solve_chemo_field(st, p, KERNEL, span), p)
         assert step(st, solve_chemo_field(st, p, KERNEL, (9, 21)), p).window == (9, 21)
 
-    @pytest.mark.parametrize("kernel", [KERNEL, regularize(KERNEL, 20)], ids=["exponential", "regularized"])
-    def test_window_field_is_the_whole_grid_sum(self, kernel):
+    @pytest.mark.parametrize(
+        "kernel, masses",
+        [
+            pytest.param(KERNEL, "bumps", id="exponential"),
+            pytest.param(regularize(KERNEL, 20), "bumps", id="regularized"),
+            # K_1's stencil reaches 101 cells each way, past the 47-cell window
+            pytest.param(regularize(KERNEL, 1), "narrow", id="stencil-wider-than-window"),
+            pytest.param(regularize(KERNEL, 20), "one-cell", id="one-occupied-cell"),
+            # 1/25 = 4 dx
+            pytest.param(regularize(KERNEL, 25), "bumps", id="inv-n-whole-cells"),
+        ],
+    )
+    def test_window_field_is_the_whole_grid_sum(self, kernel, masses):
         # the window's field against the direct sum over every cell of the grid
         grid = (-2.0, 2.0, 1e-2)
-        r1 = sample_gaussian_bumps([(1.0, -0.4)], grid, width=50.0)
-        r2 = sample_gaussian_bumps([(1.0, 0.4)], grid, width=50.0)
-        st = GridState(grid[0], grid[2], r1.masses, r2.masses)
+        if masses == "bumps":
+            r1 = sample_gaussian_bumps([(1.0, -0.4)], grid, width=50.0).masses
+            r2 = sample_gaussian_bumps([(1.0, 0.4)], grid, width=50.0).masses
+        else:
+            r1, r2 = np.zeros(400), np.zeros(400)
+            r1[200] = 1.0
+            if masses == "narrow":
+                r1[175:195] = np.random.default_rng(3).uniform(0.0, 0.1, 20)
+                r2[200:220] = 0.05
+        st = GridState(grid[0], grid[2], r1, r2)
         p = kinetic_params(0.45, 0.3)
         a, b = st._padded_window()
         assert b - a < st.n_cells

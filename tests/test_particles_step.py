@@ -22,11 +22,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from aggrekin import particles
-from aggrekin.kernel import exponential_kernel
+from aggrekin.kernel import exponential_kernel, regularize
 from aggrekin.measures import ModelParams
 from aggrekin.particles import (
     Cluster,
@@ -174,32 +174,65 @@ def test_velocities_match_reference():
             )
 
 
-def pairwise_velocities(z, m1, m2, p):
-    """Velocities at stage positions ``z`` for clusters whose start order is
-    their index order, summed pair by pair with ``math.fsum``: the pull on i
-    is sum_j -s_ij w_j e^{-s_ij (z_i - z_j)} / 2 with s_ij = sign(i - j).
-    Also returns, per cluster, the magnitude the velocity is a sum of."""
+def pairwise_pull_terms(z, w, i, kernel=KERNEL):
+    """The terms of the pull on cluster i at stage positions ``z`` for
+    clusters whose start order is their index order, one per other
+    cluster, and their magnitude.  The exponential kernel's slope is
+    -s_ij w_j e^{-s_ij (z_i - z_j)} / 2 with s_ij = sign(i - j), continued
+    across 0; the regularized kernel, smooth through 0, takes each pair's
+    own w_j K_n'(z_i - z_j).  The recursion sums the continued exponential
+    slopes for that kernel too and corrects the pairs within 1/n, so the
+    magnitude holds both."""
+    continued, own = [], []
+    for j in range(len(z)):
+        if j != i:
+            s = 1.0 if i > j else -1.0
+            continued.append(-0.5 * s * w[j] * math.exp(-s * (z[i] - z[j])))
+            own.append(w[j] * kernel.deriv(z[i] - z[j]))
+    if kernel.inv_n == 0.0:
+        return continued, math.fsum(map(abs, continued))
+    return own, math.fsum(map(abs, continued)) + math.fsum(map(abs, own))
+
+
+def pairwise_velocities(z, m1, m2, p, kernel=KERNEL):
+    """Velocities at stage positions ``z``, each pull summed pair by pair
+    (:func:`pairwise_pull_terms`) with ``math.fsum``.  Also returns, per
+    cluster, the magnitude the velocity is a sum of."""
     n = len(z)
     w = [p.theta1 * a + p.theta2 * b for a, b in zip(m1, m2)]
     v, magnitude = [], []
     for i in range(n):
-        terms = []
-        for j in range(n):
-            if j != i:
-                s = 1.0 if i > j else -1.0
-                terms.append(-0.5 * s * w[j] * math.exp(-s * (z[i] - z[j])))
+        terms, size = pairwise_pull_terms(z, w, i, kernel)
         pull = math.fsum(terms)
         if m1[i] > 0 and m2[i] > 0:
             factor = p.theta2 * m2[i] * (p.chi2 - p.chi1) / (p.chi1 * p.theta2 * m2[i] + p.chi2 * p.theta1 * m1[i])
             v.append(p.chi1 * (pull + p.theta2 * m2[i] * glued_selection(pull, m1[i], m2[i], p)))
-            magnitude.append(p.chi1 * (1.0 + abs(factor)) * math.fsum(map(abs, terms)))
+            magnitude.append(p.chi1 * (1.0 + abs(factor)) * size)
         else:
             chi = p.chi1 if m1[i] > 0 else p.chi2
             v.append(chi * pull)
-            magnitude.append(chi * math.fsum(map(abs, terms)))
+            magnitude.append(chi * size)
     return v, magnitude
 
 
+def packed(reg, z):
+    """An example of clusters at stage positions ``z`` under K_reg, of
+    alternating kinds, its positions reached as start plus shift."""
+    kinds = ["1", "2", "glued"]
+    return example(
+        [(1e-3, kinds[k % 3], 1.0 + 0.25 * k, 2.0, x - 1e-3 * (k + 1)) for k, x in enumerate(z)], True, 3.0, 0.7, reg
+    )
+
+
+# clusters packed inside 1/n = 0.02 of K_50 (or 1 of K_1), with pairs whose
+# order has flipped within a stage: adjacent, by more than 1/n, and one that
+# only the lowest position right of it reveals
+@packed(50, [0.0, 0.004, 0.009, 0.0105, 0.5])
+@packed(50, [0.0, 0.006, 0.005, 0.012, 0.3])
+@packed(50, [0.0, 0.05, 0.01, 0.2])
+@packed(50, [0.0, 0.03, -0.001])
+@packed(1, [-0.4, -0.1, 0.0, 0.3, 0.35])
+@packed(50, [-0.3, 0.1, 0.1 + 1e-9, 0.1 + 2e-9])
 @settings(max_examples=60, deadline=None)
 @given(
     hs.lists(
@@ -216,17 +249,20 @@ def pairwise_velocities(z, m1, m2, p):
     hs.booleans(),
     hs.floats(0.5, 10.0),
     hs.floats(0.5, 10.0),
+    hs.sampled_from([0, 1, 5, 50, 500]),
 )
-def test_recursion_velocities_match_pairwise_oracle(config, perturb, chi1, chi2):
+def test_recursion_velocities_match_pairwise_oracle(config, perturb, chi1, chi2, reg):
     # the clusters start sorted; a trial stage may carry adjacent pairs past
     # each other by up to 0.1, and their slopes stay on the start-order branch
+    # (reg = 0), or under the regularized K_reg take their own slope
     p = ModelParams(chi1=chi1, chi2=chi2)
+    kernel = KERNEL if reg == 0 else regularize(KERNEL, reg)
     start = np.cumsum([gap for gap, *_ in config]).tolist()
     z = [x + (shift if perturb else 0.0) for x, (*_, shift) in zip(start, config)]
     m1 = [a if kind != "2" else 0.0 for _, kind, a, _, _ in config]
     m2 = [b if kind != "1" else 0.0 for _, kind, _, b, _ in config]
-    got = particles._velocities(z, *particles._step_constants(m1, m2, p), m1, m2, KERNEL, p)
-    expected, magnitude = pairwise_velocities(z, m1, m2, p)
+    got = particles._velocities(z, *particles._step_constants(m1, m2, p), m1, m2, kernel, p)
+    expected, magnitude = pairwise_velocities(z, m1, m2, p, kernel)
     for g, e, mag in zip(got, expected, magnitude):
         # rtol 1e-12 of the velocity, or of the magnitude of its terms where
         # they cancel
