@@ -6,13 +6,16 @@ all other cells, each species is advected with its own chemosensitivity
 chi_a, and the interface fluxes use flux-vector splitting
 F = v^+ rho_left + v^- rho_right.
 
-Mass transfers between cells are quantized to a per-species power-of-two
-quantum q (``aggrekin.lattice``), so every cell value stays an exact float
-multiple of q.
+Mass transfers between cells are rounded up to whole multiples of a
+per-species power-of-two quantum q (``aggrekin.lattice``), so every cell
+value stays an exact float multiple of q.
 All updates are then exact floating-point operations, which makes the
 per-species total mass conserved to 0 ulp and positivity exact, at the
 cost of an O(1e-16) relative perturbation per transfer -- below ordinary
-roundoff for any other formulation.
+roundoff for any other formulation.  Rounding up means a cell that holds
+mass and moves sends at least one quantum, so the tails of the aggregates
+empty and the occupied window, on which every step works, shrinks with
+the mass after blow-up.
 """
 
 from __future__ import annotations
@@ -106,17 +109,28 @@ def cfl_dt(
     return dt
 
 
-def _quantized_outflows(rho: np.ndarray, v: np.ndarray, c: float, q) -> tuple[np.ndarray, np.ndarray]:
-    # on (2, w) blocks of both species: a cell sends c |v| rho one way only, so one
-    # signed transfer t holds both outflows; rounding toward zero is symmetric in its sign
-    t = whole_quanta(c * v * rho, q)
-    np.maximum(t[:, 0], 0.0, out=t[:, 0])
-    np.minimum(t[:, -1], 0.0, out=t[:, -1])
-    # trunc + strict CFL already guarantee |t| <= rho; the clamp only
-    # defends against degenerate safety factors within one ulp of 1
-    np.minimum(t, rho, out=t)
-    np.maximum(t, -rho, out=t)
-    return np.maximum(t, 0.0), np.maximum(-t, 0.0)
+def _quantized_outflows(rho: np.ndarray, a_hat: np.ndarray, speeds, q) -> np.ndarray:
+    # on (2, w) blocks of both species: cell j of species k sends the transfer
+    # t = speeds[k] a_hat[j] rho[k, j] to the right if t > 0 and -t to the left
+    # if t < 0, so at most one of its two outflows is nonzero.  Each outflow is
+    # rounded up to whole quanta: a cell that holds mass and moves sends at
+    # least one quantum, so an aggregate's tail empties and the window shrinks
+    t = np.multiply.outer(speeds, a_hat)
+    t *= rho
+    out = np.empty((2,) + t.shape)
+    np.maximum(t, 0.0, out=out[0])
+    np.negative(t, out=t)
+    np.maximum(t, 0.0, out=out[1])
+    whole_quanta(out, q, np.ceil)
+    # the window's outer faces carry nothing: at a grid end that is the
+    # boundary rule, and inside the grid those end cells are empty
+    out[0, :, -1] = 0.0
+    out[1, :, 0] = 0.0
+    # strict CFL makes each transfer less than rho, a multiple of q, so the
+    # rounded outflow is at most rho; the clamp only defends against
+    # degenerate safety factors within one ulp of 1
+    np.minimum(out, rho, out=out)
+    return out
 
 
 def step(state: GridState, flux: FluxField, dt: float) -> GridState:
@@ -141,10 +155,9 @@ def step(state: GridState, flux: FluxField, dt: float) -> GridState:
             f"CFL violation: dt * max|chi a_hat| = {dt * vmax:.3e} >= dx = {state.dx:.3e}"
         )
     c = dt / state.dx
-    v = np.multiply.outer((flux.chi1, flux.chi2), flux.velocity)
-    # the outflows zero the slice's outer faces: at a grid end that is
-    # the boundary rule, and inside the grid those end cells are empty
-    out_r, out_l = _quantized_outflows(state.rho[:, a:b], v, c, (state.q1, state.q2))
+    out_r, out_l = _quantized_outflows(
+        state.rho[:, a:b], flux.velocity, (c * flux.chi1, c * flux.chi2), (state.q1, state.q2)
+    )
     nxt = state.rho.copy()
     win = nxt[:, a:b]
     win -= out_r

@@ -46,7 +46,6 @@ class PointyKernel:
     deriv_fn: Callable = field(repr=False)
     lipschitz: float
     lam: float
-    kind: str
     inv_n: float = 0.0
 
     def value(self, x):
@@ -91,7 +90,7 @@ def exponential_kernel() -> PointyKernel:
     constant is 1/2 (the supremum of K'' away from the origin; the
     downward kink at 0 only helps).
     """
-    return PointyKernel(_exp_value, _exp_deriv, 0.5, 0.5, kind="exponential")
+    return PointyKernel(_exp_value, _exp_deriv, 0.5, 0.5)
 
 
 def regularize(kernel: PointyKernel, n: int) -> PointyKernel:
@@ -117,4 +116,4 @@ def regularize(kernel: PointyKernel, n: int) -> PointyKernel:
         return np.where(np.abs(x) > _inv, _k.value_fn(x), inner)
 
     band = max(kernel.inv_n, inv_n)  # where the result differs from the exponential kernel
-    return PointyKernel(reg_value, reg_deriv, kernel.lipschitz, kernel.lam, kind="regularized", inv_n=band)
+    return PointyKernel(reg_value, reg_deriv, kernel.lipschitz, kernel.lam, inv_n=band)

@@ -56,21 +56,25 @@ def snap(values, q: float):
     return x
 
 
-def whole_quanta(x: np.ndarray, q) -> np.ndarray:
-    """The transfers ``x``, a fresh (2, w) array of both species, rounded in
-    place toward zero to whole multiples of their quanta ``q`` = (q1, q2)
-    so that cells stay on the lattice; a row whose q is 0 is unchanged.  q
-    is a power of two, so x * (1/q) is x / q exactly unless a subnormal q
-    has no finite reciprocal; such a row is divided instead."""
+def whole_quanta(x: np.ndarray, q, rounding=np.trunc) -> np.ndarray:
+    """The transfers ``x``, a fresh array whose second-to-last axis holds the
+    two species, rounded in place to whole multiples of their quanta ``q`` =
+    (q1, q2) so that cells stay on the lattice; a species whose q is 0 is
+    unchanged.  ``rounding`` acts on the transfers counted in quanta: the
+    default ``np.trunc`` rounds toward zero, ``np.ceil`` rounds a
+    nonnegative transfer up to the next whole quantum.  q is a power of two,
+    so x * (1/q) is x / q exactly unless a subnormal q has no finite
+    reciprocal; such a species is divided instead."""
     if min(q) > 0.0 and math.isfinite(1.0 / min(q)):
         scales = np.array([[1.0 / q[0], q[0]], [1.0 / q[1], q[1]]])
         x *= scales[:, :1]
-        np.trunc(x, out=x)
+        rounding(x, out=x)
         x *= scales[:, 1:]
     else:
-        for row, qa in zip(x, q):
+        for k, qa in enumerate(q):
             if qa > 0.0:
-                row[:] = np.trunc(row * (1.0 / qa) if math.isfinite(1.0 / qa) else row / qa) * qa
+                row = x[..., k, :]
+                row[...] = rounding(row * (1.0 / qa) if math.isfinite(1.0 / qa) else row / qa) * qa
     return x
 
 

@@ -155,6 +155,14 @@ class TestWholeQuanta:
         # on nonnegative transfers toward zero is down
         assert same_bits(whole_quanta(np.abs(x), (q, q)), np.floor(np.abs(x) / q) * q)
 
+    @pytest.mark.parametrize("total", [1e-300, 1.0, 1e300])
+    def test_rounds_up_as_dividing_does(self, total):
+        # the finite-volume outflows: nonnegative, both directions stacked
+        # in front of the species axis, rounded up
+        q = mass_quantum(total)
+        x = np.abs(np.random.default_rng(4).normal(size=(2, 2, 400))) * (total / 50)
+        assert same_bits(whole_quanta(x.copy(), (q, 2 * q), np.ceil), np.ceil(x / [[q], [2 * q]]) * [[q], [2 * q]])
+
     def test_a_zero_quantum_leaves_the_transfers(self):
         x = np.array([[0.0, 0.0, -0.0], [-0.0, 0.0, 0.0]])
         assert same_bits(whole_quanta(x.copy(), (0.0, 0.0)), x)

@@ -109,8 +109,10 @@ class TestRegularize:
         with pytest.raises(ValueError):
             regularize(exponential_kernel(), 1.5)
 
-    def test_kind_tag(self):
-        assert regularize(exponential_kernel(), 2).kind == "regularized"
+    def test_inv_n_tells_the_kernels_apart(self):
+        # inv_n is 0 for the exponential kernel and 1/n for K_n
+        assert exponential_kernel().inv_n == 0.0
+        assert regularize(exponential_kernel(), 2).inv_n == 0.5
 
     def test_band_and_its_linear_slope(self):
         # outside |x| <= inv_n the kernel is the exponential one; inside, its

@@ -198,11 +198,11 @@ class TestPresets:
 
 class TestMakeKernel:
     def test_exponential(self):
-        assert make_kernel({"kind": "exponential"}).kind == "exponential"
+        assert make_kernel({"kind": "exponential"}).inv_n == 0.0
 
     def test_regularized(self):
         k = make_kernel({"kind": "regularized", "n": 4})
-        assert k.kind == "regularized"
+        assert k.inv_n == 0.25
         # an integral float is that integer
         x = np.linspace(-0.5, 0.5, 11)
         assert np.array_equal(make_kernel({"kind": "regularized", "n": 4.0}).deriv(x), k.deriv(x))
