@@ -3,8 +3,9 @@
 For ordered nodes the factorization e^{-|x_j - x_i|} = e^{-|x_j - x_k|} *
 e^{-|x_k - x_i|} turns the one-sided sums with the exponential kernel into
 first-order recursions, evaluated blockwise so everything vectorizes while
-the local exponential rescaling stays well inside float64 range.  A kernel
-that differs from it only on |x| <= 1/n, the regularized K_n, adds the
+the local exponential rescaling stays well inside float64 range.  Every
+kernel of the package is the exponential one outside its band |x| <= inv_n
+(:class:`~aggrekin.kernel.PointyKernel`), so the regularized K_n adds the
 difference as a stencil over the cells within 1/n (empty for the former).
 """
 
@@ -15,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernel import PointyKernel, _exp_deriv, _exp_value
+from .kernel import PointyKernel
 
 __all__ = ["exp_one_sided_sums", "exp_velocity_scan", "exp_potential_scan", "near_field", "add_near_field"]
 
@@ -103,7 +104,8 @@ def near_field(kernel: PointyKernel, dx: float) -> tuple[np.ndarray, np.ndarray]
         return np.zeros(0), np.zeros(0)
     m = int(kernel.inv_n / dx) + 1
     x = np.arange(-m, m + 1) * dx
-    c_s, c_ds = kernel.value_fn(x) - _exp_value(x), kernel.hat_deriv(x) - _exp_deriv(x)
+    e = PointyKernel()
+    c_s, c_ds = kernel.value(x) - e.value(x), kernel.hat_deriv(x) - e.hat_deriv(x)
     c_s.flags.writeable = c_ds.flags.writeable = False
     return c_s, c_ds
 

@@ -28,7 +28,7 @@ from .csvio import write_csv
 from .expconv import add_near_field, exp_potential_scan, near_field
 from .fv import GridState
 from .fv import run as fv_run
-from .kernel import PointyKernel, exponential_kernel
+from .kernel import PointyKernel
 from .lattice import GridCells, _occupied_span, march, whole_quanta
 from .measures import DiscreteMeasure, ModelParams, wasserstein2
 
@@ -192,7 +192,7 @@ def run(
     initial: KineticState,
     p: ModelParams,
     T: float,
-    kernel: PointyKernel | None = None,
+    kernel: PointyKernel = PointyKernel(),
     snapshot_times: tuple[float, ...] = (),
 ) -> KineticRunResult:
     """Advance to time T in steps of dt = dx (exact characteristic shifts,
@@ -203,8 +203,6 @@ def run(
     :func:`aggrekin.lattice.check_boundary` if mass reaches the outermost
     cells.  ``kernel`` defaults to the exponential one.
     """
-    if kernel is None:
-        kernel = exponential_kernel()
     dt = initial.dx
     diag = {k: [] for k in ("t", "mass1", "mass2")}
     field = None  # the chemo field of the last recorded state, on its padded window
@@ -237,7 +235,7 @@ def limit_experiment(
     p: ModelParams,
     eps_list: list[float],
     T: float,
-    kernel: PointyKernel | None = None,
+    kernel: PointyKernel = PointyKernel(),
     safety: float = 0.9,
 ) -> list[tuple[float, float, float]]:
     """Relaxation-limit sweep: kinetic runs vs. the aggregation reference.
@@ -252,8 +250,6 @@ def limit_experiment(
         raise ValueError("limit experiment requires chi_a (theta1 + theta2) < 1 for both species")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    if kernel is None:
-        kernel = exponential_kernel()
     fv_result = fv_run(
         initial, kernel, p, T, safety=safety, dt_max=initial.dx, track_peaks=False
     )

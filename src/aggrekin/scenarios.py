@@ -292,9 +292,7 @@ def load_scenario(path) -> Scenario:
 
 
 def write_scenario(path, s: Scenario) -> None:
-    with Path(path).open("w") as fh:
-        json.dump(scenario_to_dict(s), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(Path(path), scenario_to_dict(s))
 
 
 def make_kernel(spec: dict) -> PointyKernel:

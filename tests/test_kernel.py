@@ -4,7 +4,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from aggrekin.kernel import exponential_kernel, regularize
+from aggrekin.kernel import PointyKernel, exponential_kernel, regularize
 
 getcontext().prec = 50
 
@@ -27,7 +27,10 @@ class TestExponentialKernel:
         assert np.array_equal(k.value(x), k.value(-x))
 
     def test_hat_deriv_zero_is_exact(self):
-        assert exponential_kernel().hat_deriv(0.0) == 0.0
+        # +0, never -0, at either signed zero
+        for x in (0.0, -0.0, np.zeros(3)):
+            out = exponential_kernel().hat_deriv(x)
+            assert np.all(out == 0.0) and not np.signbit(out).any()
 
     def test_hat_deriv_left_limit_is_half(self):
         # approaching the origin from below the slope tends to +1/2
@@ -44,9 +47,10 @@ class TestExponentialKernel:
         assert np.array_equal(k.hat_deriv(x), -k.hat_deriv(-x))
 
     def test_declared_bounds(self):
+        # one Lipschitz bound for every band; the one-sided concavity
+        # constant lambda = 1/2 is sampled below
         k = exponential_kernel()
-        assert k.lipschitz == 0.5
-        assert k.lam == 0.5
+        assert k.lipschitz == regularize(k, 4).lipschitz == 0.5
 
     def test_non_finite_input_rejected(self):
         k = exponential_kernel()
@@ -56,29 +60,34 @@ class TestExponentialKernel:
             k.hat_deriv(math.inf)
 
     def test_one_sided_concavity_sampled(self):
-        # (K'(x) - K'(y))(x - y) <= lam (x - y)^2 on mixed-sign random pairs
+        # (K'(x) - K'(y))(x - y) <= lam (x - y)^2 with lam = 1/2 on mixed-sign
+        # random pairs, for E and for K_n
         k = exponential_kernel()
         rng = np.random.default_rng(123)
         x = rng.uniform(-10, 10, 10_000)
         y = rng.uniform(-10, 10, 10_000)
-        gap = (k.hat_deriv(x) - k.hat_deriv(y)) * (x - y) - k.lam * (x - y) ** 2
-        assert np.max(gap) <= 1e-12
+        for r in (k, regularize(k, 4), regularize(k, 50)):
+            gap = (r.hat_deriv(x) - r.hat_deriv(y)) * (x - y) - 0.5 * (x - y) ** 2
+            assert np.max(gap) <= 1e-12
 
 
 class TestRegularize:
     def test_outside_band_unchanged(self):
         k = exponential_kernel()
         r = regularize(k, 1)
-        assert r.deriv(2.0) == k.deriv(2.0)
+        assert r.hat_deriv(2.0) == k.hat_deriv(2.0)
 
     def test_linear_branch_value(self):
         r = regularize(exponential_kernel(), 1)
         expected = -Decimal("0.25") * decimal_exp_neg("1")
-        assert abs(Decimal(r.deriv(0.5)) - expected) < Decimal("1e-16")
+        assert abs(Decimal(r.hat_deriv(0.5)) - expected) < Decimal("1e-16")
 
     def test_deriv_vanishes_at_origin(self):
+        # +0, never -0, though band_slope * 0.0 is -0
         for n in (1, 3, 10):
-            assert regularize(exponential_kernel(), n).deriv(0.0) == 0.0
+            for x in (0.0, -0.0):
+                out = regularize(exponential_kernel(), n).hat_deriv(x)
+                assert out == 0.0 and not np.signbit(out)
 
     def test_matches_original_off_band(self):
         k = exponential_kernel()
@@ -94,7 +103,7 @@ class TestRegularize:
         x = rng.uniform(-10, 10, 5000)
         for n in (1, 4, 32):
             r = regularize(k, n)
-            assert np.max(np.abs(r.deriv(x))) <= k.lipschitz
+            assert np.max(np.abs(r.hat_deriv(x))) <= k.lipschitz
 
     def test_potential_is_continuous_at_band_edge(self):
         r = regularize(exponential_kernel(), 3)
@@ -108,6 +117,13 @@ class TestRegularize:
             regularize(exponential_kernel(), 0)
         with pytest.raises(ValueError):
             regularize(exponential_kernel(), 1.5)
+        with pytest.raises(ValueError):
+            regularize(exponential_kernel(), True)
+
+    @pytest.mark.parametrize("inv_n", [-0.1, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_inv_n(self, inv_n):
+        with pytest.raises(ValueError, match="inv_n"):
+            PointyKernel(inv_n)
 
     def test_inv_n_tells_the_kernels_apart(self):
         # inv_n is 0 for the exponential kernel and 1/n for K_n
@@ -120,10 +136,11 @@ class TestRegularize:
         k = exponential_kernel()
         assert k.inv_n == 0.0 and k.band_slope == 0.0
         nested = (regularize(regularize(k, 4), 32), regularize(regularize(k, 32), 4))
+        assert nested[0] == nested[1] == regularize(k, 4)
         for r, band in ((regularize(k, 4), 0.25), (nested[0], 0.25), (nested[1], 0.25), (regularize(k, 50), 0.02)):
             assert r.inv_n == band
             x = np.linspace(-band, band, 101)
-            assert np.max(np.abs(r.deriv(x) - r.band_slope * x)) <= 1e-15
+            assert np.max(np.abs(r.hat_deriv(x) - r.band_slope * x)) <= 1e-15
             far = np.linspace(band, 3.0, 51)[1:]
-            assert np.array_equal(r.deriv(far), k.deriv(far))
-            assert np.array_equal(r.deriv(-far), k.deriv(-far))
+            assert np.array_equal(r.hat_deriv(far), k.hat_deriv(far))
+            assert np.array_equal(r.hat_deriv(-far), k.hat_deriv(-far))

@@ -188,7 +188,7 @@ def pairwise_pull_terms(z, w, i, kernel=KERNEL):
         if j != i:
             s = 1.0 if i > j else -1.0
             continued.append(-0.5 * s * w[j] * math.exp(-s * (z[i] - z[j])))
-            own.append(w[j] * kernel.deriv(z[i] - z[j]))
+            own.append(w[j] * kernel.hat_deriv(z[i] - z[j]))
     if kernel.inv_n == 0.0:
         return continued, math.fsum(map(abs, continued))
     return own, math.fsum(map(abs, continued)) + math.fsum(map(abs, own))

@@ -11,6 +11,7 @@ import pytest
 from aggrekin import particles as part_mod
 from aggrekin.cli import _build_parser
 from aggrekin.cli import main as cli_main
+from aggrekin.expconv import near_field
 from aggrekin.fv import cfl_dt, extract_peaks
 from aggrekin.kinetic import limit_experiment, write_limit_csv
 from aggrekin.measures import bump_mass_unit
@@ -205,7 +206,17 @@ class TestMakeKernel:
         assert k.inv_n == 0.25
         # an integral float is that integer
         x = np.linspace(-0.5, 0.5, 11)
-        assert np.array_equal(make_kernel({"kind": "regularized", "n": 4.0}).deriv(x), k.deriv(x))
+        assert np.array_equal(make_kernel({"kind": "regularized", "n": 4.0}).hat_deriv(x), k.hat_deriv(x))
+
+    def test_one_spec_gives_one_kernel(self):
+        # equal specs give equal, hash-equal kernels, so the stencil cache hits
+        spec = {"kind": "regularized", "n": 20}
+        a, b = make_kernel(spec), make_kernel(dict(spec))
+        assert a == b and hash(a) == hash(b)
+        near_field.cache_clear()
+        near_field(a, 0.01)
+        near_field(b, 0.01)
+        assert near_field.cache_info().hits == 1 and near_field.cache_info().misses == 1
 
     def test_unknown_kind(self):
         with pytest.raises(ScenarioError):
