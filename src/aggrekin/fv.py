@@ -185,62 +185,48 @@ def _runs(values: np.ndarray, floor: float) -> list[tuple[int, int]]:
     return list(zip(edges[::2], edges[1::2]))
 
 
-def _peaks(
-    state: GridState, values: np.ndarray, mass_threshold: float, cell_floor_frac: float, masses
-) -> list[Peak]:
-    """Peaks of ``values``, the per-cell masses on the state's window.
+# a peak is a run of cells above a floor share of the total mass that holds
+# strictly more than _PEAK_SHARE of it; the floor share is _COMBINED_FLOOR
+# for the two species' combined mass and _SPECIES_FLOOR for one species
+_PEAK_SHARE = 0.01
+_COMBINED_FLOOR, _SPECIES_FLOOR = 1e-9, 1e-6
 
-    Cells above ``cell_floor_frac`` times the total form contiguous runs;
-    runs carrying strictly more than ``mass_threshold`` of the total become
-    peaks at their mass-weighted centroid, with per-species masses
-    ``masses(s, e, run_mass)`` for window cells [s, e).
-    """
+
+def _peaks(x: np.ndarray, values: np.ndarray, floor_frac: float) -> list[tuple[int, int, float, float]]:
+    """[s, e), mass-weighted centroid and mass of each peak of ``values``,
+    the per-cell masses at cell centres ``x``: each run of cells above
+    ``floor_frac`` times the total that carries strictly more than
+    ``_PEAK_SHARE`` of it."""
     total = float(values.sum())
     if total <= 0.0:
         return []
-    x = state.window_centers
     peaks = []
-    for s, e in _runs(values, cell_floor_frac * total):
+    for s, e in _runs(values, floor_frac * total):
         run_mass = float(values[s:e].sum())
-        if run_mass > mass_threshold * total:
-            centroid = float((x[s:e] * values[s:e]).sum() / run_mass)
-            peaks.append(Peak(centroid, *masses(s, e, run_mass)))
+        if run_mass > _PEAK_SHARE * total:
+            peaks.append((s, e, float((x[s:e] * values[s:e]).sum() / run_mass), run_mass))
     return peaks
 
 
-def extract_peaks(
-    state: GridState, mass_threshold: float = 0.01, cell_floor_frac: float = 1e-9
-) -> list[Peak]:
-    """Cluster contiguous runs of occupied cells into peaks.
-
-    Cells whose combined two-species mass exceeds ``cell_floor_frac`` times
-    the total mass are grouped into contiguous runs; runs carrying strictly
-    more than ``mass_threshold`` of the total mass are reported with their
-    mass-weighted centroid and per-species masses, sorted by position.
-    """
-    if not 0.0 < mass_threshold < 1.0:
-        raise ValueError("mass_threshold must lie in (0, 1)")
+def extract_peaks(state: GridState) -> list[Peak]:
+    """Peaks of the two species' combined mass on the state's window, with
+    their per-species masses, sorted by position (see :func:`_peaks`)."""
     lo, hi = state.window
     r1, r2 = state.rho1[lo:hi], state.rho2[lo:hi]
-    return _peaks(
-        state, r1 + r2, mass_threshold, cell_floor_frac,
-        lambda s, e, _: (float(np.sum(r1[s:e])), float(np.sum(r2[s:e]))),
-    )
+    return [
+        Peak(centroid, float(np.sum(r1[s:e])), float(np.sum(r2[s:e])))
+        for s, e, centroid, _ in _peaks(state.window_centers, r1 + r2, _COMBINED_FLOOR)
+    ]
 
 
-def species_peaks(
-    state: GridState,
-    species: int,
-    mass_threshold: float = 0.01,
-    cell_floor_frac: float = 1e-6,
-) -> list[Peak]:
+def species_peaks(state: GridState, species: int) -> list[Peak]:
     """Peaks of a single species (runs computed on that species alone)."""
     lo, hi = state.window
     rho = (state.rho1 if species == 1 else state.rho2)[lo:hi]
-    return _peaks(
-        state, rho, mass_threshold, cell_floor_frac,
-        lambda s, e, m: (m, 0.0) if species == 1 else (0.0, m),
-    )
+    return [
+        Peak(centroid, mass, 0.0) if species == 1 else Peak(centroid, 0.0, mass)
+        for _, _, centroid, mass in _peaks(state.window_centers, rho, _SPECIES_FLOOR)
+    ]
 
 
 @dataclass(frozen=True)
@@ -287,7 +273,7 @@ class _ContactTracker:
             if prev is not None and len(cur) < len(prev):
                 gaps = [b - a for a, b in zip(prev, prev[1:])]
                 where = gaps.index(min(gaps)) if gaps else 0
-                pos = 0.5 * (prev[where] + prev[where + 1]) if gaps else (prev[0] if prev else math.nan)
+                pos = 0.5 * (prev[where] + prev[where + 1]) if gaps else prev[0]
                 self.events.append(
                     FvEvent(t, "merge_same_species", pos, species, tup1, tup2)
                 )

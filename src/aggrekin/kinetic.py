@@ -181,7 +181,6 @@ def well_prepared_state(
 @dataclass
 class KineticRunResult:
     snapshots: list[tuple[float, KineticState, ChemoField]]
-    diagnostics: dict[str, np.ndarray]
     final: KineticState
     dt: float
     n_steps: int
@@ -204,17 +203,11 @@ def run(
     cells.  ``kernel`` defaults to the exponential one.
     """
     dt = initial.dx
-    diag = {k: [] for k in ("t", "mass1", "mass2")}
     field = None  # the chemo field of the last recorded state, on its padded window
 
     def record(st: KineticState):
         nonlocal field
         field = solve_chemo_field(st, p, kernel, st._padded_window())
-        lo, hi = st.window
-        m1, m2 = st.rho[:, lo:hi].sum(axis=1).tolist()
-        diag["t"].append(st.time)
-        diag["mass1"].append(m1)
-        diag["mass2"].append(m2)
         return st
 
     snapshots, final, n_steps, elapsed = march(
@@ -222,7 +215,6 @@ def run(
     )
     return KineticRunResult(
         snapshots=[(st.time, st, solve_chemo_field(st, p, kernel)) for st in snapshots],
-        diagnostics={k: np.asarray(v) for k, v in diag.items()},
         final=final,
         dt=dt,
         n_steps=n_steps,

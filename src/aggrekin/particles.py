@@ -22,9 +22,9 @@ where gamma is the external weighted attraction exerted by all other
 clusters on the colliding pair.  A step stops just past a glued cluster's
 unglue root, and the next step splits it.  Every check of the condition
 inside :func:`advance` (at a step's start, on its interpolant and at a
-contact) sums gamma with numpy from the step's own weights in one helper,
-and one resolver turns contacts and unglues into the clusters and events
-that follow.
+contact) reads gamma off the recursion that gives the velocities, bit for
+bit the pull the glued cluster moves with, and one resolver turns contacts
+and unglues into the clusters and events that follow.
 
 Cluster masses are quantized to a per-species power-of-two quantum at
 construction so that merging masses is an exact float operation and the
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import time as _time
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
@@ -302,20 +303,17 @@ def _safe_split_positions(
     return pos + direction * off, pos - direction * off
 
 
-def _sync(
-    z: list[float], wrho: list[float], first: int, last: int, at: float,
-    m1: float, m2: float, kernel: PointyKernel, p: ModelParams,
-) -> tuple[float, SyncCheck]:
+def _gamma(
+    z: list[float], wrho: list[float], first: int, last: int, at: float, kernel: PointyKernel
+) -> float:
     """gamma, the attraction at ``at`` of every cluster but ``first`` to
-    ``last`` (positions ``z``, weights theta1 m1 + theta2 m2 ``wrho``), and
-    the synchronising condition for masses ``m1``, ``m2`` under it.  gamma
-    is sum_j wrho_j K'(at - z_j) over the other clusters; one at ``at``
-    itself adds 0."""
-    terms = (np.array(wrho) * kernel.hat_deriv(at - np.array(z))).tolist()
-    del terms[first : last + 1]
-    # left to right from 0.0, as a scalar loop would add them
-    gam = sum(terms, 0.0)
-    return gam, sync_condition(gam, m1, m2, p)
+    ``last`` (positions ``z``, weights theta1 m1 + theta2 m2 ``wrho``): the
+    pull :func:`_pulls` gives a weightless cluster put at ``at`` among the
+    others, so it is bit for bit the pull a glued cluster there moves with.
+    ``+ 0.0`` turns the -0.0 of a cluster with no others into 0.0."""
+    zs, ws = z[:first] + z[last + 1 :], wrho[:first] + wrho[last + 1 :]
+    k = bisect_left(zs, at)
+    return _pulls(zs[:k] + [at] + zs[k:], ws[:k] + [0.0] + ws[k:], kernel)[k] + 0.0
 
 
 def _contact_groups(gaps_touching: list[bool]) -> list[list[int]]:
@@ -369,7 +367,8 @@ def _resolve(
             out.append(Cluster(pos, m1, m2, next_id))
             next_id += 1
             continue
-        gam, chk = _sync(z, wrho, first, last, pos, m1, m2, kernel, p)
+        gam = _gamma(z, wrho, first, last, pos, kernel)
+        chk = sync_condition(gam, m1, m2, p)
         kind = "unglue" if len(members) == 1 else "glue" if chk.holds else "cross"
         if kind == "glue":
             out.append(Cluster(pos, m1, m2, next_id))
@@ -559,13 +558,14 @@ def advance(
     m2 = [c.m2 for c in cs.clusters]
     wrho, chi, glued = _step_constants(m1, m2, p)
 
-    def unglue_excess(z: list[float], i: int) -> float:
-        _, chk = _sync(z, wrho, i, i, z[i], m1[i], m2[i], kernel, p)
-        return chk.lhs - chk.rhs
+    def unglue_excess(z: list[float]) -> dict[int, float]:
+        # LHS - RHS of each glued cluster's condition, on the pull it moves with
+        pull = _pulls(z, wrho, kernel) if glued else []
+        return {i: (chk := sync_condition(pull[i], m1[i], m2[i], p)).lhs - chk.rhs for i in glued}
 
     last = cs.dense
     if last is None or last.v_end is None:
-        failing = [[i] for i in glued if unglue_excess(z0, i) > 0.0]
+        failing = [[i] for i, e in unglue_excess(z0).items() if e > 0.0]
         if failing:
             return _resolve(cs, failing, wrho, kernel, p, gap_tol)
 
@@ -618,8 +618,8 @@ def advance(
         return max(gap_tol - (b - a) for a, b in (at(s, k, k + 2) for k in closing))
 
     def sync_excess(s: float) -> float:
-        z = at(s)
-        return max(unglue_excess(z, i) for i in ungluing)
+        excess = unglue_excess(at(s))
+        return max(excess[i] for i in ungluing)
 
     s_end, n_iter = 1.0, 0
     closing = [k for k, g in enumerate(gaps) if z1[k + 1] - z1[k] < gap_tol and g >= gap_tol]
@@ -627,7 +627,7 @@ def advance(
         # past the root, but before the pair's gap closes to 0
         s_end, n_iter = _first_root(gap_excess, 1.0, ROOT_TOL / h, gap_tol)
     z_end = at(s_end)
-    ungluing = [i for i in glued if unglue_excess(z_end, i) > 0.0]
+    ungluing = [i for i, e in unglue_excess(z_end).items() if e > 0.0]
     if ungluing:
         s_end, n = _first_root(sync_excess, s_end, ROOT_TOL / h)
         n_iter += n

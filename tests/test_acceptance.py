@@ -25,7 +25,7 @@ from aggrekin.measures import (
     quantile,
     wasserstein2,
 )
-from aggrekin.particles import Cluster, ClusterSet, _sync, glued_selection, run as particle_run, sync_condition
+from aggrekin.particles import Cluster, ClusterSet, _gamma, glued_selection, run as particle_run, sync_condition
 from aggrekin.scenarios import initial_cluster_set, initial_grid_state, preset
 from oracle import direct_potential, direct_velocity
 
@@ -320,9 +320,9 @@ class TestCriterion5:
                     )
                 )
                 idx = [i for i, c in enumerate(cs.clusters) if c.glued][0]
-                z = cs.positions()
-                wrho = np.array([p.theta1 * c.m1 + p.theta2 * c.m2 for c in cs.clusters])
-                gam, chk = _sync(z, wrho, idx, idx, z[idx], pair_m1 * M0, pair_m2 * M0, KERNEL, p)
+                z = [c.position for c in cs.clusters]
+                wrho = [p.theta1 * c.m1 + p.theta2 * c.m2 for c in cs.clusters]
+                chk = sync_condition(_gamma(z, wrho, idx, idx, z[idx], KERNEL), pair_m1 * M0, pair_m2 * M0, p)
                 assert abs(chk.lhs / M0 - lhs_closed) <= 1e-3
                 assert abs(chk.rhs / M0 - rhs_closed) <= 1e-3
                 return chk

@@ -319,13 +319,16 @@ class TestExtractPeaks:
             assert peak.mass2 == pytest.approx(m2 * m0, rel=0.01, abs=1e-12)
 
     def test_threshold_is_strict(self):
-        # two equal columns at threshold 0.5: neither strictly exceeds half
+        # a peak must carry strictly more than 1 % of the total: a column of
+        # exactly 1 % is none, one a bit heavier is
         rho1 = np.zeros(9)
-        rho1[2] = 1.0
+        rho1[2] = 99.0
         rho1[6] = 1.0
         st = GridState(-1.0, 2.0 / 9, rho1, np.zeros(9))
-        assert extract_peaks(st, mass_threshold=0.499999) != []
-        assert extract_peaks(st, mass_threshold=0.5) == []
+        assert len(extract_peaks(st)) == 1
+        rho1[6] = 1.0 + 2.0**-40
+        st = GridState(-1.0, 2.0 / 9, rho1, np.zeros(9))
+        assert len(extract_peaks(st)) == 2
 
     def test_species_peaks_are_species_resolved(self):
         rho1 = np.zeros(31)

@@ -299,7 +299,6 @@ class TestWindowedStepBitIdentical:
         for st in random_states(rng, count=60):
             for species in (1, 2):
                 assert species_peaks(st, species) == full_grid_species_peaks(st, species)
-                assert species_peaks(st, species, 0.2, 0.3) == full_grid_species_peaks(st, species, 0.2, 0.3)
             assert extract_peaks(st) == full_grid_extract_peaks(st)
 
 

@@ -34,13 +34,12 @@ def params(chi1=10.0, chi2=1.0):
 
 def external_gamma(cs, first, last, p, at=None):
     """The external attraction on clusters ``first``..``last`` of ``cs`` as
-    the particle step finds it (``_sync``), at ``at`` or the first one's
-    position; it does not depend on the masses the condition is checked
-    for, so unit masses stand in for them."""
-    z = cs.positions()
-    wrho = np.array([p.theta1 * c.m1 + p.theta2 * c.m2 for c in cs.clusters])
+    the particle step finds it (``_gamma``), at ``at`` or the first one's
+    position."""
+    z = [c.position for c in cs.clusters]
+    wrho = [p.theta1 * c.m1 + p.theta2 * c.m2 for c in cs.clusters]
     at = z[first] if at is None else at
-    return particles._sync(z, wrho, first, last, at, 1.0, 1.0, KERNEL, p)[0]
+    return particles._gamma(z, wrho, first, last, at, KERNEL)
 
 
 def reference_velocities(cs, p):

@@ -2,27 +2,28 @@
 against the scalar versions they replaced.
 
 ``advance`` computes the mass-dependent constants of the velocities
-(weights, per-cluster chi, glued indices) once per step, and makes every
-synchronising check through ``_sync`` from the step's own weights, with the
-checked clusters sliced out of one vectorised kernel sum.  A glued cluster
-that fails at a step's start splits through the same resolver that
-handles contacts, and the set comes back untouched when none fails.  The
-versions as they were written before are copied below.  gamma and the
-unglue path are compared with ``==`` on positions, masses, ids, times and
-every event field.  The velocities are summed on Python floats in another
-order than the reference's matrix product (the exponential kernel's by a
-one-sided recursion), so they are compared to a few ulp of the sum of the
-terms' magnitudes.  A set made by an uninterrupted step skips the check at
-its start, so every glued cluster of such a set must pass it.  The
-integration step itself is checked against an independent ODE oracle in
-``test_particles_oracle.py``.
+(weights, per-cluster chi, glued indices) once per step, and reads every
+synchronising check's gamma off the pull recursion that gives the
+velocities (``_pulls``, or ``_gamma`` for a group at its centre of mass)
+from the step's own weights.  A glued cluster that fails at a step's start
+splits through the same resolver that handles contacts, and the set comes
+back untouched when none fails.  The versions as they were written before
+are copied below.  The unglue path is compared with ``==`` on positions,
+masses, ids, times and every event field but gamma and its LHS.  The
+velocities and gamma are summed on Python floats in another order than
+the reference's (the exponential kernel's by a one-sided recursion), so
+they are compared to a few ulp of the sum of the terms' magnitudes, and
+an event's gamma to a few ulp of itself.  A set made by an uninterrupted
+step skips the check at its start, so every glued cluster of such a set
+must pass it.  The integration step itself is checked against an
+independent ODE oracle in ``test_particles_oracle.py``.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hs
 
 from aggrekin import particles
@@ -70,17 +71,18 @@ def reference_external_attraction(cs, exclude, kernel, p, at=None):
     return total
 
 
+def weights(cs, p):
+    """theta1 m1 + theta2 m2 of each cluster of ``cs``, as a step takes them."""
+    return [p.theta1 * c.m1 + p.theta2 * c.m2 for c in cs.clusters]
+
+
 def sync_gamma(cs, first, last, p, at=None):
-    """gamma as ``advance`` computes it: the attraction ``_sync`` finds on
+    """gamma as ``advance`` computes it: the attraction ``_gamma`` finds on
     clusters ``first``..``last`` of ``cs``, at ``at`` or the first one's
-    position.  gamma does not depend on the masses the condition is then
-    checked for, so unit masses stand in for them."""
-    z = cs.positions()
-    m1 = np.array([c.m1 for c in cs.clusters])
-    m2 = np.array([c.m2 for c in cs.clusters])
-    wrho, _, _ = particles._step_constants(m1, m2, p)
+    position."""
+    z = [c.position for c in cs.clusters]
     at = z[first] if at is None else at
-    return particles._sync(z, wrho, first, last, at, 1.0, 1.0, KERNEL, p)[0]
+    return particles._gamma(z, weights(cs, p), first, last, at, KERNEL)
 
 
 def reference_unglue_pass(cs, kernel, p, gap_tol):
@@ -123,6 +125,23 @@ def snapshot(cs):
     return (cs.time, cs.next_id, [(c.position, c.m1, c.m2, c.id) for c in cs.clusters])
 
 
+# 8 ulp, relative to what a sum's terms add up to in magnitude
+ULP8 = 8 * np.finfo(float).eps
+
+
+def assert_same_events(new, ref):
+    """``==`` on every event field but gamma and sync_lhs = |(chi1 - chi2)
+    gamma|, which the recursion sums in another order than the reference:
+    those to 8 ulp of the reference's value."""
+    assert len(new) == len(ref)
+    for a, b in zip(new, ref):
+        da, db = a.to_dict(), b.to_dict()
+        for key in ("gamma", "sync_lhs"):
+            x, y = da.pop(key), db.pop(key)
+            assert x == y if y is None else abs(x - y) <= ULP8 * abs(y), key
+        assert da == db
+
+
 def assert_same_path(cs, p, n_steps, dt_max=1e-3, gap_tol=1e-9, step=advance):
     """Advance ``step`` and the reference in lockstep; return the event
     kinds seen."""
@@ -132,7 +151,7 @@ def assert_same_path(cs, p, n_steps, dt_max=1e-3, gap_tol=1e-9, step=advance):
         new, ev_new = step(new, KERNEL, p, dt_max, gap_tol)
         ref, ev_ref = reference_advance(ref, KERNEL, p, dt_max, gap_tol)
         assert snapshot(new) == snapshot(ref)
-        assert [e.to_dict() for e in ev_new] == [e.to_dict() for e in ev_ref]
+        assert_same_events(ev_new, ev_ref)
         kinds += [e.kind for e in ev_new]
         if len(new) == 1:
             break
@@ -155,7 +174,6 @@ def test_velocities_match_reference():
         raw = np.array(particles._velocities(
             z.tolist(), *particles._step_constants(m1.tolist(), m2.tolist(), p), m1.tolist(), m2.tolist(), KERNEL, p
         ))
-        # 8 ulp of what the terms add up to in magnitude
         wrho = p.theta1 * m1 + p.theta2 * m2
         magnitude = max(p.chi1, p.chi2) * (np.abs(KERNEL.hat_deriv(z[:, None] - z[None, :])) @ wrho)
         # the reference clamps a failing glued cluster's selection, which
@@ -164,13 +182,20 @@ def test_velocities_match_reference():
             k for k in range(n)
             if not (m1[k] > 0 and m2[k] > 0) or sync_condition(sync_gamma(cs, k, k, p), m1[k], m2[k], p).holds
         ]
-        assert np.all(np.abs(raw - expected)[held] <= 8 * np.finfo(float).eps * magnitude[held])
+        assert np.all(np.abs(raw - expected)[held] <= ULP8 * magnitude[held])
+
+        def gamma_magnitude(group, at):
+            others = np.delete(np.arange(n), group)
+            return float(np.abs(KERNEL.hat_deriv(at - z[others])) @ wrho[others])
+
         for i in range(n):
-            assert sync_gamma(cs, i, i, p) == reference_external_attraction(cs, i, KERNEL, p)
+            gam = sync_gamma(cs, i, i, p)
+            assert abs(gam - reference_external_attraction(cs, i, KERNEL, p)) <= ULP8 * gamma_magnitude([i], z[i])
             at = float(rng.uniform(-1.0, 1.0))
             group = [i, min(i + 1, n - 1)]
-            assert sync_gamma(cs, *group, p, at=at) == (
-                reference_external_attraction(cs, group, KERNEL, p, at=at)
+            gam = sync_gamma(cs, *group, p, at=at)
+            assert abs(gam - reference_external_attraction(cs, group, KERNEL, p, at=at)) <= (
+                ULP8 * gamma_magnitude(group, at)
             )
 
 
@@ -267,6 +292,59 @@ def test_recursion_velocities_match_pairwise_oracle(config, perturb, chi1, chi2,
         # rtol 1e-12 of the velocity, or of the magnitude of its terms where
         # they cancel
         assert math.isclose(g, e, rel_tol=1e-12, abs_tol=1e-12 * mag)
+
+
+# gamma is the pull the recursion gives a weightless cluster among the
+# others, so a cluster's gamma is bit for bit its own pull, the one it moves
+# with; gaps down to 1e-3 pack clusters inside 1/n of K_50 and K_500
+@settings(max_examples=80, deadline=None)
+@given(
+    hs.lists(hs.tuples(hs.floats(1e-3, 0.5), hs.floats(0.0, 6.0)), min_size=1, max_size=30),
+    hs.integers(0, 29),
+    hs.sampled_from([0, 1, 5, 50, 500]),
+)
+def test_gamma_is_the_clusters_own_pull(config, i, reg):
+    kernel = KERNEL if reg == 0 else regularize(KERNEL, reg)
+    z = np.cumsum([gap for gap, _ in config]).tolist()
+    w = [weight for _, weight in config]
+    i %= len(z)
+    assert particles._gamma(z, w, i, i, z[i], kernel) == particles._pulls(z, w, kernel)[i]
+
+
+# a cross-species pair, touching, among free clusters on either side
+@settings(max_examples=80, deadline=None)
+@given(
+    hs.lists(hs.tuples(hs.floats(1e-3, 0.5), hs.sampled_from(["1", "2"]), hs.floats(0.1, 4.0)), max_size=12),
+    hs.integers(0, 12),
+    hs.floats(0.1, 40.0),
+    hs.floats(0.1, 40.0),
+    hs.floats(0.5, 10.0),
+    hs.floats(0.5, 10.0),
+    hs.sampled_from([0, 1, 50]),
+)
+def test_glue_event_gamma_is_the_glued_clusters_pull(others, k, a, b, chi1, chi2, reg):
+    p = ModelParams(chi1=chi1, chi2=chi2)
+    kernel = KERNEL if reg == 0 else regularize(KERNEL, reg)
+    k = min(k, len(others))
+    rows = [(gap, m if kind == "1" else 0.0, m if kind == "2" else 0.0) for gap, kind, m in others]
+    rows[k:k] = [(0.1, a, 0.0), (1e-10, 0.0, b)]
+    z = np.cumsum([gap for gap, _, _ in rows]).tolist()
+    cs = ClusterSet([Cluster(x, m1, m2) for x, (_, m1, m2) in zip(z, rows)])
+    out, (event,) = particles._resolve(cs, [[k, k + 1]], weights(cs, p), kernel, p, 1e-9)
+    assume(event.kind == "glue")
+    pull = particles._pulls([c.position for c in out.clusters], weights(out, p), kernel)
+    # the glued cluster carries the last id the resolver gave out
+    assert event.gamma == pull[[c.id for c in out.clusters].index(out.next_id - 1)]
+
+
+@pytest.mark.parametrize("reg", [0, 50])
+def test_group_with_no_other_cluster_has_positive_zero_gamma(reg):
+    kernel = KERNEL if reg == 0 else regularize(KERNEL, reg)
+    p = ModelParams(chi1=10.0, chi2=1.0)
+    cs = ClusterSet([Cluster(0.0, 1.0, 0.0), Cluster(1e-10, 0.0, 2.0)])
+    _, (event,) = particles._resolve(cs, [[0, 1]], weights(cs, p), kernel, p, 1e-9)
+    assert event.kind == "glue"
+    assert event.gamma == 0.0 and math.copysign(1.0, event.gamma) == 1.0
 
 
 # configuration, parameters, (dt_max, gap_tol), steps, the event kinds
