@@ -12,10 +12,7 @@ from .kernel import PointyKernel, exponential_kernel, regularize
 from .measures import (
     DiscreteMeasure,
     ModelParams,
-    SpeciesPair,
     bump_mass_unit,
-    coupled_w2,
-    quantile,
     sample_gaussian_bumps,
     wasserstein2,
 )
@@ -28,12 +25,9 @@ __all__ = [
     "exponential_kernel",
     "regularize",
     "DiscreteMeasure",
-    "SpeciesPair",
     "ModelParams",
     "bump_mass_unit",
-    "quantile",
     "wasserstein2",
-    "coupled_w2",
     "sample_gaussian_bumps",
     "GridState",
     "FluxField",

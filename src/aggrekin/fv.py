@@ -53,8 +53,6 @@ class GridState(GridCells):
     (see :class:`aggrekin.lattice.GridCells`)."""
 
     time: float = 0.0
-    q1: float = -1.0
-    q2: float = -1.0
 
 
 @dataclass(frozen=True)

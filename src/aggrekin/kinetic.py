@@ -62,8 +62,6 @@ class KineticState(GridCells):
     J2: np.ndarray
     epsilon: float
     time: float = 0.0
-    q1: float = -1.0
-    q2: float = -1.0
 
     def __post_init__(self):
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -120,18 +120,21 @@ class GridCells:
     ``xmin`` is the left edge of the first cell; cell centers sit at
     xmin + (j + 1/2) dx.  Cell values are masses (density times dx), kept
     in one C-contiguous (2, n) array ``rho`` whose rows ``rho1`` and
-    ``rho2`` are the two species.  Each subclass declares ``time``, ``q1``
-    and ``q2`` after its own fields.  On construction each species is
-    snapped to its mass quantum (computed from its total unless given as
-    ``q1``/``q2`` >= 0); the quanta ride along so subsequent steps stay on
-    the same lattice.  Non-finite input (NaN or inf in ``xmin``, ``dx`` or
-    a cell mass) is rejected with the name of the offending field.
+    ``rho2`` are the two species.  Each subclass declares ``time`` after
+    its own fields.  On construction each species is snapped to the mass
+    quantum ``q1``/``q2`` of its total; the quanta ride along so subsequent
+    steps stay on the same lattice, and since a step conserves each total
+    to 0 ulp they are the quanta its successor's totals give.  Non-finite
+    input (NaN or inf in ``xmin``, ``dx`` or a cell mass) is rejected with
+    the name of the offending field.
     """
 
     xmin: float
     dx: float
     rho1: np.ndarray
     rho2: np.ndarray
+    q1: float = field(init=False)
+    q2: float = field(init=False)
 
     def __post_init__(self):
         r1 = checked_cells("rho1", self.rho1)
@@ -143,8 +146,8 @@ class GridCells:
         if not (self.dx > 0 and math.isfinite(self.dx)):
             raise ValueError(f"dx must be positive and finite, got {self.dx!r}")
         rho = np.empty((2, r1.size))
-        for k, (name, r, q) in enumerate((("1", r1, self.q1), ("2", r2, self.q2))):
-            q = q if q >= 0 else mass_quantum(float(np.sum(r)))
+        for k, (name, r) in enumerate((("1", r1), ("2", r2))):
+            q = mass_quantum(float(np.sum(r)))
             rho[k] = snap(r, q)
             object.__setattr__(self, "q" + name, q)
         self.__dict__.update(rho=rho, rho1=rho[0], rho2=rho[1])
@@ -220,13 +223,13 @@ def march(initial: GridCells, T: float, dt: float, snapshot_times, advance, reco
     ``initial``, and refuses a T > 0 so short that n = 0.  Every state, the
     initial one included, must pass :func:`check_boundary`; then
     ``record(state)`` returns its snapshot entry.  Each requested time in
-    ``snapshot_times`` gets the entry of the last step boundary at or
-    before it (the last state for times past it).  Returns the snapshot
-    entries, the final state, n and the wall time.
+    ``snapshot_times``, which must lie in [0, T], gets the entry of the
+    last step boundary at or before it (the last state for times past it).
+    Returns the snapshot entries, the final state, n and the wall time.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
-    if any(t < 0 or t > T for t in snapshot_times):
+    if not all(0.0 <= t <= T for t in snapshot_times):
         raise ValueError("snapshot times must lie in [0, T]")
     t_start = _time.perf_counter()
     n_steps = int(math.floor(T / dt + 1e-12)) if T > 0 else 0

@@ -1,10 +1,12 @@
-"""Discrete nonnegative measures, quantile functions and Wasserstein metrics.
+"""Discrete nonnegative measures, the model parameters and the Wasserstein
+distance.
 
 Measures are stored as weighted atom lists (grid densities are just atoms
 at cell centers carrying cell masses).  The 1D quadratic Wasserstein
 distance is computed exactly by sweeping the merged breakpoints of the
-two quantile staircases; the coupled two-species metric adds the
-chi1*theta2/(chi2*theta1) weight on the second component.
+two quantile staircases.  The quantile function and the coupled
+two-species metric, which no run reads, are the test suite's oracle
+(``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -18,12 +20,9 @@ import numpy as np
 __all__ = [
     "CoarseGridWarning",
     "DiscreteMeasure",
-    "SpeciesPair",
     "ModelParams",
     "bump_mass_unit",
-    "quantile",
     "wasserstein2",
-    "coupled_w2",
     "sample_gaussian_bumps",
 ]
 
@@ -65,14 +64,6 @@ class DiscreteMeasure:
 
 
 @dataclass(frozen=True)
-class SpeciesPair:
-    """The two species' measures, in a fixed order."""
-
-    rho1: DiscreteMeasure
-    rho2: DiscreteMeasure
-
-
-@dataclass(frozen=True)
 class ModelParams:
     """Chemosensitivities chi, coupling weights theta and tumbling rates psi.
 
@@ -102,30 +93,6 @@ def bump_mass_unit(width: float = 5000.0) -> float:
     return math.sqrt(math.pi / width)
 
 
-def _check_probability(m: DiscreteMeasure) -> None:
-    if m.positions.size == 0:
-        raise ValueError("measure has no atoms")
-    if abs(m.total_mass - 1.0) > 1e-12:
-        raise ValueError(f"measure must be normalized to mass 1 (got {m.total_mass!r})")
-
-
-def quantile(m: DiscreteMeasure, z):
-    """Generalized inverse CDF: inf{x : m((-inf, x)) > z} for z in (0, 1).
-
-    On a CDF plateau the strict inequality selects the atom to the right.
-    Accepts a scalar or an array of probabilities.
-    """
-    _check_probability(m)
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr <= 0.0) or np.any(z_arr >= 1.0):
-        raise ValueError("quantile argument must lie strictly inside (0, 1)")
-    cum = np.cumsum(m.masses)
-    idx = np.searchsorted(cum, z_arr, side="right")
-    idx = np.minimum(idx, m.positions.size - 1)
-    out = m.positions[idx]
-    return float(out) if np.ndim(z) == 0 else out
-
-
 def _staircase(m: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
     m = m.normalized()
     return np.cumsum(m.masses), m.positions
@@ -150,14 +117,6 @@ def wasserstein2(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
     ib = np.minimum(np.searchsorted(cum_b, mid, side="right"), pos_b.size - 1)
     diff = pos_a[ia] - pos_b[ib]
     return float(np.sqrt(np.sum(dz * diff * diff)))
-
-
-def coupled_w2(u: SpeciesPair, v: SpeciesPair, p: ModelParams) -> float:
-    """Two-species product metric with weight chi1*theta2 / (chi2*theta1)."""
-    d1 = wasserstein2(u.rho1, v.rho1)
-    d2 = wasserstein2(u.rho2, v.rho2)
-    weight = (p.chi1 * p.theta2) / (p.chi2 * p.theta1)
-    return math.sqrt(d1 * d1 + weight * d2 * d2)
 
 
 def sample_gaussian_bumps(

@@ -43,7 +43,7 @@ import numpy as np
 
 from .kernel import PointyKernel
 from .lattice import mass_quantum, snap
-from .measures import DiscreteMeasure, ModelParams, SpeciesPair
+from .measures import ModelParams
 
 __all__ = [
     "Cluster",
@@ -163,14 +163,6 @@ class ClusterSet:
         s1 = math.fsum(c.m1 * c.position for c in self.clusters)
         s2 = math.fsum(c.m2 * c.position for c in self.clusters)
         return (p.theta1 / p.chi1) * s1 + (p.theta2 / p.chi2) * s2
-
-    def species_pair(self) -> SpeciesPair:
-        pos1 = [(c.position, c.m1) for c in self.clusters if c.m1 > 0]
-        pos2 = [(c.position, c.m2) for c in self.clusters if c.m2 > 0]
-        return SpeciesPair(
-            DiscreteMeasure([x for x, _ in pos1], [m for _, m in pos1]),
-            DiscreteMeasure([x for x, _ in pos2], [m for _, m in pos2]),
-        )
 
     def copy(self) -> "ClusterSet":
         return ClusterSet([replace(c) for c in self.clusters], self.time, self.next_id)
@@ -441,10 +433,6 @@ class DenseStep:
     n_rejected: int
     root_iterations: int
 
-    def clusters_at(self, t: float) -> list[Cluster]:
-        z = _interpolate(self.z0, self.q, (t - self.t0) / self.h)
-        return [Cluster(x, c.m1, c.m2, c.id) for c, x in zip(self.clusters, z)]
-
 
 def _interpolate(z0: list[float], q: list[list[float]], s: float) -> list[float]:
     s2 = s * s
@@ -547,12 +535,6 @@ def advance(
         raise ValueError("dt_max must be positive")
     if not gap_tol > 0:
         raise ValueError("gap_tol must be positive")
-    if len(cs) == 1:
-        # a lone cluster feels no attraction, so it never unglues
-        out = cs.copy()
-        out.time = cs.time + dt_max
-        return out, []
-
     z0 = [c.position for c in cs.clusters]
     m1 = [c.m1 for c in cs.clusters]
     m2 = [c.m2 for c in cs.clusters]
@@ -654,10 +636,11 @@ class ParticleRunResult:
     :func:`advance`, ``n_rejected`` the trial steps its error control
     rejected, and ``root_iterations`` holds, per entry of ``events``, the
     iterations that located it on a step's interpolant (0 for an event
-    resolved at a step's start or added by the run)."""
+    resolved at a step's start or added by the run).  Each of ``samples``
+    is (t, clusters, their positions at t)."""
 
     events: list[Event]
-    samples: list[tuple[float, list[Cluster]]]
+    samples: list[tuple[float, list[Cluster], list[float]]]
     final: ClusterSet
     n_advances: int
     elapsed: float
@@ -666,11 +649,13 @@ class ParticleRunResult:
     root_iterations: list[int] = field(default_factory=list)
 
 
-def _clusters_at(cs: ClusterSet, t: float) -> list[Cluster]:
-    """The clusters at time ``t`` within the step that made ``cs``."""
-    if cs.dense is not None and t < cs.dense.t1:
-        return cs.dense.clusters_at(t)
-    return [replace(c) for c in cs.clusters]
+def _sample(cs: ClusterSet, t: float) -> tuple[float, list[Cluster], list[float]]:
+    """``t``, the clusters at time ``t`` within the step that made ``cs``
+    (that step's list, not a copy) and their positions then."""
+    step = cs.dense
+    if step is not None and t < step.t1:
+        return t, step.clusters, _interpolate(step.z0, step.q, (t - step.t0) / step.h)
+    return t, cs.clusters, [c.position for c in cs.clusters]
 
 
 def run(
@@ -687,22 +672,23 @@ def run(
     Emits a ``final_collapse`` event when the population first reduces to
     one cluster.  Trajectories are sampled at t0 + k T/200 from each
     step's interpolant; ``snapshot_times`` are hit exactly (the step is
-    shortened to land on them) and reported in ``snapshots``.
+    shortened to land on them) and reported in ``snapshots``, one entry
+    per requested time, each of which must lie in [``initial.time``, T].
     ``dt_max`` bounds every step.  ``elapsed`` is the wall time of the run.
     """
     if not T > 0:
         raise ValueError("T must be positive")
-    sample_dt = T / 200.0
-    pending = sorted(t for t in snapshot_times if t > initial.time)
-    if any(t > T for t in pending):
+    if not all(initial.time <= t <= T for t in snapshot_times):
         raise ValueError("snapshot times must lie in [0, T]")
+    sample_dt = T / 200.0
+    pending = sorted(snapshot_times)
     t_start = _time.perf_counter()
     cs = initial.copy()
     events: list[Event] = []
-    samples: list[tuple[float, list[Cluster]]] = [(cs.time, [replace(c) for c in cs.clusters])]
+    samples = [_sample(cs, cs.time)]
     snapshots: list[tuple[float, ClusterSet]] = []
-    if any(abs(t - cs.time) <= 1e-15 for t in snapshot_times):
-        snapshots.append((cs.time, cs.copy()))
+    while pending and pending[0] == cs.time:
+        snapshots.append((pending.pop(0), cs.copy()))
     t0, k_sample = cs.time, 1
     n_advances = n_rejected = 0
     root_iterations: list[int] = []
@@ -726,7 +712,7 @@ def run(
         while pending and cs.time >= pending[0] - 1e-12:
             snapshots.append((pending.pop(0), cs.copy()))
         while (t := t0 + k_sample * sample_dt) <= cs.time + 1e-15 and t <= T:
-            samples.append((t, _clusters_at(cs, t)))
+            samples.append(_sample(cs, t))
             k_sample += 1
         if len(cs) == 1 and evs:
             c = cs.clusters[0]
@@ -736,7 +722,7 @@ def run(
             break
     while pending:
         snapshots.append((pending.pop(0), cs.copy()))
-    samples.append((cs.time, [replace(c) for c in cs.clusters]))
+    samples.append(_sample(cs, cs.time))
     elapsed = _time.perf_counter() - t_start
     return ParticleRunResult(
         events, samples, cs, n_advances, elapsed, snapshots,

@@ -270,8 +270,7 @@ def load_scenario(path) -> Scenario:
     """Load a scenario from a JSON file or resolve a builtin preset name.
 
     A config may set ``"preset": "<name>"`` to start from that preset's
-    values; any other keys (T, solver, grid, ...) override the preset's
-    defaults.
+    document; any other keys (T, solver, grid, ...) replace its entries.
     """
     if str(path) in PRESET_NAMES:
         return preset(str(path))
@@ -283,11 +282,8 @@ def load_scenario(path) -> Scenario:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"invalid JSON in {path}: {exc}") from exc
-    if "preset" in data:
-        base = scenario_to_dict(preset(str(data.pop("preset"))))
-        base.pop("snapshot_times", None)
-        base.update(data)
-        data = base
+    if "preset" in _object("", data):
+        data = {**_preset_config(str(data.pop("preset"))), **data}
     return scenario_from_dict(data, name=path.stem)
 
 
@@ -323,27 +319,26 @@ _PRESETS = {
 }
 
 
-def preset(name: str, solver: str | None = None, dx: float = 5e-4, T: float | None = None) -> Scenario:
-    """One of the four canonical two-species scenarios.
-
-    All use chi1 = 10, chi2 = 1, theta1 = theta2 = 1 and narrow Gaussian
-    bumps of width 5000 on the domain [-2, 2].
-    """
+def _preset_config(name: str, solver: str | None = None, dx: float = 5e-4, T: float | None = None) -> dict:
+    """The scenario document of preset ``name``: chi1 = 10, chi2 = 1,
+    theta1 = theta2 = 1 and narrow Gaussian bumps of width 5000 on the
+    domain [-2, 2], with the default snapshot times."""
     if name not in _PRESETS:
         raise ScenarioError(f"unknown preset {name!r}; valid: {', '.join(PRESET_NAMES)}")
     chi1, chi2, b1, b2, t_default, solver_default = _PRESETS[name]
-    t_final = T if T is not None else t_default
-    return Scenario(
-        name=name,
-        params=ModelParams(chi1=chi1, chi2=chi2),
-        kernel_spec={"kind": "exponential"},
-        initial1={"bumps": [list(b) for b in b1]},
-        initial2={"bumps": [list(b) for b in b2]},
-        solver=solver or solver_default,
-        T=t_final,
-        grid=(-2.0, 2.0, dx),
-        snapshot_times=tuple(round(i * t_final / 5.0, 12) for i in range(6)),
-    )
+    return {
+        "name": name,
+        "params": {"chi1": chi1, "chi2": chi2},
+        "initial": {"species1": {"bumps": b1}, "species2": {"bumps": b2}},
+        "solver": solver or solver_default,
+        "T": T if T is not None else t_default,
+        "grid": {"xmin": -2.0, "xmax": 2.0, "dx": dx},
+    }
+
+
+def preset(name: str, solver: str | None = None, dx: float = 5e-4, T: float | None = None) -> Scenario:
+    """One of the four canonical two-species scenarios (:func:`_preset_config`)."""
+    return scenario_from_dict(_preset_config(name, solver, dx, T))
 
 
 # --- initial data ------------------------------------------------------
@@ -461,9 +456,9 @@ def _run_particles(s: Scenario, kernel, out: Path) -> tuple[list[dict], dict, di
     files = []
     traj_path = out / "trajectories.csv"
     rows = []
-    for t, clusters in res.samples:
-        for c in clusters:
-            rows.append((t, c.id, c.position, c.m1, c.m2, 1.0 if c.glued else 0.0))
+    for t, clusters, positions in res.samples:
+        for c, x in zip(clusters, positions):
+            rows.append((t, c.id, x, c.m1, c.m2, 1.0 if c.glued else 0.0))
     write_csv(traj_path, ["t", "cluster_id", "position", "m1", "m2", "glued"], rows)
     files.append(traj_path.name)
     events = [e.to_dict() for e in res.events]

@@ -21,13 +21,11 @@ from aggrekin.measures import (
     DiscreteMeasure,
     ModelParams,
     bump_mass_unit,
-    coupled_w2,
-    quantile,
     wasserstein2,
 )
 from aggrekin.particles import Cluster, ClusterSet, _gamma, glued_selection, run as particle_run, sync_condition
 from aggrekin.scenarios import initial_cluster_set, initial_grid_state, preset
-from oracle import direct_potential, direct_velocity
+from oracle import coupled_w2, direct_potential, direct_velocity, quantile, species_pair
 
 KERNEL = exponential_kernel()
 M0 = bump_mass_unit()
@@ -442,12 +440,12 @@ class TestCriterion8:
                 cs_b = ClusterSet(
                     [Cluster(float(x), c.m1, c.m2) for x, c in zip(shift, clusters)]
                 )
-                d0 = coupled_w2(cs_a.species_pair(), cs_b.species_pair(), p)
+                d0 = coupled_w2(species_pair(cs_a), species_pair(cs_b), p)
                 res_a = particle_run(cs_a, KERNEL, p, T=1.0, dt_max=2e-3, snapshot_times=times)
                 res_b = particle_run(cs_b, KERNEL, p, T=1.0, dt_max=2e-3, snapshot_times=times)
                 for (ta, snap_a), (tb, snap_b) in zip(res_a.snapshots, res_b.snapshots):
                     assert ta == tb
-                    d = coupled_w2(snap_a.species_pair(), snap_b.species_pair(), p)
+                    d = coupled_w2(species_pair(snap_a), species_pair(snap_b), p)
                     assert d <= d0 * math.exp(rate * ta) * (1 + 1e-6), (
                         f"contraction violated at t={ta:.3f}: {d:.3e} vs bound"
                     )

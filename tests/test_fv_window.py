@@ -432,7 +432,7 @@ def full_grid_run(initial, p, T):
     for k in range(n_steps + 1):
         if k:
             rho1, rho2 = full_grid_step(st, flux, dt)
-            st = GridState(st.xmin, st.dx, rho1, rho2, st.time + dt, st.q1, st.q2)
+            st = GridState(st.xmin, st.dx, rho1, rho2, st.time + dt)
         tracker.update(st.time, full_grid_species_peaks(st, 1), full_grid_species_peaks(st, 2))
         flux = make_flux(st, KERNEL, p)
         lo, hi = window_of(st.rho1, st.rho2)

@@ -248,12 +248,11 @@ class TestStepSuccessors:
             reject()
         for _ in range(n_steps):
             nxt = fv.step(st, make_flux(st, KERNEL, p), dt)
-            for quanta in ((nxt.q1, nxt.q2), ()):
-                ref = GridState(nxt.xmin, nxt.dx, nxt.rho1, nxt.rho2, nxt.time, *quanta)
-                assert type(nxt) is GridState
-                assert same_bits(nxt.rho1, ref.rho1) and same_bits(nxt.rho2, ref.rho2)
-                assert (nxt.q1, nxt.q2, nxt.time) == (ref.q1, ref.q2, ref.time)
-                assert (nxt.xmin, nxt.dx) == (ref.xmin, ref.dx)
+            ref = GridState(nxt.xmin, nxt.dx, nxt.rho1, nxt.rho2, nxt.time)
+            assert type(nxt) is GridState
+            assert same_bits(nxt.rho1, ref.rho1) and same_bits(nxt.rho2, ref.rho2)
+            assert (nxt.q1, nxt.q2, nxt.time) == (ref.q1, ref.q2, ref.time)
+            assert (nxt.xmin, nxt.dx) == (ref.xmin, ref.dx)
             assert nxt.time == st.time + dt
             st = nxt
 
@@ -272,16 +271,12 @@ class TestStepSuccessors:
         p = ModelParams(chi1=0.45, chi2=0.3)
         for _ in range(n_steps):
             nxt = kinetic.step(st, solve_chemo_field(st, p, KERNEL, st._padded_window()), p)
-            for quanta in ((nxt.q1, nxt.q2), ()):
-                ref = KineticState(
-                    nxt.xmin, nxt.dx, nxt.rho1, nxt.rho2, nxt.J1, nxt.J2,
-                    nxt.epsilon, nxt.time, *quanta,
-                )
-                assert type(nxt) is KineticState
-                for name in ("rho1", "rho2", "J1", "J2"):
-                    assert same_bits(getattr(nxt, name), getattr(ref, name)), name
-                assert (nxt.q1, nxt.q2, nxt.time) == (ref.q1, ref.q2, ref.time)
-                assert nxt.epsilon == ref.epsilon
+            ref = KineticState(nxt.xmin, nxt.dx, nxt.rho1, nxt.rho2, nxt.J1, nxt.J2, nxt.epsilon, nxt.time)
+            assert type(nxt) is KineticState
+            for name in ("rho1", "rho2", "J1", "J2"):
+                assert same_bits(getattr(nxt, name), getattr(ref, name)), name
+            assert (nxt.q1, nxt.q2, nxt.time) == (ref.q1, ref.q2, ref.time)
+            assert nxt.epsilon == ref.epsilon
             st = nxt
 
     @settings(max_examples=60, deadline=None)
@@ -344,3 +339,32 @@ def test_grid_runs_reject_snapshot_times_outside_the_run():
     st = KineticState(-1.0, 0.05, np.ones(40), np.ones(40), np.zeros(40), np.zeros(40), 0.1)
     with pytest.raises(ValueError, match="snapshot times"):
         kinetic.run(st, ModelParams(chi1=0.4, chi2=0.3), 0.2, snapshot_times=(0.3,))
+
+
+def run_to(solver: str, T: float, snapshot_times):
+    """A run of ``solver`` to ``T`` from a small state holding both species."""
+    p = ModelParams(chi1=0.4, chi2=0.3)
+    rho = np.zeros(40)
+    rho[18:22] = 0.25
+    if solver == "particles":
+        cs = ClusterSet([Cluster(-0.1, 1.0, 0.0), Cluster(0.1, 0.0, 1.0)])
+        return particles.run(cs, KERNEL, p, T, snapshot_times=snapshot_times)
+    if solver == "fv":
+        st = GridState(-1.0, 0.05, rho, rho[::-1].copy())
+        return fv.run(st, KERNEL, p, T, snapshot_times=snapshot_times, track_peaks=False)
+    st = KineticState(-1.0, 0.05, rho, rho[::-1].copy(), np.zeros(40), np.zeros(40), 0.1)
+    return kinetic.run(st, p, T, snapshot_times=snapshot_times)
+
+
+@pytest.mark.parametrize("solver", ["fv", "kinetic", "particles"])
+@pytest.mark.parametrize("times", [(math.nan, 0.1), (-0.1, 0.1), (0.1, 0.3)])
+def test_runs_refuse_snapshot_times_outside_the_run(solver, times):
+    with pytest.raises(ValueError, match=r"snapshot times must lie in \[0, T\]"):
+        run_to(solver, 0.2, times)
+
+
+@pytest.mark.parametrize("solver", ["fv", "kinetic", "particles"])
+def test_runs_give_each_requested_time_its_own_snapshot(solver):
+    res = run_to(solver, 0.2, (0.0, 0.0, 0.1, 0.1))
+    assert len(res.snapshots) == 4
+    assert res.snapshots[0][0] == res.snapshots[1][0] == 0.0

@@ -9,13 +9,11 @@ from aggrekin.measures import (
     CoarseGridWarning,
     DiscreteMeasure,
     ModelParams,
-    SpeciesPair,
     bump_mass_unit,
-    coupled_w2,
-    quantile,
     sample_gaussian_bumps,
     wasserstein2,
 )
+from oracle import SpeciesPair, coupled_w2, quantile
 
 
 def brute_force_quantile(positions, masses, z):

@@ -341,6 +341,25 @@ class TestAdvance:
         assert res.events == []
         assert res.final.clusters[0].position == 0.2
 
+    def test_lone_glued_cluster_takes_the_general_step(self):
+        # no other cluster pulls it: its pull is -0.0 and the step's error is 0
+        cs = ClusterSet([Cluster(0.3, 1.0, 0.5)])
+        for k in (1, 2, 3):
+            cs, events = advance(cs, KERNEL, params(), 0.05)
+            assert events == [] and cs.dense is not None
+            assert [(c.position, c.glued) for c in cs.clusters] == [(0.3, True)]
+            assert cs.time == pytest.approx(0.05 * k, abs=1e-15)
+
+    def test_samples_share_the_step_clusters(self):
+        cs = ClusterSet([Cluster(-0.4, 1.0, 0.0), Cluster(0.4, 0.0, 1.0)])
+        res = run(cs, KERNEL, params(chi1=1.0, chi2=1.0), T=0.5, dt_max=0.1)
+        assert res.events == [] and len(res.samples) == 202
+        for t, clusters, positions in res.samples:
+            assert len(positions) == len(clusters) == 2
+            assert positions[0] < positions[1]
+        assert res.samples[-1][1] is res.final.clusters
+        assert res.samples[-1][2] == [c.position for c in res.final.clusters]
+
     def test_run_counts_its_advances(self):
         cs = ClusterSet([Cluster(-0.4, 1.0, 0.0), Cluster(0.4, 0.0, 1.0)])
         res = run(cs, KERNEL, params(), T=0.05, dt_max=1e-2)

@@ -146,10 +146,10 @@ def test_example3_glue_and_unglue_against_oracle():
 def test_trajectory_samples_lie_on_the_oracle():
     s = preset("example2")
     res = preset_run("example2")
-    times = [t for t, _ in res.samples[:-1]]
+    times = [t for t, _, _ in res.samples[:-1]]
     sample_dt = s.T / 200.0
     assert times == [k * sample_dt for k in range(len(times))]
-    before = [(t, [c.position for c in clusters]) for t, clusters in res.samples if t < EX2_CROSS]
+    before = [(t, positions) for t, _, positions in res.samples if t < EX2_CROSS]
     z0, w, chi = three_aggregates(-0.15)
     sol = integrate.solve_ivp(
         lambda _t, z: chi * (exp_slope(z[:, None] - z[None, :]) @ w),

@@ -68,6 +68,22 @@ class TestLoadScenario:
         assert s.T == 2.5
         assert s.initial1["bumps"] == [[2.0, -0.5], [4.0, 0.5]]
 
+    def test_preset_key_alone_is_the_preset(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "example4"}))
+        assert scenario_to_dict(load_scenario(path)) == scenario_to_dict(preset("example4"))
+
+    @pytest.mark.parametrize("document", ["my preset", ["preset"], [1, 2]])
+    def test_cli_refuses_a_document_that_is_no_object(self, tmp_path, capsys, document):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(document))
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload == {
+            "error": "ScenarioError",
+            "message": f"scenario: expected a JSON object, got {document!r}",
+        }
+
     def test_unknown_solver_lists_valid_tags(self, tmp_path):
         path = quick_particle_config(tmp_path)
         data = json.loads(path.read_text())
