@@ -92,7 +92,8 @@ def cfl_dt(
     With unit masses and unit chemosensitivities this is the classical
     bound safety * dx / (|K'|_inf (theta1 + theta2)); for other masses the
     velocity bound scales with the actual total weighted mass.  A bound of
-    zero, or one so small that the step is not finite, is a ValueError.
+    zero, and a step that overflows (subnormal masses) or underflows to 0
+    (a subnormal safety factor), is a ValueError.
     """
     if not 0.0 < safety < 1.0:
         raise ValueError("safety factor must lie in (0, 1)")
@@ -101,9 +102,10 @@ def cfl_dt(
     if speed <= 0.0:
         raise ValueError("velocity bound is zero; no CFL restriction applies")
     dt = safety * dx / speed
-    if not math.isfinite(dt):
-        # a velocity bound so small (subnormal masses) that dx over it overflows
-        raise ValueError(f"CFL step is not finite: {safety} * {dx} / {speed!r} = {dt}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(
+            f"CFL step is not finite or not positive: safety {safety!r} * dx {dx!r} / {speed!r} = {dt}"
+        )
     return dt
 
 
@@ -320,7 +322,8 @@ def run(
     dt_max: float | None = None,
     track_peaks: bool = True,
 ) -> FvRunResult:
-    """Advance the scheme to time T with per-step diagnostics.
+    """Advance the scheme from ``initial.time`` to the absolute time T with
+    per-step diagnostics (see :func:`aggrekin.lattice.march`).
 
     Snapshots are recorded at the nearest step boundary <= each requested
     time (actual times reported).  Aborts through
@@ -334,13 +337,10 @@ def run(
         dt = min(dt, dt_max)
     diag = {k: [] for k in ("t", "mass1", "mass2", "weighted_center", "max_velocity", "min_cell")}
     tracker = _ContactTracker(initial.dx) if track_peaks else None
-    flux = None  # the velocity field of the last recorded state
 
-    def record(st: GridState):
-        nonlocal flux
+    def record(st: GridState, flux: FluxField):
         if tracker is not None:
             tracker.update(st.time, species_peaks(st, 1), species_peaks(st, 2))
-        flux = make_flux(st, kernel, p)
         lo, hi = st.window
         diag["t"].append(st.time)
         diag["mass1"].append(float(st.rho1[lo:hi].sum()))
@@ -353,7 +353,8 @@ def run(
         return st.time, st
 
     snapshots, final, n_steps, elapsed = march(
-        initial, T, dt, snapshot_times, lambda st: step(st, flux, dt), record
+        initial, T, dt, snapshot_times,
+        lambda st: make_flux(st, kernel, p), lambda st, flux: step(st, flux, dt), record,
     )
     return FvRunResult(
         snapshots=snapshots,

@@ -145,6 +145,10 @@ def step(state: KineticState, field: ChemoField, p: ModelParams) -> KineticState
     j = to_right - to_left
     # relaxation toward chi dS rho, in the order of the per-species formula
     beta = [2.0 * psi * state.dx / state.epsilon for psi in (p.psi1, p.psi2)]
+    if not all(map(math.isfinite, beta)):
+        raise ValueError(
+            f"epsilon = {state.epsilon!r} makes the relaxation rate 2 psi dx / epsilon not finite"
+        )
     pull = np.array([[beta[0] * p.chi1], [beta[1] * p.chi2]])
     target = (pull * field.dS * rho + j) / [[1.0 + beta[0]], [1.0 + beta[1]]]
     j += 2.0 * whole_quanta(0.5 * (target - j), q)
@@ -192,8 +196,9 @@ def run(
     kernel: PointyKernel = PointyKernel(),
     snapshot_times: tuple[float, ...] = (),
 ) -> KineticRunResult:
-    """Advance to time T in steps of dt = dx (exact characteristic shifts,
-    no numerical diffusion), refreshing the chemo field every step.
+    """Advance from ``initial.time`` to the absolute time T in steps of
+    dt = dx (exact characteristic shifts, no numerical diffusion), with
+    the chemo field of every state (see :func:`aggrekin.lattice.march`).
 
     Snapshots are recorded at the last step boundary <= each requested
     time, with the chemo field on every cell.  Aborts through
@@ -201,15 +206,11 @@ def run(
     cells.  ``kernel`` defaults to the exponential one.
     """
     dt = initial.dx
-    field = None  # the chemo field of the last recorded state, on its padded window
-
-    def record(st: KineticState):
-        nonlocal field
-        field = solve_chemo_field(st, p, kernel, st._padded_window())
-        return st
-
     snapshots, final, n_steps, elapsed = march(
-        initial, T, dt, snapshot_times, lambda st: step(st, field, p), record
+        initial, T, dt, snapshot_times,
+        lambda st: solve_chemo_field(st, p, kernel, st._padded_window()),
+        lambda st, field: step(st, field, p),
+        lambda st, field: st,
     )
     return KineticRunResult(
         snapshots=[(st.time, st, solve_chemo_field(st, p, kernel)) for st in snapshots],

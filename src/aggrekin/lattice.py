@@ -216,35 +216,42 @@ def check_boundary(state: GridCells, total: float) -> None:
         )
 
 
-def march(initial: GridCells, T: float, dt: float, snapshot_times, advance, record):
+def march(initial: GridCells, T: float, dt: float, snapshot_times, field, advance, record):
     """The step loop of a grid solver's run.
 
-    Takes n = floor(T / dt) steps ``state = advance(state)`` from
-    ``initial``, and refuses a T > 0 so short that n = 0.  Every state, the
-    initial one included, must pass :func:`check_boundary`; then
-    ``record(state)`` returns its snapshot entry.  Each requested time in
-    ``snapshot_times``, which must lie in [0, T], gets the entry of the
-    last step boundary at or before it (the last state for times past it).
-    Returns the snapshot entries, the final state, n and the wall time.
+    Takes n = floor((T - t0) / dt) steps from ``initial`` at time t0 to the
+    absolute time T; refuses T < t0, a non-finite (T - t0) / dt and n = 0
+    for T > t0.  Each state, the initial one included, must pass
+    :func:`check_boundary`; its field ``f = field(state)`` is computed once,
+    ``record(state, f)`` returns its snapshot entry and ``advance(state, f)``
+    its successor.  Each requested time in ``snapshot_times``, which must
+    lie in [t0, T], gets the entry of the last step boundary at or before
+    it (the last state for times past it).  Returns the snapshot entries,
+    the final state, n and the wall time.
     """
-    if T < 0:
-        raise ValueError("T must be nonnegative")
-    if not all(0.0 <= t <= T for t in snapshot_times):
+    t0 = initial.time
+    if not T >= t0:
+        raise ValueError(f"T = {T!r} precedes the initial time {t0!r}")
+    if not all(t0 <= t <= T for t in snapshot_times):
         raise ValueError("snapshot times must lie in [0, T]")
+    steps = (T - t0) / dt if dt > 0 else math.nan
+    if not math.isfinite(steps):
+        raise ValueError(f"(T - t0) / dt = ({T!r} - {t0!r}) / {dt!r} is not a finite step count")
     t_start = _time.perf_counter()
-    n_steps = int(math.floor(T / dt + 1e-12)) if T > 0 else 0
+    n_steps = int(math.floor(steps + 1e-12))
     total = sum(initial.total_masses())
     requested = sorted(snapshot_times)
     snapshots = []
     state = initial
     check_boundary(state, total)
-    if T > 0 and n_steps == 0:
-        raise ValueError(f"the step dt = {dt!r} is longer than T = {T!r}, so the run takes no step")
+    if T > t0 and n_steps == 0:
+        raise ValueError(f"the step dt = {dt!r} is longer than the run from {t0!r} to T = {T!r}")
     for k in range(n_steps + 1):
         if k:
-            state = advance(state)
+            state = advance(state, f)
             check_boundary(state, total)
-        entry = record(state)
+        f = field(state)
+        entry = record(state, f)
         # every requested time before the next step boundary maps to this one
         limit = state.time + dt if k < n_steps else math.inf
         while len(snapshots) < len(requested) and requested[len(snapshots)] < limit:

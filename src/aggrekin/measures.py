@@ -129,8 +129,8 @@ def sample_gaussian_bumps(
     ``grid`` is (xmin, xmax, dx); atoms sit at cell centers and carry the
     midpoint-rule cell mass (cell-center density times dx).  The grid must
     cover every bump support down to a 1e-12 relative mass truncation.
-    Warns with :class:`CoarseGridWarning` when there are fewer than 8 cells
-    per bump standard deviation.
+    Warns with :class:`CoarseGridWarning` when there are bumps and fewer
+    than 8 cells per bump standard deviation.
     """
     xmin, xmax, dx = (float(v) for v in grid)
     if dx <= 0 or xmax <= xmin:
@@ -153,7 +153,7 @@ def sample_gaussian_bumps(
                 "to 1e-12 relative mass truncation"
             )
         masses += amplitude * np.exp(-width * (centers - center) ** 2) * dx
-    if dx > sigma / 8.0:
+    if bumps and dx > sigma / 8.0:
         warnings.warn(
             f"grid spacing {dx} gives fewer than 8 cells per bump standard deviation {sigma}",
             CoarseGridWarning,

@@ -680,6 +680,11 @@ def run(
         raise ValueError("T must be positive")
     if not all(initial.time <= t <= T for t in snapshot_times):
         raise ValueError("snapshot times must lie in [0, T]")
+    budget = 50 * T / dt_max if dt_max > 0 else math.nan
+    if not math.isfinite(budget):
+        raise ValueError(
+            f"dt_max must be positive with a finite iteration budget 50 T / dt_max, got {dt_max!r}"
+        )
     sample_dt = T / 200.0
     pending = sorted(snapshot_times)
     t_start = _time.perf_counter()
@@ -693,7 +698,7 @@ def run(
     n_advances = n_rejected = 0
     root_iterations: list[int] = []
     located = 0  # iterations of a located root whose event is not reported yet
-    max_iterations = int(50 * T / dt_max) + 10_000
+    max_iterations = int(budget) + 10_000
     while cs.time < T - 1e-12 and len(cs) > 1:
         n_advances += 1
         if n_advances > max_iterations:

@@ -42,7 +42,6 @@ __all__ = [
     "make_kernel",
     "preset",
     "PRESET_NAMES",
-    "bumps_to_clusters",
     "initial_grid_state",
     "initial_cluster_set",
     "run_scenario",
@@ -75,8 +74,6 @@ Scenario JSON schema (all masses in absolute units):
 """
 
 
-# the scalar settings a scenario file may leave to their Scenario defaults
-_OPTIONAL_NUMBERS = ("bump_width", "cfl_safety", "gap_tol", "dt_max", "epsilon")
 # the model parameters it may set; theta and psi default to ModelParams' 1.0
 _PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
 # the top-level keys: the first word of each SCHEMA line indented by two
@@ -118,6 +115,15 @@ def _numbers(key: str, values) -> tuple[float, ...]:
     if not isinstance(values, (list, tuple)):
         raise ScenarioError(f"{key}: expected a list of numbers, got {values!r}")
     return tuple(_number(key, v) for v in values)
+
+
+# the keys a scenario file may leave to their Scenario defaults, in SCHEMA
+# order, each with the parser of its value; output_dir passes through, and
+# Scenario checks that it is a string
+_OPTIONAL = dict(
+    bump_width=_number, snapshot_times=_numbers, cfl_safety=_number, gap_tol=_number,
+    dt_max=_number, epsilon=_number, eps_list=_numbers, output_dir=lambda key, value: value,
+)
 
 
 @dataclass
@@ -213,21 +219,17 @@ def scenario_to_dict(s: Scenario) -> dict:
         "params": asdict(s.params),
         "kernel": dict(s.kernel_spec),
         "initial": {"species1": dict(s.initial1), "species2": dict(s.initial2)},
-        "bump_width": s.bump_width,
         "solver": s.solver,
         "T": s.T,
-        "snapshot_times": list(s.snapshot_times),
-        "cfl_safety": s.cfl_safety,
-        "epsilon": s.epsilon,
     }
-    if s.solver in ("particles", "compare"):  # the settings only particle runs read
-        d.update(gap_tol=s.gap_tol, dt_max=s.dt_max)
     if s.grid is not None:
         d["grid"] = {"xmin": s.grid[0], "xmax": s.grid[1], "dx": s.grid[2]}
-    if s.eps_list is not None:
-        d["eps_list"] = list(s.eps_list)
-    if s.output_dir is not None:
-        d["output_dir"] = s.output_dir
+    # only particle runs read gap_tol and dt_max
+    particle_only = () if s.solver in ("particles", "compare") else ("gap_tol", "dt_max")
+    for key, parse in _OPTIONAL.items():
+        value = getattr(s, key)
+        if value is not None and key not in particle_only:
+            d[key] = list(value) if parse is _numbers else value
     return d
 
 
@@ -247,9 +249,8 @@ def scenario_from_dict(d: dict, name: str = "scenario") -> Scenario:
         g = _object("grid", d["grid"], ("xmin", "xmax", "dx"), ("xmin", "xmax", "dx"))
         grid = tuple(_number(f"grid.{key}", g[key]) for key in ("xmin", "xmax", "dx"))
     T = _number("T", d["T"])
-    snapshot_times = d.get("snapshot_times")
-    if snapshot_times is None:
-        snapshot_times = [round(i * T / 5.0, 12) for i in range(6)]
+    if d.get("snapshot_times") is None:
+        d = {**d, "snapshot_times": [round(i * T / 5.0, 12) for i in range(6)]}
     return Scenario(
         name=str(d.get("name", name)),
         params=params,
@@ -259,10 +260,7 @@ def scenario_from_dict(d: dict, name: str = "scenario") -> Scenario:
         solver=str(d["solver"]),
         T=T,
         grid=grid,
-        snapshot_times=_numbers("snapshot_times", snapshot_times),
-        eps_list=_numbers("eps_list", d["eps_list"]) if "eps_list" in d else None,
-        output_dir=d.get("output_dir"),
-        **{key: _number(key, d[key]) for key in _OPTIONAL_NUMBERS if key in d},
+        **{key: parse(key, d[key]) for key, parse in _OPTIONAL.items() if key in d},
     )
 
 
@@ -344,12 +342,6 @@ def preset(name: str, solver: str | None = None, dx: float = 5e-4, T: float | No
 # --- initial data ------------------------------------------------------
 
 
-def bumps_to_clusters(bumps: list, width: float) -> list[tuple[float, float]]:
-    """(position, mass) atoms: each bump becomes a point of mass A * m0."""
-    m0 = bump_mass_unit(width)
-    return [(float(c), float(a) * m0) for a, c in bumps]
-
-
 def initial_grid_state(s: Scenario) -> GridState:
     if s.grid is None:
         raise ScenarioError("grid: required to sample initial data")
@@ -357,21 +349,19 @@ def initial_grid_state(s: Scenario) -> GridState:
     for spec in (s.initial1, s.initial2):
         if "bumps" not in spec:
             raise ScenarioError("initial: grid solvers require Gaussian-bump initial data")
-        if spec["bumps"]:
-            rho.append(sample_gaussian_bumps(spec["bumps"], s.grid, s.bump_width).masses)
-        else:
-            n = int(round((s.grid[1] - s.grid[0]) / s.grid[2]))
-            rho.append(np.zeros(n))
+        rho.append(sample_gaussian_bumps(spec["bumps"], s.grid, s.bump_width).masses)
     return GridState(s.grid[0], s.grid[2], rho[0], rho[1])
 
 
 def initial_cluster_set(s: Scenario) -> ClusterSet:
+    """The initial clusters; each bump becomes a point of mass A * m0."""
+    m0 = bump_mass_unit(s.bump_width)
     atoms: dict[float, list[float]] = {}
     for species, spec in ((1, s.initial1), (2, s.initial2)):
         if "clusters" in spec:
             pts = [(float(x), float(m)) for x, m in spec["clusters"]]
         else:
-            pts = bumps_to_clusters(spec["bumps"], s.bump_width)
+            pts = [(float(c), float(a) * m0) for a, c in spec["bumps"]]
         for x, m in pts:
             slot = atoms.setdefault(x, [0.0, 0.0])
             slot[species - 1] += m
@@ -399,11 +389,26 @@ class RunReport:
     @classmethod
     def from_dict(cls, d: dict) -> "RunReport":
         """The report that :meth:`to_dict` (or a ``report.json``) holds; a
-        missing or unknown key is named in a ScenarioError."""
+        missing or unknown key, and a value that :func:`report_sync_analysis`
+        cannot read, is named by its path in a ScenarioError."""
         try:
-            return cls(**d)
+            report = cls(**d)
         except TypeError as exc:
             raise ScenarioError(f"report: {exc}") from None
+        _number("report.mass_unit", report.mass_unit)
+        if not isinstance(report.events, list):
+            raise ScenarioError(f"report.events: expected a list of events, got {report.events!r}")
+        for i, e in enumerate(report.events):
+            key = f"report.events[{i}]"
+            if _object(key, e).get("sync_lhs") is not None:
+                printed = ("time", "m1", "m2", "gamma", "sync_lhs", "sync_rhs")
+                _object(key, e, required=printed + ("kind",))
+                for k in printed:
+                    _number(f"{key}.{k}", e[k])
+                if not isinstance(e["kind"], str):
+                    raise ScenarioError(f"{key}.kind: expected a string, got {e['kind']!r}")
+                _numbers(f"{key}.positions", e.get("positions") or [])
+        return report
 
 
 _FMT = "%.17g"

@@ -341,19 +341,37 @@ def test_grid_runs_reject_snapshot_times_outside_the_run():
         kinetic.run(st, ModelParams(chi1=0.4, chi2=0.3), 0.2, snapshot_times=(0.3,))
 
 
-def run_to(solver: str, T: float, snapshot_times):
-    """A run of ``solver`` to ``T`` from a small state holding both species."""
+def run_to(solver: str, T: float, snapshot_times, t0: float = 0.0):
+    """A run of ``solver`` from ``t0`` to ``T`` from a small state holding
+    both species."""
     p = ModelParams(chi1=0.4, chi2=0.3)
     rho = np.zeros(40)
     rho[18:22] = 0.25
     if solver == "particles":
-        cs = ClusterSet([Cluster(-0.1, 1.0, 0.0), Cluster(0.1, 0.0, 1.0)])
+        cs = ClusterSet([Cluster(-0.1, 1.0, 0.0), Cluster(0.1, 0.0, 1.0)], t0)
         return particles.run(cs, KERNEL, p, T, snapshot_times=snapshot_times)
     if solver == "fv":
-        st = GridState(-1.0, 0.05, rho, rho[::-1].copy())
+        st = GridState(-1.0, 0.05, rho, rho[::-1].copy(), t0)
         return fv.run(st, KERNEL, p, T, snapshot_times=snapshot_times, track_peaks=False)
-    st = KineticState(-1.0, 0.05, rho, rho[::-1].copy(), np.zeros(40), np.zeros(40), 0.1)
+    st = KineticState(-1.0, 0.05, rho, rho[::-1].copy(), np.zeros(40), np.zeros(40), 0.1, t0)
     return kinetic.run(st, p, T, snapshot_times=snapshot_times)
+
+
+@pytest.mark.parametrize("solver", ["fv", "kinetic"])
+def test_grid_runs_from_a_later_start_end_at_an_absolute_T(solver):
+    res = run_to(solver, 1.5, (1.0, 1.2, 1.5), t0=1.0)
+    assert res.n_steps == math.floor(0.5 / res.dt + 1e-12) > 0
+    # the run and each snapshot end at the last step boundary at or before
+    # their time, up to the rounding of the summed step times
+    assert 1.5 - res.dt < res.final.time <= 1.5 + 1e-12
+    times = [snap[0] for snap in res.snapshots]
+    assert times[0] == 1.0
+    for t, got in zip((1.2, 1.5), times[1:]):
+        assert t - res.dt < got <= t + 1e-12
+    with pytest.raises(ValueError, match="precedes the initial time"):
+        run_to(solver, 0.5, (), t0=1.0)
+    with pytest.raises(ValueError, match=r"snapshot times must lie in \[0, T\]"):
+        run_to(solver, 1.5, (0.2,), t0=1.0)
 
 
 @pytest.mark.parametrize("solver", ["fv", "kinetic", "particles"])

@@ -16,7 +16,10 @@ from aggrekin.fv import cfl_dt, extract_peaks
 from aggrekin.kinetic import limit_experiment, write_limit_csv
 from aggrekin.measures import bump_mass_unit
 from aggrekin.scenarios import (
+    _KNOWN_KEYS,
+    _OPTIONAL,
     PRESET_NAMES,
+    SCHEMA,
     SOLVERS,
     RunReport,
     ScenarioError,
@@ -137,6 +140,14 @@ class TestLoadScenario:
         path = tmp_path / "echo.json"
         write_scenario(path, s)
         assert load_scenario(path) == s
+
+    def test_every_schema_key_is_structured_or_has_a_parser(self):
+        structured = {"name", "params", "kernel", "initial", "solver", "grid", "T"}
+        assert not structured & set(_OPTIONAL)
+        assert structured | set(_OPTIONAL) == _KNOWN_KEYS
+        # the optional keys are parsed and echoed in SCHEMA order
+        words = [line.split()[0] for line in SCHEMA.splitlines() if line.strip()]
+        assert list(_OPTIONAL) == [w for w in words if w in _OPTIONAL]
 
     def test_grid_solver_requires_grid(self):
         with pytest.raises(ScenarioError, match="grid"):
@@ -409,6 +420,30 @@ class TestCli:
         assert "synchronise" in proc.stdout
         assert proc.stdout == report_sync_analysis(report) + "\n"
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda d: d["events"][0].pop("time"), "report.events[0].time: missing required key"),
+            (lambda d: d.update(events=5), "report.events: expected a list of events, got 5"),
+            (lambda d: d.update(events=[1]), "report.events[0]: expected a JSON object, got 1"),
+            (lambda d: d.update(mass_unit="m0"), "report.mass_unit: expected a number, got 'm0'"),
+        ],
+        ids=["event-without-time", "events-a-number", "event-a-number", "mass-unit-a-string"],
+    )
+    def test_malformed_report_is_a_json_error_naming_the_path(
+        self, tmp_path, capsys, change, message
+    ):
+        s = preset("example3", solver="particles")
+        s.output_dir = str(tmp_path)
+        run_scenario(s)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["events"][0]["sync_lhs"] is not None
+        change(report)
+        (tmp_path / "report.json").write_text(json.dumps(report))
+        assert cli_main(["report", str(tmp_path)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload == {"error": "ScenarioError", "message": message}
+
     def test_report_with_missing_keys_is_a_json_error(self, tmp_path):
         (tmp_path / "report.json").write_text(json.dumps({"solver": "particles", "events": []}))
         proc = self.run_cli("report", str(tmp_path))
@@ -651,6 +686,28 @@ class TestWronglyTypedValues:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "ScenarioError"
         assert payload["message"].startswith(key if key != "params" else "params.chi1")
+
+    # positive and finite, but the step, the step count, the particle
+    # iteration budget or the kinetic relaxation rate formed from them is not
+    @pytest.mark.parametrize(
+        "document, name",
+        [
+            ({"preset": "example1", "solver": "fv", "cfl_safety": 5e-324}, "safety 5e-324"),
+            ({"preset": "example1", "solver": "fv", "cfl_safety": 1e-320}, "(T - t0) / dt"),
+            ({"preset": "example1", "solver": "particles", "dt_max": 1e-310}, "dt_max must be positive"),
+            ({**KINETIC_CONFIG, "epsilon": 5e-324}, "epsilon = 5e-324"),
+        ],
+        ids=["cfl_safety-step-0", "cfl_safety-steps-inf", "dt_max", "epsilon"],
+    )
+    def test_cli_refuses_a_tiny_value_whose_derived_quantity_overflows(
+        self, tmp_path, capsys, document, name
+    ):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(document))
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ValueError"
+        assert name in payload["message"]
 
 
 def _tree_bytes(root: Path) -> dict[str, bytes]:
