@@ -325,8 +325,8 @@ def run(
     """Advance the scheme from ``initial.time`` to the absolute time T with
     per-step diagnostics (see :func:`aggrekin.lattice.march`).
 
-    Snapshots are recorded at the nearest step boundary <= each requested
-    time (actual times reported).  Aborts through
+    Snapshots are ``(t, state)`` pairs, one per requested time, at the step
+    boundary that :func:`aggrekin.lattice.march` maps it to.  Aborts through
     :func:`aggrekin.lattice.check_boundary` if mass reaches the outermost
     cells.  The per-step diagnostics are read off the occupied window:
     ``max_velocity`` is max|a_hat| over the window and its two neighbour
@@ -350,7 +350,6 @@ def run(
         # a window narrower than the grid leaves empty cells outside it
         full = (lo, hi) == (0, st.n_cells)
         diag["min_cell"].append(float(min(np.min(st.rho1), np.min(st.rho2))) if full else 0.0)
-        return st.time, st
 
     snapshots, final, n_steps, elapsed = march(
         initial, T, dt, snapshot_times,

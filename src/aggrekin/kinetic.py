@@ -42,7 +42,6 @@ __all__ = [
     "well_prepared_state",
     "run",
     "limit_experiment",
-    "write_kinetic_snapshot_csv",
     "write_limit_csv",
 ]
 
@@ -182,7 +181,7 @@ def well_prepared_state(
 
 @dataclass
 class KineticRunResult:
-    snapshots: list[tuple[float, KineticState, ChemoField]]
+    snapshots: list[tuple[float, KineticState]]
     final: KineticState
     dt: float
     n_steps: int
@@ -200,8 +199,10 @@ def run(
     dt = dx (exact characteristic shifts, no numerical diffusion), with
     the chemo field of every state (see :func:`aggrekin.lattice.march`).
 
-    Snapshots are recorded at the last step boundary <= each requested
-    time, with the chemo field on every cell.  Aborts through
+    Snapshots are ``(t, state)`` pairs, one per requested time, at the step
+    boundary that :func:`aggrekin.lattice.march` maps it to.  The run
+    solves each field on the padded window only; a scenario run solves a
+    snapshot's field on every cell when it writes the snapshot.  Aborts through
     :func:`aggrekin.lattice.check_boundary` if mass reaches the outermost
     cells.  ``kernel`` defaults to the exponential one.
     """
@@ -210,10 +211,10 @@ def run(
         initial, T, dt, snapshot_times,
         lambda st: solve_chemo_field(st, p, kernel, st._padded_window()),
         lambda st, field: step(st, field, p),
-        lambda st, field: st,
+        lambda st, field: None,
     )
     return KineticRunResult(
-        snapshots=[(st.time, st, solve_chemo_field(st, p, kernel)) for st in snapshots],
+        snapshots=snapshots,
         final=final,
         dt=dt,
         n_steps=n_steps,
@@ -254,14 +255,6 @@ def limit_experiment(
         d2 = wasserstein2(DiscreteMeasure(x, kin.rho2), DiscreteMeasure(x, ref.rho2))
         rows.append((eps, d1, d2))
     return rows
-
-
-def write_kinetic_snapshot_csv(path, state: KineticState, field: ChemoField) -> None:
-    write_csv(
-        path,
-        ["x", "rho1", "J1", "rho2", "J2", "S", "dS"],
-        zip(state.centers, state.rho1, state.J1, state.rho2, state.J2, field.S, field.dS),
-    )
 
 
 def write_limit_csv(path, rows: list[tuple[float, float, float]]) -> None:

@@ -222,12 +222,13 @@ def march(initial: GridCells, T: float, dt: float, snapshot_times, field, advanc
     Takes n = floor((T - t0) / dt) steps from ``initial`` at time t0 to the
     absolute time T; refuses T < t0, a non-finite (T - t0) / dt and n = 0
     for T > t0.  Each state, the initial one included, must pass
-    :func:`check_boundary`; its field ``f = field(state)`` is computed once,
-    ``record(state, f)`` returns its snapshot entry and ``advance(state, f)``
-    its successor.  Each requested time in ``snapshot_times``, which must
-    lie in [t0, T], gets the entry of the last step boundary at or before
-    it (the last state for times past it).  Returns the snapshot entries,
-    the final state, n and the wall time.
+    :func:`check_boundary`; its field ``f = field(state)`` is computed once
+    and handed to ``record(state, f)``, which returns nothing, and to
+    ``advance(state, f)``, which returns its successor.  Each requested time
+    t in ``snapshot_times``, which must lie in [t0, T], gets the snapshot
+    ``(state.time, state)`` of step floor((t - t0) / dt), counted as n is,
+    so a time on a step boundary gets that boundary's state and T the final
+    one.  Returns the snapshots, the final state, n and the wall time.
     """
     t0 = initial.time
     if not T >= t0:
@@ -240,7 +241,8 @@ def march(initial: GridCells, T: float, dt: float, snapshot_times, field, advanc
     t_start = _time.perf_counter()
     n_steps = int(math.floor(steps + 1e-12))
     total = sum(initial.total_masses())
-    requested = sorted(snapshot_times)
+    # each requested time's step, counted as the run's steps are
+    snapshot_steps = sorted(math.floor((t - t0) / dt + 1e-12) for t in snapshot_times)
     snapshots = []
     state = initial
     check_boundary(state, total)
@@ -251,9 +253,7 @@ def march(initial: GridCells, T: float, dt: float, snapshot_times, field, advanc
             state = advance(state, f)
             check_boundary(state, total)
         f = field(state)
-        entry = record(state, f)
-        # every requested time before the next step boundary maps to this one
-        limit = state.time + dt if k < n_steps else math.inf
-        while len(snapshots) < len(requested) and requested[len(snapshots)] < limit:
-            snapshots.append(entry)
+        record(state, f)
+        while len(snapshots) < len(snapshot_steps) and snapshot_steps[len(snapshots)] == k:
+            snapshots.append((state.time, state))
     return snapshots, state, n_steps, _time.perf_counter() - t_start

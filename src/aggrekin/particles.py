@@ -674,10 +674,13 @@ def run(
     step's interpolant; ``snapshot_times`` are hit exactly (the step is
     shortened to land on them) and reported in ``snapshots``, one entry
     per requested time, each of which must lie in [``initial.time``, T].
-    ``dt_max`` bounds every step.  ``elapsed`` is the wall time of the run.
+    T must be positive and not precede ``initial.time``; ``dt_max`` bounds
+    every step.  ``elapsed`` is the wall time of the run.
     """
     if not T > 0:
         raise ValueError("T must be positive")
+    if not T >= initial.time:
+        raise ValueError(f"T = {T!r} precedes the initial time {initial.time!r}")
     if not all(initial.time <= t <= T for t in snapshot_times):
         raise ValueError("snapshot times must lie in [0, T]")
     budget = 50 * T / dt_max if dt_max > 0 else math.nan

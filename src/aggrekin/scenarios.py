@@ -450,26 +450,21 @@ def _conservation(initial, final, p: ModelParams | None = None) -> dict:
     return out
 
 
-def _run_particles(s: Scenario, kernel, out: Path) -> tuple[list[dict], dict, dict, list[str]]:
+def _run_particles(s: Scenario, kernel, write) -> tuple[list[dict], dict, dict]:
     cs0 = initial_cluster_set(s)
     res = part_mod.run(
         cs0, kernel, s.params, s.T,
         dt_max=s.dt_max, gap_tol=s.gap_tol,
         snapshot_times=s.snapshot_times,
     )
-    conservation = _conservation(cs0, res.final, s.params)
-    files = []
-    traj_path = out / "trajectories.csv"
-    rows = []
-    for t, clusters, positions in res.samples:
-        for c, x in zip(clusters, positions):
-            rows.append((t, c.id, x, c.m1, c.m2, 1.0 if c.glued else 0.0))
-    write_csv(traj_path, ["t", "cluster_id", "position", "m1", "m2", "glued"], rows)
-    files.append(traj_path.name)
+    rows = [
+        (t, c.id, x, c.m1, c.m2, 1.0 if c.glued else 0.0)
+        for t, clusters, positions in res.samples
+        for c, x in zip(clusters, positions)
+    ]
+    write("trajectories.csv", write_csv, ["t", "cluster_id", "position", "m1", "m2", "glued"], rows)
     events = [e.to_dict() for e in res.events]
-    ev_path = out / "events.json"
-    _write_json(ev_path, events)
-    files.append(ev_path.name)
+    write("events.json", _write_json, events)
     extra = {
         "final_clusters": [
             {"position": c.position, "m1": c.m1, "m2": c.m2, "glued": c.glued}
@@ -480,44 +475,27 @@ def _run_particles(s: Scenario, kernel, out: Path) -> tuple[list[dict], dict, di
             for t, snap in res.snapshots
         },
     }
-    return events, conservation, extra, files
+    return events, _conservation(cs0, res.final, s.params), extra
 
 
-def _run_fv(s: Scenario, kernel, out: Path) -> tuple[list[dict], dict, dict, list[str]]:
+def _run_fv(s: Scenario, kernel, write) -> tuple[list[dict], dict, dict]:
     st0 = initial_grid_state(s)
     res = fv_mod.run(
         st0, kernel, s.params, s.T,
         snapshot_times=s.snapshot_times, safety=s.cfl_safety,
     )
+    d = res.diagnostics
     conservation = _conservation(st0, res.final, s.params)
-    conservation["min_cell"] = float(np.min(res.diagnostics["min_cell"]))
-    conservation["max_velocity"] = float(np.max(res.diagnostics["max_velocity"]))
-    files = []
+    conservation["min_cell"] = float(np.min(d["min_cell"]))
+    conservation["max_velocity"] = float(np.max(d["max_velocity"]))
     peaks_payload = []
     for i, (t, state) in enumerate(res.snapshots):
-        snap_path = out / f"snapshot_{i:03d}.csv"
-        write_grid_csv(snap_path, ["x", "rho1_mass", "rho2_mass"], state.centers, state.rho1, state.rho2)
-        files.append(snap_path.name)
-        peaks_payload.append(
-            {
-                "time": t,
-                "peaks": [
-                    {"position": q.position, "mass1": q.mass1, "mass2": q.mass2}
-                    for q in extract_peaks(state)
-                ],
-            }
-        )
-    diag_path = out / "diagnostics.csv"
-    d = res.diagnostics
-    write_csv(
-        diag_path,
-        ["t", "mass1", "mass2", "weighted_center", "max_velocity", "min_cell"],
-        zip(d["t"], d["mass1"], d["mass2"], d["weighted_center"], d["max_velocity"], d["min_cell"]),
-    )
-    files.append(diag_path.name)
-    peaks_path = out / "peaks.json"
-    _write_json(peaks_path, peaks_payload)
-    files.append(peaks_path.name)
+        write(f"snapshot_{i:03d}.csv", write_grid_csv, ["x", "rho1_mass", "rho2_mass"],
+              state.centers, state.rho1, state.rho2)
+        peaks = [{"position": q.position, "mass1": q.mass1, "mass2": q.mass2} for q in extract_peaks(state)]
+        peaks_payload.append({"time": t, "peaks": peaks})
+    write("diagnostics.csv", write_csv, list(d), zip(*d.values()))
+    write("peaks.json", _write_json, peaks_payload)
     events = [
         {
             "time": ev.time,
@@ -529,15 +507,12 @@ def _run_fv(s: Scenario, kernel, out: Path) -> tuple[list[dict], dict, dict, lis
         }
         for ev in res.events
     ]
-    ev_path = out / "fv_events.json"
-    _write_json(ev_path, events)
-    files.append(ev_path.name)
+    write("fv_events.json", _write_json, events)
     # wall-clock timing stays out of the report: reruns are byte-identical
-    extra = {"dt": res.dt, "n_steps": res.n_steps}
-    return events, conservation, extra, files
+    return events, conservation, {"dt": res.dt, "n_steps": res.n_steps}
 
 
-def _run_kinetic(s: Scenario, kernel, out: Path) -> tuple[list[dict], dict, dict, list[str]]:
+def _run_kinetic(s: Scenario, kernel, write) -> tuple[list[dict], dict, dict]:
     st0 = initial_grid_state(s)
     if not kin_mod.check_positivity_condition(s.params):
         raise ScenarioError(
@@ -545,44 +520,44 @@ def _run_kinetic(s: Scenario, kernel, out: Path) -> tuple[list[dict], dict, dict
         )
     kin0 = kin_mod.well_prepared_state(st0, s.params, s.epsilon, kernel)
     res = kin_mod.run(kin0, s.params, s.T, kernel=kernel, snapshot_times=s.snapshot_times)
-    conservation = _conservation(kin0, res.final)
-    files = []
-    for i, (t, state, fld) in enumerate(res.snapshots):
-        snap_path = out / f"kinetic_{i:03d}.csv"
-        kin_mod.write_kinetic_snapshot_csv(snap_path, state, fld)
-        files.append(snap_path.name)
+    for i, (_, st) in enumerate(res.snapshots):
+        # the chemo field on every cell, solved for this file only
+        fld = kin_mod.solve_chemo_field(st, s.params, kernel)
+        write(f"kinetic_{i:03d}.csv", write_csv, ["x", "rho1", "J1", "rho2", "J2", "S", "dS"],
+              zip(st.centers, st.rho1, st.J1, st.rho2, st.J2, fld.S, fld.dS))
     extra = {"epsilon": s.epsilon, "dt": res.dt, "n_steps": res.n_steps}
-    return [], conservation, extra, files
+    return [], _conservation(kin0, res.final), extra
+
+
+def _run_compare(s: Scenario, kernel, write) -> tuple[list[dict], dict, dict]:
+    """Particles and then the finite-volume scheme on the same scenario,
+    with the per-event time agreement of the two."""
+    p_events, p_cons, p_extra = _run_particles(s, kernel, write)
+    f_events, f_cons, f_extra = _run_fv(s, kernel, write)
+    extra = {"particles": p_extra, "fv": f_extra, "event_agreement": _match_events(p_events, f_events)}
+    return p_events, {"particles": p_cons, "fv": f_cons}, extra
+
+
+_RUNS = {"particles": _run_particles, "fv": _run_fv, "kinetic": _run_kinetic, "compare": _run_compare}
 
 
 def run_scenario(s: Scenario, out_root: str | None = None) -> RunReport:
-    """Dispatch a scenario to its solver and write all outputs.
+    """Run a scenario on its solver and write all outputs.
 
-    ``compare`` runs particles and the finite-volume scheme on the same
-    scenario and reports per-event time agreement.
+    Every file goes through one ``write(name, writer, *args)``, which calls
+    ``writer(out / name, *args)`` and lists ``name`` in the report's
+    ``files``, in write order; the report and ``scenario.json``, written
+    last, end the list.  ``compare`` runs particles and the finite-volume
+    scheme on the same scenario and reports per-event time agreement.
     """
     out = resolve_output_dir(s, out_root)
-    kernel = make_kernel(s.kernel_spec)
-    if s.solver == "particles":
-        events, conservation, extra, files = _run_particles(s, kernel, out)
-    elif s.solver == "fv":
-        events, conservation, extra, files = _run_fv(s, kernel, out)
-    elif s.solver == "kinetic":
-        events, conservation, extra, files = _run_kinetic(s, kernel, out)
-    elif s.solver == "compare":
-        p_events, p_cons, p_extra, p_files = _run_particles(s, kernel, out)
-        f_events, f_cons, f_extra, f_files = _run_fv(s, kernel, out)
-        events = p_events
-        conservation = {"particles": p_cons, "fv": f_cons}
-        files = p_files + f_files
-        extra = {
-            "particles": p_extra,
-            "fv": f_extra,
-            "event_agreement": _match_events(p_events, f_events),
-        }
-    else:  # pragma: no cover - guarded by Scenario validation
-        raise ScenarioError(f"solver: unknown tag {s.solver!r}")
+    files = []
 
+    def write(name, writer, *args):
+        writer(out / name, *args)
+        files.append(name)
+
+    events, conservation, extra = _RUNS[s.solver](s, make_kernel(s.kernel_spec), write)
     collision_times = sorted(
         e["time"]
         for e in events

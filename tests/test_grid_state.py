@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as hs
 
 from aggrekin import fv, kinetic, particles
@@ -102,14 +102,21 @@ class TestOneBlockPerState:
 
     @settings(max_examples=100, deadline=None)
     @given(m1=cells, m2=cells, u=hs.floats(-1.0, 1.0), theta2=hs.sampled_from([1.0, 0.5, 2.0]))
+    # a subnormal species total: the CFL step overflows, and there is no FV step
+    @example(m1=[0.0] * 4, m2=[0.0, 0.0, 0.0, 1.1125369292536007e-308], u=0.0, theta2=0.5)
     def test_species_are_row_views_of_one_block(self, m1, m2, u, theta2):
         gst, _ = grid_and_kinetic(m1, m2)
         p = ModelParams(chi1=0.45, chi2=0.3, theta2=theta2)
         kst = KineticState(gst.xmin, gst.dx, gst.rho1, gst.rho2, u * gst.rho1, -u * gst.rho2, 0.1)
         states = [gst, kst]
         if sum(gst.total_masses()) > 0:
-            dt = 0.5 * cfl_dt(gst.dx, KERNEL, p, total_masses=gst.total_masses())
-            states.append(fv.step(gst, make_flux(gst, KERNEL, p), dt))
+            try:
+                dt = 0.5 * cfl_dt(gst.dx, KERNEL, p, total_masses=gst.total_masses())
+            except ValueError as exc:
+                # masses so small that the CFL step overflows have no step to take
+                assert "not finite" in str(exc)
+            else:
+                states.append(fv.step(gst, make_flux(gst, KERNEL, p), dt))
         nxt = kinetic.step(kst, solve_chemo_field(kst, p, KERNEL, kst._padded_window()), p)
         for st in states + [nxt]:
             assert_row_views(st.rho, st.rho1, st.rho2)
@@ -372,6 +379,27 @@ def test_grid_runs_from_a_later_start_end_at_an_absolute_T(solver):
         run_to(solver, 0.5, (), t0=1.0)
     with pytest.raises(ValueError, match=r"snapshot times must lie in \[0, T\]"):
         run_to(solver, 1.5, (0.2,), t0=1.0)
+
+
+@pytest.mark.parametrize("solver", ["fv", "kinetic"])
+@pytest.mark.parametrize("t0", [0.0, 1.0])
+def test_a_snapshot_time_on_a_step_boundary_gets_that_boundary(solver, t0):
+    # the summed step times land a few ulp past some boundaries; each
+    # requested time's step is counted as the run's steps are
+    dt = run_to(solver, t0 + 0.5, (), t0=t0).dt
+    times = tuple(t0 + k * dt for k in range(1, 9))
+    res = run_to(solver, times[-1], times, t0=t0)
+    assert res.n_steps == 8
+    for t, (got, _) in zip(times, res.snapshots):
+        assert abs(got - t) <= 1e-12
+    assert res.snapshots[-1][1] is res.final
+
+
+def test_particle_run_refuses_a_T_before_its_start():
+    with pytest.raises(ValueError, match="precedes the initial time"):
+        run_to("particles", 0.5, (), t0=1.0)
+    with pytest.raises(ValueError, match="T must be positive"):
+        run_to("particles", 0.0, ())
 
 
 @pytest.mark.parametrize("solver", ["fv", "kinetic", "particles"])

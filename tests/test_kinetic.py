@@ -404,6 +404,19 @@ class TestRun:
         assert len(res.snapshots) == 3
         assert res.final.total_masses() == kin.total_masses()
 
+    def test_default_snapshot_times_fall_on_their_step_boundaries(self):
+        # 0.04, ..., 0.2 are step boundaries of dt = 4e-3, which the summed
+        # step times pass by a few ulp
+        p = kinetic_params(0.45, 0.3)
+        grid = (-2.0, 2.0, 4e-3)
+        r1 = sample_gaussian_bumps([(1.0, -0.4)], grid, width=200.0)
+        r2 = sample_gaussian_bumps([(1.0, 0.4)], grid, width=200.0)
+        kin = well_prepared_state(GridState(grid[0], grid[2], r1.masses, r2.masses), p, 0.1, KERNEL)
+        times = (0.0, 0.04, 0.08, 0.12, 0.16, 0.2)
+        res = run(kin, p, T=0.2, snapshot_times=times)
+        assert [round(t, 9) for t, _ in res.snapshots] == list(times)
+        assert res.snapshots[-1][1] is res.final
+
     def test_step_longer_than_horizon_is_rejected(self):
         # dt = dx = 4e-3 > T: the run would take no step and stay at t = 0
         p = kinetic_params(0.4, 0.3)

@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from aggrekin import kinetic as kinetic_mod
 from aggrekin import particles as part_mod
+from aggrekin import scenarios as scenarios_mod
 from aggrekin.cli import _build_parser
 from aggrekin.cli import main as cli_main
 from aggrekin.expconv import near_field
@@ -362,6 +364,38 @@ class TestRunScenario:
         assert RunReport.from_dict(report.to_dict()) == report
         written = json.loads((tmp_path / solver / "report.json").read_text())
         assert RunReport.from_dict(written) == report
+
+
+class TestReportManifest:
+    @pytest.mark.filterwarnings("ignore::aggrekin.measures.CoarseGridWarning")
+    @pytest.mark.parametrize("solver", ["particles", "fv", "kinetic", "compare"])
+    def test_files_lists_every_written_file_once_in_write_order(self, tmp_path, monkeypatch, solver):
+        if solver == "kinetic":
+            s = scenario_from_dict({**KINETIC_CONFIG, "grid": {"xmin": -2.0, "xmax": 2.0, "dx": 1e-2}})
+        else:
+            s = preset("example1", solver=solver, dx=1e-2, T=0.05)
+        written = []
+
+        def recording(writer):
+            def write(path, *args):
+                written.append(Path(path).name)
+                writer(path, *args)
+
+            return write
+
+        # every file writer that a run can reach, in the module that calls it
+        for module, name in (
+            (scenarios_mod, "write_csv"), (scenarios_mod, "write_grid_csv"),
+            (scenarios_mod, "_write_json"), (kinetic_mod, "write_csv"),
+        ):
+            monkeypatch.setattr(module, name, recording(getattr(module, name)))
+        report = run_scenario(s, out_root=str(tmp_path))
+        out = tmp_path / s.name
+        assert report.files == written
+        assert report.files[-2:] == ["report.json", "scenario.json"]
+        assert len(set(report.files)) == len(report.files)
+        assert sorted(report.files) == sorted(p.name for p in out.iterdir())
+        assert json.loads((out / "report.json").read_text())["files"] == report.files
 
 
 class TestCrossValidation:
