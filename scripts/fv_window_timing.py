@@ -1,15 +1,16 @@
-"""Time FV runs past blow-up, where the occupied window shrinks with the mass.
+"""Time FV runs up to and past blow-up, where the occupied window shrinks with the mass.
 
-Runs example1 to T = 2.5 and example4 to T = 3.5 with the FV solver on the
-presets' grid (dx = 5e-4) and prints, per run, the number of steps, the
-wall time of ``fv.run`` (its own clock, without the import and set-up),
-the time per step and the width of the occupied window at five equally
-spaced times.  Each run is a fresh interpreter.
+Runs example1 to T = 1.0 (through its first contact, before blow-up: the
+time per step at 8000 cells), example1 to T = 2.5 and example4 to T = 3.5
+with the FV solver on the presets' grid (dx = 5e-4) and prints, per run,
+the number of steps, the wall time of ``fv.run`` (its own clock, without
+the import and set-up), the time per step and the width of the occupied
+window at five equally spaced times.  Each run is a fresh interpreter.
 
 With ``--against OTHER_SRC`` it times a second source tree as well, in
 alternating pairs: the first side of each pair alternates, so both sides
 see the same drift in the host's load.  The last lines give each side's
-median wall time per preset.
+median wall time and time per step per run.
 
     python3 scripts/fv_window_timing.py --pairs 2 --against /path/to/other/src
 """
@@ -24,7 +25,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-RUNS = (("example1", 2.5), ("example4", 3.5))
+RUNS = (("example1", 1.0), ("example1", 2.5), ("example4", 3.5))
 
 CHILD = """
 import json, sys
@@ -59,13 +60,13 @@ def main(argv=None) -> None:
     sides = {"this": Path(__file__).resolve().parent.parent / "src"}
     if args.against is not None:
         sides["other"] = args.against.resolve()
-    walls = {(name, side): [] for name, _ in RUNS for side in sides}
+    walls = {(name, T, side): [] for name, T in RUNS for side in sides}
     for k in range(args.pairs):
         order = list(sides) if k % 2 == 0 else list(sides)[::-1]
         for name, T in RUNS:
             for side in order:
                 r = time_run(sides[side], name, T)
-                walls[name, side].append(r["wall_s"])
+                walls[name, T, side].append((r["wall_s"], r["steps"]))
                 widths = " ".join(f"{t:g}:{w}" for t, w in r["widths"])
                 print(
                     f"{name} T={T:g} side={side} steps={r['steps']} wall_s={r['wall_s']:.3f} "
@@ -73,8 +74,12 @@ def main(argv=None) -> None:
                     f"events={','.join(r['events'])}",
                     flush=True,
                 )
-    for (name, side), w in walls.items():
-        print(f"median {name} side={side} wall_s={statistics.median(w):.3f} over {len(w)} runs")
+    for (name, T, side), runs in walls.items():
+        wall = statistics.median(w for w, _ in runs)
+        print(
+            f"median {name} T={T:g} side={side} wall_s={wall:.3f} "
+            f"us_per_step={1e6 * wall / runs[0][1]:.0f} over {len(runs)} runs"
+        )
 
 
 if __name__ == "__main__":

@@ -112,24 +112,25 @@ def cfl_dt(
 def _quantized_outflows(rho: np.ndarray, a_hat: np.ndarray, speeds, q) -> np.ndarray:
     # on (2, w) blocks of both species: cell j of species k sends the transfer
     # t = speeds[k] a_hat[j] rho[k, j] to the right if t > 0 and -t to the left
-    # if t < 0, so at most one of its two outflows is nonzero.  Each outflow is
-    # rounded up to whole quanta: a cell that holds mass and moves sends at
+    # if t < 0.  A cell sends one way only, so one magnitude |t| per cell,
+    # speeds[k] |a_hat[j]| rho[k, j] bit for bit as speeds > 0 and rho >= 0,
+    # is rounded up to whole quanta and split by the sign of a_hat, the sign
+    # of t wherever |t| is not 0.  A cell that holds mass and moves sends at
     # least one quantum, so an aggregate's tail empties and the window shrinks
-    t = np.multiply.outer(speeds, a_hat)
-    t *= rho
-    out = np.empty((2,) + t.shape)
-    np.maximum(t, 0.0, out=out[0])
-    np.negative(t, out=t)
-    np.maximum(t, 0.0, out=out[1])
-    whole_quanta(out, q, np.ceil)
+    m = np.multiply.outer(speeds, np.abs(a_hat))
+    m *= rho
+    whole_quanta(m, q, np.ceil)
+    # strict CFL makes each transfer less than rho, a multiple of q, so the
+    # rounded outflow is at most rho; the clamp only defends against
+    # degenerate safety factors within one ulp of 1
+    np.minimum(m, rho, out=m)
+    out = np.zeros((2,) + m.shape)
+    np.copyto(out[0], m, where=a_hat > 0.0)
+    np.subtract(m, out[0], out=out[1])
     # the window's outer faces carry nothing: at a grid end that is the
     # boundary rule, and inside the grid those end cells are empty
     out[0, :, -1] = 0.0
     out[1, :, 0] = 0.0
-    # strict CFL makes each transfer less than rho, a multiple of q, so the
-    # rounded outflow is at most rho; the clamp only defends against
-    # degenerate safety factors within one ulp of 1
-    np.minimum(out, rho, out=out)
     return out
 
 
@@ -155,15 +156,21 @@ def step(state: GridState, flux: FluxField, dt: float) -> GridState:
             f"CFL violation: dt * max|chi a_hat| = {dt * vmax:.3e} >= dx = {state.dx:.3e}"
         )
     c = dt / state.dx
+    # the slice updated on a contiguous copy: numpy runs a strided (2, w)
+    # view at about half the speed
+    win = state.rho[:, a:b].copy()
     out_r, out_l = _quantized_outflows(
-        state.rho[:, a:b], flux.velocity, (c * flux.chi1, c * flux.chi2), (state.q1, state.q2)
+        win, flux.velocity, (c * flux.chi1, c * flux.chi2), (state.q1, state.q2)
     )
-    nxt = state.rho.copy()
-    win = nxt[:, a:b]
     win -= out_r
     win -= out_l
-    win[:, 1:] += out_r[:, :-1]
-    win[:, :-1] += out_l[:, 1:]
+    # the inflows shifted along both rows at once: the outer faces send
+    # nothing, so no mass crosses from one species' row to the other's
+    flat = win.reshape(-1)
+    flat[1:] += out_r.reshape(-1)[:-1]
+    flat[:-1] += out_l.reshape(-1)[1:]
+    nxt = state.rho.copy()
+    nxt[:, a:b] = win
     return state._successor(state.time + dt, window=_occupied_span(win, a), rho=nxt)
 
 
@@ -174,17 +181,6 @@ class Peak:
     mass2: float
 
 
-def _runs(values: np.ndarray, floor: float) -> list[tuple[int, int]]:
-    """[s, e) of each maximal run of ``values`` above ``floor``."""
-    active = values > floor
-    edges = (np.flatnonzero(active[1:] != active[:-1]) + 1).tolist()
-    if active[0]:
-        edges.insert(0, 0)
-    if active[-1]:
-        edges.append(active.size)
-    return list(zip(edges[::2], edges[1::2]))
-
-
 # a peak is a run of cells above a floor share of the total mass that holds
 # strictly more than _PEAK_SHARE of it; the floor share is _COMBINED_FLOOR
 # for the two species' combined mass and _SPECIES_FLOOR for one species
@@ -192,20 +188,32 @@ _PEAK_SHARE = 0.01
 _COMBINED_FLOOR, _SPECIES_FLOOR = 1e-9, 1e-6
 
 
-def _peaks(x: np.ndarray, values: np.ndarray, floor_frac: float) -> list[tuple[int, int, float, float]]:
-    """[s, e), mass-weighted centroid and mass of each peak of ``values``,
-    the per-cell masses at cell centres ``x``: each run of cells above
-    ``floor_frac`` times the total that carries strictly more than
-    ``_PEAK_SHARE`` of it."""
-    total = float(values.sum())
-    if total <= 0.0:
-        return []
-    peaks = []
-    for s, e in _runs(values, floor_frac * total):
-        run_mass = float(values[s:e].sum())
-        if run_mass > _PEAK_SHARE * total:
-            peaks.append((s, e, float((x[s:e] * values[s:e]).sum() / run_mass), run_mass))
-    return peaks
+def _peaks(x: np.ndarray, block: np.ndarray, floor_frac: float):
+    """One pass over ``block``, rows of per-cell masses at cell centres
+    ``x``: each row's total, the products x * block, and per row the [s, e),
+    mass-weighted centroid and mass of each peak, a maximal run of cells
+    above ``floor_frac`` times the row's total that carries strictly more
+    than ``_PEAK_SHARE`` of it.  The runs of every row come from one
+    comparison and one search for the run edges.  Sums call ``np.add.reduce``
+    directly: ``ndarray.sum`` is a Python wrapper around it, so the bits are
+    the same and the wrapper's cost is saved."""
+    rows, w = block.shape
+    totals = np.add.reduce(block, axis=1)
+    xv = x * block
+    # each row padded with an inactive cell at both ends, so its run edges
+    # pair up: a run [s, e) starts at edge s and ends at edge e of its row
+    active = np.zeros((rows, w + 2), dtype=bool)
+    np.greater(block, floor_frac * totals[:, None], out=active[:, 1:-1])
+    edges = iter((active[:, 1:] != active[:, :-1]).ravel().nonzero()[0].tolist())
+    totals = totals.tolist()
+    peaks = [[] for _ in range(rows)]
+    for start, end in zip(edges, edges):
+        k, s = divmod(start, w + 1)
+        e = end - k * (w + 1)
+        run_mass = float(np.add.reduce(block[k, s:e]))
+        if run_mass > _PEAK_SHARE * totals[k]:
+            peaks[k].append((s, e, float(np.add.reduce(xv[k, s:e]) / run_mass), run_mass))
+    return totals, xv, peaks
 
 
 def extract_peaks(state: GridState) -> list[Peak]:
@@ -213,20 +221,27 @@ def extract_peaks(state: GridState) -> list[Peak]:
     their per-species masses, sorted by position (see :func:`_peaks`)."""
     lo, hi = state.window
     r1, r2 = state.rho1[lo:hi], state.rho2[lo:hi]
-    return [
-        Peak(centroid, float(np.sum(r1[s:e])), float(np.sum(r2[s:e])))
-        for s, e, centroid, _ in _peaks(state.window_centers, r1 + r2, _COMBINED_FLOOR)
-    ]
+    _, _, (peaks,) = _peaks(state.window_centers, (r1 + r2)[None], _COMBINED_FLOOR)
+    return [Peak(centroid, float(np.sum(r1[s:e])), float(np.sum(r2[s:e]))) for s, e, centroid, _ in peaks]
 
 
-def species_peaks(state: GridState, species: int) -> list[Peak]:
-    """Peaks of a single species (runs computed on that species alone)."""
-    lo, hi = state.window
-    rho = (state.rho1 if species == 1 else state.rho2)[lo:hi]
-    return [
-        Peak(centroid, mass, 0.0) if species == 1 else Peak(centroid, 0.0, mass)
-        for _, _, centroid, mass in _peaks(state.window_centers, rho, _SPECIES_FLOOR)
-    ]
+def species_peaks(state: GridCells, species: int) -> list[Peak]:
+    """Peaks of a single species (runs computed on that species alone).
+
+    One pass over the window (:func:`_peaks`) finds the peaks of both
+    species and the sums of :attr:`GridCells.window_sums`; it is made once
+    per state, so the other species' call and the run's diagnostics read
+    it."""
+    peaks = state.__dict__.get("_species_peaks")
+    if peaks is None:
+        lo, hi = state.window
+        totals, xv, runs = _peaks(state.window_centers, state.rho[:, lo:hi], _SPECIES_FLOOR)
+        peaks = (
+            [Peak(centroid, mass, 0.0) for _, _, centroid, mass in runs[0]],
+            [Peak(centroid, 0.0, mass) for _, _, centroid, mass in runs[1]],
+        )
+        state.__dict__.update(_species_peaks=peaks, window_sums=(totals, np.add.reduce(xv, axis=1).tolist()))
+    return list(peaks[species - 1])
 
 
 @dataclass(frozen=True)
@@ -341,14 +356,14 @@ def run(
     def record(st: GridState, flux: FluxField):
         if tracker is not None:
             tracker.update(st.time, species_peaks(st, 1), species_peaks(st, 2))
-        lo, hi = st.window
+        (mass1, mass2), _ = st.window_sums
         diag["t"].append(st.time)
-        diag["mass1"].append(float(st.rho1[lo:hi].sum()))
-        diag["mass2"].append(float(st.rho2[lo:hi].sum()))
+        diag["mass1"].append(mass1)
+        diag["mass2"].append(mass2)
         diag["weighted_center"].append(st.weighted_center(p))
         diag["max_velocity"].append(flux.amax)
         # a window narrower than the grid leaves empty cells outside it
-        full = (lo, hi) == (0, st.n_cells)
+        full = st.window == (0, st.n_cells)
         diag["min_cell"].append(float(min(np.min(st.rho1), np.min(st.rho2))) if full else 0.0)
 
     snapshots, final, n_steps, elapsed = march(

@@ -268,11 +268,14 @@ def _pulls(z: list[float], wrho: list[float], kernel: PointyKernel) -> list[floa
 def _velocities(
     z: list[float], wrho: list[float], chi: list[float], glued: list[int],
     m1: list[float], m2: list[float], kernel: PointyKernel, p: ModelParams,
+    pull: list[float] | None = None,
 ) -> list[float]:
     """Cluster velocities at positions ``z`` in the step's frozen order
     (:func:`_pulls`): a free cluster moves at chi_a times its pull, a glued
-    one at the common selected velocity."""
-    pull = _pulls(z, wrho, kernel)
+    one at the common selected velocity.  ``pull`` is the caller's
+    ``_pulls(z, wrho, kernel)``, computed here if not given."""
+    if pull is None:
+        pull = _pulls(z, wrho, kernel)
     v = [c * f for c, f in zip(chi, pull)]
     for k in glued:
         w_sel = glued_selection(pull[k], m1[k], m2[k], p)
@@ -540,9 +543,11 @@ def advance(
     m2 = [c.m2 for c in cs.clusters]
     wrho, chi, glued = _step_constants(m1, m2, p)
 
-    def unglue_excess(z: list[float]) -> dict[int, float]:
-        # LHS - RHS of each glued cluster's condition, on the pull it moves with
-        pull = _pulls(z, wrho, kernel) if glued else []
+    def unglue_excess(z: list[float], pull: list[float] | None = None) -> dict[int, float]:
+        # LHS - RHS of each glued cluster's condition, on the pull it moves
+        # with: ``pull``, when the caller has it, is the pull at z
+        if pull is None:
+            pull = _pulls(z, wrho, kernel) if glued else []
         return {i: (chk := sync_condition(pull[i], m1[i], m2[i], p)).lhs - chk.rhs for i in glued}
 
     last = cs.dense
@@ -551,8 +556,14 @@ def advance(
         if failing:
             return _resolve(cs, failing, wrho, kernel, p, gap_tol)
 
+    # the pull at the point of the last velocity evaluation: once a trial
+    # step is accepted, its end point z1, where the unglue check reuses it
+    last_pull: list[float] = []
+
     def vel(z: list[float]) -> list[float]:
-        return _velocities(z, wrho, chi, glued, m1, m2, kernel, p)
+        nonlocal last_pull
+        last_pull = _pulls(z, wrho, kernel)
+        return _velocities(z, wrho, chi, glued, m1, m2, kernel, p, last_pull)
 
     # the velocity at the end of an uninterrupted step is this set's
     v0 = last.v_end if last is not None and last.v_end is not None else vel(z0)
@@ -609,7 +620,7 @@ def advance(
         # past the root, but before the pair's gap closes to 0
         s_end, n_iter = _first_root(gap_excess, 1.0, ROOT_TOL / h, gap_tol)
     z_end = at(s_end)
-    ungluing = [i for i, e in unglue_excess(z_end).items() if e > 0.0]
+    ungluing = [i for i, e in unglue_excess(z_end, last_pull if s_end == 1.0 else None).items() if e > 0.0]
     if ungluing:
         s_end, n = _first_root(sync_excess, s_end, ROOT_TOL / h)
         n_iter += n
@@ -682,7 +693,9 @@ def run(
     if not T >= initial.time:
         raise ValueError(f"T = {T!r} precedes the initial time {initial.time!r}")
     if not all(initial.time <= t <= T for t in snapshot_times):
-        raise ValueError("snapshot times must lie in [0, T]")
+        raise ValueError(
+            f"snapshot times must lie in [t0, T] = [{initial.time!r}, {T!r}], got {list(snapshot_times)!r}"
+        )
     budget = 50 * T / dt_max if dt_max > 0 else math.nan
     if not math.isfinite(budget):
         raise ValueError(

@@ -377,7 +377,8 @@ def test_grid_runs_from_a_later_start_end_at_an_absolute_T(solver):
         assert t - res.dt < got <= t + 1e-12
     with pytest.raises(ValueError, match="precedes the initial time"):
         run_to(solver, 0.5, (), t0=1.0)
-    with pytest.raises(ValueError, match=r"snapshot times must lie in \[0, T\]"):
+    message = r"snapshot times must lie in \[t0, T\] = \[1\.0, 1\.5\], got \[0\.2\]"
+    with pytest.raises(ValueError, match=message):
         run_to(solver, 1.5, (0.2,), t0=1.0)
 
 
@@ -405,7 +406,7 @@ def test_particle_run_refuses_a_T_before_its_start():
 @pytest.mark.parametrize("solver", ["fv", "kinetic", "particles"])
 @pytest.mark.parametrize("times", [(math.nan, 0.1), (-0.1, 0.1), (0.1, 0.3)])
 def test_runs_refuse_snapshot_times_outside_the_run(solver, times):
-    with pytest.raises(ValueError, match=r"snapshot times must lie in \[0, T\]"):
+    with pytest.raises(ValueError, match=r"snapshot times must lie in \[t0, T\] = \[0\.0, 0\.2\]"):
         run_to(solver, 0.2, times)
 
 
