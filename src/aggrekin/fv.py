@@ -188,24 +188,20 @@ _PEAK_SHARE = 0.01
 _COMBINED_FLOOR, _SPECIES_FLOOR = 1e-9, 1e-6
 
 
-def _peaks(x: np.ndarray, block: np.ndarray, floor_frac: float):
-    """One pass over ``block``, rows of per-cell masses at cell centres
-    ``x``: each row's total, the products x * block, and per row the [s, e),
-    mass-weighted centroid and mass of each peak, a maximal run of cells
-    above ``floor_frac`` times the row's total that carries strictly more
-    than ``_PEAK_SHARE`` of it.  The runs of every row come from one
-    comparison and one search for the run edges.  Sums call ``np.add.reduce``
-    directly: ``ndarray.sum`` is a Python wrapper around it, so the bits are
-    the same and the wrapper's cost is saved."""
+def _peaks(block: np.ndarray, totals: list[float], xv: np.ndarray, floor_frac: float):
+    """Per row of ``block``, per-cell masses with row totals ``totals`` and
+    products ``xv`` of cell centre and mass, the [s, e), mass-weighted
+    centroid and mass of each peak: a maximal run of cells above
+    ``floor_frac`` times the row's total that carries strictly more than
+    ``_PEAK_SHARE`` of it.  The runs of every row come from one comparison
+    and one search for the run edges; sums call ``np.add.reduce``, the
+    function ``ndarray.sum`` wraps."""
     rows, w = block.shape
-    totals = np.add.reduce(block, axis=1)
-    xv = x * block
     # each row padded with an inactive cell at both ends, so its run edges
     # pair up: a run [s, e) starts at edge s and ends at edge e of its row
     active = np.zeros((rows, w + 2), dtype=bool)
-    np.greater(block, floor_frac * totals[:, None], out=active[:, 1:-1])
+    np.greater(block, floor_frac * np.array(totals)[:, None], out=active[:, 1:-1])
     edges = iter((active[:, 1:] != active[:, :-1]).ravel().nonzero()[0].tolist())
-    totals = totals.tolist()
     peaks = [[] for _ in range(rows)]
     for start, end in zip(edges, edges):
         k, s = divmod(start, w + 1)
@@ -213,7 +209,7 @@ def _peaks(x: np.ndarray, block: np.ndarray, floor_frac: float):
         run_mass = float(np.add.reduce(block[k, s:e]))
         if run_mass > _PEAK_SHARE * totals[k]:
             peaks[k].append((s, e, float(np.add.reduce(xv[k, s:e]) / run_mass), run_mass))
-    return totals, xv, peaks
+    return peaks
 
 
 def extract_peaks(state: GridState) -> list[Peak]:
@@ -221,26 +217,29 @@ def extract_peaks(state: GridState) -> list[Peak]:
     their per-species masses, sorted by position (see :func:`_peaks`)."""
     lo, hi = state.window
     r1, r2 = state.rho1[lo:hi], state.rho2[lo:hi]
-    _, _, (peaks,) = _peaks(state.window_centers, (r1 + r2)[None], _COMBINED_FLOOR)
+    combined = (r1 + r2)[None]
+    total = np.add.reduce(combined, axis=1).tolist()
+    (peaks,) = _peaks(combined, total, state.window_centers * combined, _COMBINED_FLOOR)
     return [Peak(centroid, float(np.sum(r1[s:e])), float(np.sum(r2[s:e]))) for s, e, centroid, _ in peaks]
 
 
 def species_peaks(state: GridCells, species: int) -> list[Peak]:
     """Peaks of a single species (runs computed on that species alone).
 
-    One pass over the window (:func:`_peaks`) finds the peaks of both
-    species and the sums of :attr:`GridCells.window_sums`; it is made once
-    per state, so the other species' call and the run's diagnostics read
-    it."""
+    One pass (:func:`_peaks`) over the window and the state's
+    :attr:`GridCells.window_moments` finds the peaks of both species; it is
+    made once per state and kept in the state's ``__dict__`` under this
+    function's own key, as a cached property would be, so the other
+    species' call reads it."""
     peaks = state.__dict__.get("_species_peaks")
     if peaks is None:
         lo, hi = state.window
-        totals, xv, runs = _peaks(state.window_centers, state.rho[:, lo:hi], _SPECIES_FLOOR)
-        peaks = (
-            [Peak(centroid, mass, 0.0) for _, _, centroid, mass in runs[0]],
-            [Peak(centroid, 0.0, mass) for _, _, centroid, mass in runs[1]],
+        totals, xv, _ = state.window_moments
+        runs1, runs2 = _peaks(state.rho[:, lo:hi], totals, xv, _SPECIES_FLOOR)
+        peaks = state.__dict__["_species_peaks"] = (
+            [Peak(centroid, mass, 0.0) for _, _, centroid, mass in runs1],
+            [Peak(centroid, 0.0, mass) for _, _, centroid, mass in runs2],
         )
-        state.__dict__.update(_species_peaks=peaks, window_sums=(totals, np.add.reduce(xv, axis=1).tolist()))
     return list(peaks[species - 1])
 
 
@@ -356,7 +355,7 @@ def run(
     def record(st: GridState, flux: FluxField):
         if tracker is not None:
             tracker.update(st.time, species_peaks(st, 1), species_peaks(st, 2))
-        (mass1, mass2), _ = st.window_sums
+        (mass1, mass2), _, _ = st.window_moments
         diag["t"].append(st.time)
         diag["mass1"].append(mass1)
         diag["mass2"].append(mass2)

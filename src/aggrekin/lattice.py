@@ -96,26 +96,9 @@ def checked_cells(name: str, values) -> np.ndarray:
     return r
 
 
-# the cells at each end of a block that _occupied_span looks at first
-_END_CELLS = 4
-
-
 def _occupied_span(rho: np.ndarray, offset: int = 0) -> tuple[int, int]:
     """(lo, hi) spanning the nonzero cells of rho[0] + rho[1], a (2, w) block
-    of both species, shifted by ``offset``; (0, 0) if none.  A step moves
-    mass one cell at most, so its successor's window ends within a cell or
-    two of the ends of the padded window it wrote: the ``_END_CELLS`` cells
-    at each end are looked at first, and the whole block only if one of
-    those ends holds no mass."""
-    w = rho.shape[1]
-    if w >= 2 * _END_CELLS:
-        (head1, head2), (tail1, tail2) = rho[:, :_END_CELLS].tolist(), rho[:, w - _END_CELLS :].tolist()
-        for lo in range(_END_CELLS):
-            if head1[lo] or head2[lo]:
-                for hi in range(_END_CELLS, 0, -1):
-                    if tail1[hi - 1] or tail2[hi - 1]:
-                        return offset + lo, offset + w - _END_CELLS + hi
-                break
+    of both species, shifted by ``offset``; (0, 0) if none."""
     occupied = (rho[0] + rho[1]) != 0
     lo = int(occupied.argmax())
     if not occupied[lo]:
@@ -219,18 +202,20 @@ class GridCells:
         return tuple(self.rho.sum(axis=1).tolist())
 
     @cached_property
-    def window_sums(self) -> tuple[list[float], list[float]]:
-        """Per species, the mass on the window and its first moment, the sum
-        of centre times mass; computed once per state, or handed over by
-        the FV peak pass, which forms the same sums.  The masses are sums of
-        multiples of the species quantum that never round, so they are the
-        species totals, in any order of summation."""
+    def window_moments(self) -> tuple[list[float], np.ndarray, list[float]]:
+        """Per species on the window, computed once per state: the mass, the
+        (2, w) block of centre times mass of each cell, and its sum, the
+        first moment.  The masses are sums of multiples of the species
+        quantum that never round, so they are the species totals in any
+        order of summation.  ``np.add.reduce`` is the function that
+        ``ndarray.sum`` wraps: the same bits without the wrapper's cost."""
         lo, hi = self.window
         block = self.rho[:, lo:hi]
-        return block.sum(axis=1).tolist(), (self.window_centers * block).sum(axis=1).tolist()
+        xv = self.window_centers * block
+        return np.add.reduce(block, axis=1).tolist(), xv, np.add.reduce(xv, axis=1).tolist()
 
     def weighted_center(self, p: ModelParams) -> float:
-        s1, s2 = self.window_sums[1]
+        _, _, (s1, s2) = self.window_moments
         return (p.theta1 / p.chi1) * s1 + (p.theta2 / p.chi2) * s2
 
 

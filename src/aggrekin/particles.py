@@ -266,16 +266,11 @@ def _pulls(z: list[float], wrho: list[float], kernel: PointyKernel) -> list[floa
 
 
 def _velocities(
-    z: list[float], wrho: list[float], chi: list[float], glued: list[int],
-    m1: list[float], m2: list[float], kernel: PointyKernel, p: ModelParams,
-    pull: list[float] | None = None,
+    pull: list[float], chi: list[float], glued: list[int], m1: list[float], m2: list[float], p: ModelParams
 ) -> list[float]:
-    """Cluster velocities at positions ``z`` in the step's frozen order
-    (:func:`_pulls`): a free cluster moves at chi_a times its pull, a glued
-    one at the common selected velocity.  ``pull`` is the caller's
-    ``_pulls(z, wrho, kernel)``, computed here if not given."""
-    if pull is None:
-        pull = _pulls(z, wrho, kernel)
+    """Cluster velocities from their pulls (:func:`_pulls`): a free cluster
+    moves at chi_a times its pull, a glued one at the common selected
+    velocity."""
     v = [c * f for c, f in zip(chi, pull)]
     for k in glued:
         w_sel = glued_selection(pull[k], m1[k], m2[k], p)
@@ -445,23 +440,24 @@ def _interpolate(z0: list[float], q: list[list[float]], s: float) -> list[float]
 
 def _dp_step(vel, z0: list[float], v0: list[float], h: float):
     """One Dormand-Prince trial step of length ``h``, written out stage by
-    stage on Python floats: the fifth-order point, the velocity there, the
-    interpolant's coefficient lists (one per power of s) and the scaled RMS
-    error estimate.  ``vel`` may raise OverflowError; any other overflow
-    leaves the estimate inf or NaN."""
+    stage on Python floats: the fifth-order point, the velocity and the
+    pull there, the interpolant's coefficient lists (one per power of s) and
+    the scaled RMS error estimate.  ``vel(z)`` returns the velocities and
+    the pulls at z, and may raise OverflowError; any other overflow leaves
+    the estimate inf or NaN."""
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), (a61, a62, a63, a64, a65) = _A
     k1 = v0
-    k2 = vel([x + h * (a21 * u1) for x, u1 in zip(z0, k1)])
-    k3 = vel([x + h * (a31 * u1 + a32 * u2) for x, u1, u2 in zip(z0, k1, k2)])
-    k4 = vel([x + h * (a41 * u1 + a42 * u2 + a43 * u3) for x, u1, u2, u3 in zip(z0, k1, k2, k3)])
+    k2 = vel([x + h * (a21 * u1) for x, u1 in zip(z0, k1)])[0]
+    k3 = vel([x + h * (a31 * u1 + a32 * u2) for x, u1, u2 in zip(z0, k1, k2)])[0]
+    k4 = vel([x + h * (a41 * u1 + a42 * u2 + a43 * u3) for x, u1, u2, u3 in zip(z0, k1, k2, k3)])[0]
     k5 = vel([x + h * (a51 * u1 + a52 * u2 + a53 * u3 + a54 * u4)
-              for x, u1, u2, u3, u4 in zip(z0, k1, k2, k3, k4)])
+              for x, u1, u2, u3, u4 in zip(z0, k1, k2, k3, k4)])[0]
     k6 = vel([x + h * (a61 * u1 + a62 * u2 + a63 * u3 + a64 * u4 + a65 * u5)
-              for x, u1, u2, u3, u4, u5 in zip(z0, k1, k2, k3, k4, k5)])
+              for x, u1, u2, u3, u4, u5 in zip(z0, k1, k2, k3, k4, k5)])[0]
     b1, b3, b4, b5, b6 = _B
     z1 = [x + h * (b1 * u1 + b3 * u3 + b4 * u4 + b5 * u5 + b6 * u6)
           for x, u1, u3, u4, u5, u6 in zip(z0, k1, k3, k4, k5, k6)]
-    k7 = vel(z1)
+    k7, pull1 = vel(z1)
     ks = list(zip(k1, k3, k4, k5, k6, k7))
     e1, e3, e4, e5, e6, e7 = _E
     sq = 0.0
@@ -473,7 +469,7 @@ def _dp_step(vel, z0: list[float], v0: list[float], h: float):
         [h * (c1 * u1 + c3 * u3 + c4 * u4 + c5 * u5 + c6 * u6 + c7 * u7) for u1, u3, u4, u5, u6, u7 in ks]
         for c1, c3, c4, c5, c6, c7 in _P
     ]
-    return z1, k7, q, math.sqrt(sq / len(z0))
+    return z1, k7, pull1, q, math.sqrt(sq / len(z0))
 
 
 def _first_root(f, hi: float, tol: float, f_max: float = math.inf) -> tuple[float, int]:
@@ -543,30 +539,25 @@ def advance(
     m2 = [c.m2 for c in cs.clusters]
     wrho, chi, glued = _step_constants(m1, m2, p)
 
-    def unglue_excess(z: list[float], pull: list[float] | None = None) -> dict[int, float]:
-        # LHS - RHS of each glued cluster's condition, on the pull it moves
-        # with: ``pull``, when the caller has it, is the pull at z
-        if pull is None:
-            pull = _pulls(z, wrho, kernel) if glued else []
+    def unglue_excess(pull: list[float]) -> dict[int, float]:
+        # LHS - RHS of each glued cluster's condition, on the pull it moves with
         return {i: (chk := sync_condition(pull[i], m1[i], m2[i], p)).lhs - chk.rhs for i in glued}
+
+    def unglue_excess_at(z: list[float]) -> dict[int, float]:
+        return unglue_excess(_pulls(z, wrho, kernel) if glued else [])
 
     last = cs.dense
     if last is None or last.v_end is None:
-        failing = [[i] for i, e in unglue_excess(z0).items() if e > 0.0]
+        failing = [[i] for i, e in unglue_excess_at(z0).items() if e > 0.0]
         if failing:
             return _resolve(cs, failing, wrho, kernel, p, gap_tol)
 
-    # the pull at the point of the last velocity evaluation: once a trial
-    # step is accepted, its end point z1, where the unglue check reuses it
-    last_pull: list[float] = []
-
-    def vel(z: list[float]) -> list[float]:
-        nonlocal last_pull
-        last_pull = _pulls(z, wrho, kernel)
-        return _velocities(z, wrho, chi, glued, m1, m2, kernel, p, last_pull)
+    def vel(z: list[float]) -> tuple[list[float], list[float]]:
+        pull = _pulls(z, wrho, kernel)
+        return _velocities(pull, chi, glued, m1, m2, p), pull
 
     # the velocity at the end of an uninterrupted step is this set's
-    v0 = last.v_end if last is not None and last.v_end is not None else vel(z0)
+    v0 = last.v_end if last is not None and last.v_end is not None else vel(z0)[0]
 
     gaps = [b - a for a, b in zip(z0, z0[1:])]
     touching = [g <= 1.5 * gap_tol and vb - va < 0 for g, va, vb in zip(gaps, v0, v0[1:])]
@@ -578,7 +569,7 @@ def advance(
     n_rejected = 0
     while True:
         try:
-            z1, v1, q, err = _dp_step(vel, z0, v0, h)
+            z1, v1, pull1, q, err = _dp_step(vel, z0, v0, h)
         except OverflowError:
             # a trial step too long for the frozen ordering can overflow the
             # continued slope; it is rejected like any other whose error
@@ -611,7 +602,7 @@ def advance(
         return max(gap_tol - (b - a) for a, b in (at(s, k, k + 2) for k in closing))
 
     def sync_excess(s: float) -> float:
-        excess = unglue_excess(at(s))
+        excess = unglue_excess_at(at(s))
         return max(excess[i] for i in ungluing)
 
     s_end, n_iter = 1.0, 0
@@ -620,7 +611,9 @@ def advance(
         # past the root, but before the pair's gap closes to 0
         s_end, n_iter = _first_root(gap_excess, 1.0, ROOT_TOL / h, gap_tol)
     z_end = at(s_end)
-    ungluing = [i for i, e in unglue_excess(z_end, last_pull if s_end == 1.0 else None).items() if e > 0.0]
+    # a step that ran to its end has the pull there from its last stage
+    excess = unglue_excess(pull1) if s_end == 1.0 else unglue_excess_at(z_end)
+    ungluing = [i for i, e in excess.items() if e > 0.0]
     if ungluing:
         s_end, n = _first_root(sync_excess, s_end, ROOT_TOL / h)
         n_iter += n

@@ -171,9 +171,9 @@ def test_velocities_match_reference():
         m2 = np.array([c.m2 for c in cs.clusters])
         z = cs.positions()
         expected = reference_raw_velocities(z, m1, m2, KERNEL, p)
-        raw = np.array(particles._velocities(
-            z.tolist(), *particles._step_constants(m1.tolist(), m2.tolist(), p), m1.tolist(), m2.tolist(), KERNEL, p
-        ))
+        w, chi, glued = particles._step_constants(m1.tolist(), m2.tolist(), p)
+        pull = particles._pulls(z.tolist(), w, KERNEL)
+        raw = np.array(particles._velocities(pull, chi, glued, m1.tolist(), m2.tolist(), p))
         wrho = p.theta1 * m1 + p.theta2 * m2
         magnitude = max(p.chi1, p.chi2) * (np.abs(KERNEL.hat_deriv(z[:, None] - z[None, :])) @ wrho)
         # the reference clamps a failing glued cluster's selection, which
@@ -286,7 +286,8 @@ def test_recursion_velocities_match_pairwise_oracle(config, perturb, chi1, chi2,
     z = [x + (shift if perturb else 0.0) for x, (*_, shift) in zip(start, config)]
     m1 = [a if kind != "2" else 0.0 for _, kind, a, _, _ in config]
     m2 = [b if kind != "1" else 0.0 for _, kind, _, b, _ in config]
-    got = particles._velocities(z, *particles._step_constants(m1, m2, p), m1, m2, kernel, p)
+    wrho, chi, glued = particles._step_constants(m1, m2, p)
+    got = particles._velocities(particles._pulls(z, wrho, kernel), chi, glued, m1, m2, p)
     expected, magnitude = pairwise_velocities(z, m1, m2, p, kernel)
     for g, e, mag in zip(got, expected, magnitude):
         # rtol 1e-12 of the velocity, or of the magnitude of its terms where
