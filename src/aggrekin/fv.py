@@ -27,7 +27,7 @@ import numpy as np
 
 from .expconv import add_near_field, exp_velocity_scan, near_field
 from .kernel import PointyKernel
-from .lattice import GridCells, _occupied_span, check_boundary, mass_quantum, march, whole_quanta
+from .lattice import GridCells, _occupied_span, mass_quantum, march, whole_quanta
 from .measures import ModelParams
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "step",
     "extract_peaks",
     "species_peaks",
-    "check_boundary",
     "run",
 ]
 
@@ -223,24 +222,14 @@ def extract_peaks(state: GridState) -> list[Peak]:
     return [Peak(centroid, float(np.sum(r1[s:e])), float(np.sum(r2[s:e]))) for s, e, centroid, _ in peaks]
 
 
-def species_peaks(state: GridCells, species: int) -> list[Peak]:
-    """Peaks of a single species (runs computed on that species alone).
-
-    One pass (:func:`_peaks`) over the window and the state's
-    :attr:`GridCells.window_moments` finds the peaks of both species; it is
-    made once per state and kept in the state's ``__dict__`` under this
-    function's own key, as a cached property would be, so the other
-    species' call reads it."""
-    peaks = state.__dict__.get("_species_peaks")
-    if peaks is None:
-        lo, hi = state.window
-        totals, xv, _ = state.window_moments
-        runs1, runs2 = _peaks(state.rho[:, lo:hi], totals, xv, _SPECIES_FLOOR)
-        peaks = state.__dict__["_species_peaks"] = (
-            [Peak(centroid, mass, 0.0) for _, _, centroid, mass in runs1],
-            [Peak(centroid, 0.0, mass) for _, _, centroid, mass in runs2],
-        )
-    return list(peaks[species - 1])
+def species_peaks(state: GridCells) -> tuple[list[list[float]], list[list[float]]]:
+    """Each species' peaks, found on that species alone, as ``[centroid,
+    mass]`` pairs sorted by position: one pass (:func:`_peaks`) over the
+    window and the state's :attr:`GridCells.window_moments`."""
+    lo, hi = state.window
+    totals, xv, _ = state.window_moments
+    runs1, runs2 = _peaks(state.rho[:, lo:hi], totals, xv, _SPECIES_FLOOR)
+    return [[c, m] for _, _, c, m in runs1], [[c, m] for _, _, c, m in runs2]
 
 
 @dataclass(frozen=True)
@@ -252,15 +241,16 @@ class FvEvent:
     or adjacent cells), ``separate`` (a contacting pair moves apart past
     the 6-cell release distance; the asymmetry is hysteresis against
     jitter), ``merge_same_species`` (the number of peaks of one species
-    drops).
+    drops).  ``peaks1`` and ``peaks2`` are the :func:`species_peaks` of the
+    state that fired it, the ``[centroid, mass]`` pairs that its JSON holds.
     """
 
     time: float
     kind: str
     position: float
     species: int | None
-    peaks1: tuple[Peak, ...]
-    peaks2: tuple[Peak, ...]
+    peaks1: list[list[float]]
+    peaks2: list[list[float]]
 
 
 # the contact enter and exit distances in cells (see FvEvent)
@@ -279,18 +269,15 @@ class _ContactTracker:
         self.prev2: list[float] | None = None
         self.events: list[FvEvent] = []
 
-    def update(self, t: float, pk1: list[Peak], pk2: list[Peak]) -> None:
-        p1 = [q.position for q in pk1]
-        p2 = [q.position for q in pk2]
-        tup1, tup2 = tuple(pk1), tuple(pk2)
+    def update(self, t: float, pk1: list[list[float]], pk2: list[list[float]]) -> None:
+        p1 = [c for c, _ in pk1]
+        p2 = [c for c, _ in pk2]
         for prev, cur, species in ((self.prev1, p1, 1), (self.prev2, p2, 2)):
             if prev is not None and len(cur) < len(prev):
                 gaps = [b - a for a, b in zip(prev, prev[1:])]
                 where = gaps.index(min(gaps)) if gaps else 0
                 pos = 0.5 * (prev[where] + prev[where + 1]) if gaps else prev[0]
-                self.events.append(
-                    FvEvent(t, "merge_same_species", pos, species, tup1, tup2)
-                )
+                self.events.append(FvEvent(t, "merge_same_species", pos, species, pk1, pk2))
         survivors = []
         for mid in self.active:
             if not p1 or not p2:
@@ -298,9 +285,7 @@ class _ContactTracker:
             a = min(p1, key=lambda v: abs(v - mid))
             b = min(p2, key=lambda v: abs(v - mid))
             if abs(a - b) > self.exit:
-                self.events.append(
-                    FvEvent(t, "separate", 0.5 * (a + b), None, tup1, tup2)
-                )
+                self.events.append(FvEvent(t, "separate", 0.5 * (a + b), None, pk1, pk2))
             else:
                 survivors.append(0.5 * (a + b))
         self.active = survivors
@@ -311,7 +296,7 @@ class _ContactTracker:
                     abs(mid - m) > self.exit for m in self.active
                 ):
                     self.active.append(mid)
-                    self.events.append(FvEvent(t, "contact", mid, None, tup1, tup2))
+                    self.events.append(FvEvent(t, "contact", mid, None, pk1, pk2))
         self.prev1, self.prev2 = p1, p2
 
 
@@ -354,7 +339,7 @@ def run(
 
     def record(st: GridState, flux: FluxField):
         if tracker is not None:
-            tracker.update(st.time, species_peaks(st, 1), species_peaks(st, 2))
+            tracker.update(st.time, *species_peaks(st))
         (mass1, mass2), _, _ = st.window_moments
         diag["t"].append(st.time)
         diag["mass1"].append(mass1)

@@ -135,10 +135,10 @@ def step(state: KineticState, field: ChemoField, p: ModelParams) -> KineticState
     to_right, to_left = np.zeros(rho.shape), np.zeros(rho.shape)
     to_right[:, 1:] = right[:, :-1]
     to_left[:, :-1] = left[:, 1:]
-    if b == state.n_cells:
-        to_right[:, -1] += right[:, -1]
-    if a == 0:
-        to_left[:, 0] += left[:, 0]
+    # an end cell of the window keeps its outflow: the grid's end cell, or an
+    # empty cell, which adds +0.0
+    to_right[:, -1] += right[:, -1]
+    to_left[:, 0] += left[:, 0]
     new_rho, new_j = np.zeros(state.rho.shape), np.zeros(state.rho.shape)
     rho = np.add(to_right, to_left, out=new_rho[:, a:b])
     j = to_right - to_left

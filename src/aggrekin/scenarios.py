@@ -197,6 +197,10 @@ class Scenario:
             xmin, xmax, dx = self.grid
             if not (xmax > xmin and dx > 0):
                 raise ScenarioError("grid: needs xmax > xmin and dx > 0")
+            if not math.isfinite((xmax - xmin) / dx):
+                raise ScenarioError(
+                    f"grid: (xmax - xmin) / dx = ({xmax!r} - {xmin!r}) / {dx!r} is not a finite cell count"
+                )
         if not all(0.0 <= t <= self.T for t in self.snapshot_times):
             raise ScenarioError(f"snapshot_times: must lie in [0, T], got {list(self.snapshot_times)!r}")
         if self.eps_list is not None:
@@ -496,17 +500,7 @@ def _run_fv(s: Scenario, kernel, write) -> tuple[list[dict], dict, dict]:
         peaks_payload.append({"time": t, "peaks": peaks})
     write("diagnostics.csv", write_csv, list(d), zip(*d.values()))
     write("peaks.json", _write_json, peaks_payload)
-    events = [
-        {
-            "time": ev.time,
-            "kind": ev.kind,
-            "position": ev.position,
-            "species": ev.species,
-            "peaks1": [[q.position, q.mass1] for q in ev.peaks1],
-            "peaks2": [[q.position, q.mass2] for q in ev.peaks2],
-        }
-        for ev in res.events
-    ]
+    events = [asdict(ev) for ev in res.events]
     write("fv_events.json", _write_json, events)
     # wall-clock timing stays out of the report: reruns are byte-identical
     return events, conservation, {"dt": res.dt, "n_steps": res.n_steps}

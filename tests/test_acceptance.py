@@ -152,7 +152,7 @@ class TestCriterion1:
             in_window(contacts[0].time, 0.947, 0.05)
             in_window(contacts[0].position, -0.18, 0.02)
             remote_fv = max(
-                (q.position for q in contacts[0].peaks1),
+                (c for c, _ in contacts[0].peaks1),
                 key=lambda x: abs(x - contacts[0].position),
             )
             in_window(remote_fv, 0.12, 0.02)
@@ -295,8 +295,9 @@ class TestCriterion4:
             # species-1 peak sits clear of every species-2 peak
             for snap_time, (t_actual, state) in zip((0.4288, 1.256), res.snapshots):
                 assert abs(t_actual - snap_time) < 2 * res.dt
-                p1 = [q.position for q in species_peaks(state, 1)]
-                p2 = [q.position for q in species_peaks(state, 2)]
+                pk1, pk2 = species_peaks(state)
+                p1 = [c for c, _ in pk1]
+                p2 = [c for c, _ in pk2]
                 central = min(p1, key=lambda x: abs(x - 0.1))
                 gap = min(abs(central - b) for b in p2)
                 assert gap > 6 * state.dx, f"pair not separated at t={snap_time}"

@@ -336,8 +336,7 @@ class TestExtractPeaks:
         rho1[10] = 1.0
         rho2[20] = 2.0
         st = GridState(-1.0, 2.0 / 31, rho1, rho2)
-        p1 = species_peaks(st, 1)
-        p2 = species_peaks(st, 2)
+        p1, p2 = species_peaks(st)
         assert len(p1) == 1 and len(p2) == 1
-        assert p1[0].mass1 == pytest.approx(1.0)
-        assert p2[0].mass2 == pytest.approx(2.0)
+        assert p1[0][1] == pytest.approx(1.0)
+        assert p2[0][1] == pytest.approx(2.0)

@@ -119,21 +119,20 @@ def _runs(values, floor):
     return list(zip(edges[::2], edges[1::2]))
 
 
-def full_grid_species_peaks(state, species, mass_threshold=0.01, cell_floor_frac=1e-6):
-    rho = state.rho1 if species == 1 else state.rho2
-    total = float(np.sum(rho))
-    if total <= 0.0:
-        return []
+def full_grid_species_peaks(state, mass_threshold=0.01, cell_floor_frac=1e-6):
+    """Each species' [centroid, mass] peak pairs, found on the whole grid."""
     x = state.centers
-    peaks = []
-    for s, e in _runs(rho, cell_floor_frac * total):
-        run_mass = float(np.sum(rho[s:e]))
-        if run_mass > mass_threshold * total:
-            centroid = float(np.sum(x[s:e] * rho[s:e]) / run_mass)
-            m1 = run_mass if species == 1 else 0.0
-            m2 = run_mass if species == 2 else 0.0
-            peaks.append(Peak(centroid, m1, m2))
-    return peaks
+    both = []
+    for rho in (state.rho1, state.rho2):
+        total = float(np.sum(rho))
+        peaks = []
+        if total > 0.0:
+            for s, e in _runs(rho, cell_floor_frac * total):
+                run_mass = float(np.sum(rho[s:e]))
+                if run_mass > mass_threshold * total:
+                    peaks.append([float(np.sum(x[s:e] * rho[s:e]) / run_mass), run_mass])
+        both.append(peaks)
+    return tuple(both)
 
 
 def full_grid_extract_peaks(state, mass_threshold=0.01, cell_floor_frac=1e-9):
@@ -317,8 +316,7 @@ class TestWindowedStepBitIdentical:
     def test_peaks_match_full_grid_peak_finders(self):
         rng = np.random.default_rng(77)
         for st in random_states(rng, count=60):
-            for species in (1, 2):
-                assert species_peaks(st, species) == full_grid_species_peaks(st, species)
+            assert species_peaks(st) == full_grid_species_peaks(st)
             assert extract_peaks(st) == full_grid_extract_peaks(st)
 
 
@@ -453,7 +451,7 @@ def full_grid_run(initial, p, T):
         if k:
             rho1, rho2 = full_grid_step(st, flux, dt)
             st = GridState(st.xmin, st.dx, rho1, rho2, st.time + dt)
-        tracker.update(st.time, full_grid_species_peaks(st, 1), full_grid_species_peaks(st, 2))
+        tracker.update(st.time, *full_grid_species_peaks(st))
         flux = make_flux(st, KERNEL, p)
         lo, hi = window_of(st.rho1, st.rho2)
         x = st.centers[lo:hi]
@@ -490,6 +488,29 @@ class TestRunMatchesFullGridRun:
             assert got.time == final.time
             assert got.rho1.tobytes() == final.rho1.tobytes()
             assert got.rho2.tobytes() == final.rho2.tobytes()
+
+
+class TestOnePeakPassPerState:
+    def test_run_finds_each_states_peaks_in_one_call_and_keeps_none(self, monkeypatch):
+        # species_peaks wrapped through the module global that run looks up,
+        # as the benchmark's tracer wraps it
+        calls = []
+
+        def counted(*args):
+            calls.append((args[0], species_peaks(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(fv, "species_peaks", counted)
+        s = preset("example1", solver="fv", dx=1.25e-3)
+        res = run(initial_grid_state(s), KERNEL, s.params, T=1.0)
+        assert len(calls) == res.n_steps + 1
+        assert not any("peaks" in key for state, _ in calls for key in vars(state))
+        # an event carries the pairs of the state that fired it, as lists
+        assert [e.kind for e in res.events] == ["contact"]
+        fired = {state.time: peaks for state, peaks in calls}
+        for ev in res.events:
+            assert (ev.peaks1, ev.peaks2) == fired[ev.time]
+            assert all(type(pair) is list for pair in ev.peaks1 + ev.peaks2)
 
 
 class TestWindowFollowsTheMass:

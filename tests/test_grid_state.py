@@ -63,8 +63,7 @@ class TestOneGridType:
         assert kst.total_masses() == gst.total_masses()
         assert same_bits(kst.centers, gst.centers)
         assert kst.weighted_center(p) == gst.weighted_center(p)
-        for s in (1, 2):
-            assert species_peaks(kst, s) == species_peaks(gst, s)
+        assert species_peaks(kst) == species_peaks(gst)
         assert extract_peaks(kst) == extract_peaks(gst)
         for total in (1.0, sum(gst.total_masses())):
             assert boundary_outcome(kst, total) == boundary_outcome(gst, total)

@@ -356,14 +356,21 @@ class TestRunScenario:
         assert "LHS" in text and "RHS" in text
         assert "synchronise" in text or "separate" in text
 
-    @pytest.mark.parametrize("solver", ["particles", "fv", "compare"])
+    @pytest.mark.parametrize("solver", ["particles", "fv", "compare", "fv-contact"])
     def test_report_round_trips_through_dict_and_json(self, tmp_path, solver):
-        s = preset("example1", solver=solver, T=0.05)
+        if solver == "fv-contact":
+            # example1 through its first contact, so the report holds an FV event
+            s = preset("example1", solver="fv", dx=1.25e-3, T=1.0)
+        else:
+            s = preset("example1", solver=solver, T=0.05)
         s.output_dir = str(tmp_path / solver)
         report = run_scenario(s)
         assert RunReport.from_dict(report.to_dict()) == report
         written = json.loads((tmp_path / solver / "report.json").read_text())
         assert RunReport.from_dict(written) == report
+        if solver == "fv-contact":
+            assert [e["kind"] for e in report.events] == ["contact"]
+            assert json.loads((tmp_path / solver / "fv_events.json").read_text()) == report.events
 
 
 class TestReportManifest:
@@ -411,9 +418,7 @@ class TestCrossValidation:
         fres = fv_run(st0, kernel, s.params, 0.8, snapshot_times=times, track_peaks=False)
         pres = particle_run(cs0, kernel, s.params, 0.8, snapshot_times=times)
         for (t_fv, state), (t_p, snap) in zip(fres.snapshots, pres.snapshots):
-            fv_pos = sorted(
-                q.position for sp in (1, 2) for q in species_peaks(state, sp)
-            )
+            fv_pos = sorted(c for pk in species_peaks(state) for c, _ in pk)
             part_pos = sorted(c.position for c in snap.clusters)
             assert len(fv_pos) == len(part_pos)
             for a, b in zip(fv_pos, part_pos):
@@ -742,6 +747,22 @@ class TestWronglyTypedValues:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "ValueError"
         assert name in payload["message"]
+
+    # finite bounds and a positive step, but (xmax - xmin) / dx overflows:
+    # refused before any cell is sampled
+    @pytest.mark.parametrize(
+        "grid",
+        [{"xmin": -1e308, "xmax": 1e308, "dx": 1.0}, {"xmin": -2.0, "xmax": 2.0, "dx": 1e-320}],
+        ids=["span", "dx"],
+    )
+    def test_cli_refuses_a_grid_whose_cell_count_is_not_finite(self, tmp_path, capsys, grid):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"preset": "example1", "solver": "fv", "grid": grid, "T": 0.1}))
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ScenarioError"
+        assert payload["message"].startswith("grid: ")
+        assert "not a finite cell count" in payload["message"]
 
 
 def _tree_bytes(root: Path) -> dict[str, bytes]:
