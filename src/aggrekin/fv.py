@@ -27,7 +27,7 @@ import numpy as np
 
 from .expconv import add_near_field, exp_velocity_scan, near_field
 from .kernel import PointyKernel
-from .lattice import GridCells, _occupied_span, mass_quantum, march, whole_quanta
+from .lattice import GridCells, GridRun, mass_quantum, march, whole_quanta
 from .measures import ModelParams
 
 __all__ = [
@@ -168,9 +168,7 @@ def step(state: GridState, flux: FluxField, dt: float) -> GridState:
     flat = win.reshape(-1)
     flat[1:] += out_r.reshape(-1)[:-1]
     flat[:-1] += out_l.reshape(-1)[1:]
-    nxt = state.rho.copy()
-    nxt[:, a:b] = win
-    return state._successor(state.time + dt, window=_occupied_span(win, a), rho=nxt)
+    return state._successor(state.time + dt, a, rho=win)
 
 
 @dataclass(frozen=True)
@@ -301,14 +299,11 @@ class _ContactTracker:
 
 
 @dataclass
-class FvRunResult:
-    snapshots: list[tuple[float, GridState]]
+class FvRunResult(GridRun):
+    """An FV run's :class:`aggrekin.lattice.GridRun`, its per-step diagnostics and its events."""
+
     diagnostics: dict[str, np.ndarray]
     events: list[FvEvent]
-    final: GridState
-    dt: float
-    n_steps: int
-    elapsed: float
 
 
 def run(
@@ -350,16 +345,12 @@ def run(
         full = st.window == (0, st.n_cells)
         diag["min_cell"].append(float(min(np.min(st.rho1), np.min(st.rho2))) if full else 0.0)
 
-    snapshots, final, n_steps, elapsed = march(
+    res = march(
         initial, T, dt, snapshot_times,
         lambda st: make_flux(st, kernel, p), lambda st, flux: step(st, flux, dt), record,
     )
     return FvRunResult(
-        snapshots=snapshots,
+        **vars(res),
         diagnostics={k: np.asarray(v) for k, v in diag.items()},
         events=tracker.events if tracker is not None else [],
-        final=final,
-        dt=dt,
-        n_steps=n_steps,
-        elapsed=elapsed,
     )

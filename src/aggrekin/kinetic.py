@@ -29,13 +29,12 @@ from .expconv import add_near_field, exp_potential_scan, near_field
 from .fv import GridState
 from .fv import run as fv_run
 from .kernel import PointyKernel
-from .lattice import GridCells, _occupied_span, march, whole_quanta
+from .lattice import GridCells, GridRun, march, whole_quanta
 from .measures import DiscreteMeasure, ModelParams, wasserstein2
 
 __all__ = [
     "KineticState",
     "ChemoField",
-    "KineticRunResult",
     "solve_chemo_field",
     "check_positivity_condition",
     "step",
@@ -75,7 +74,7 @@ class KineticState(GridCells):
                 raise ValueError("all state arrays must share one grid")
             excess = np.abs(j) - rho
             # a NaN or inf flux fails this test as well
-            if not np.all(excess <= 1e-9 * max(1.0, float(np.max(rho, initial=0.0)))):
+            if not np.all(excess <= 1e-9 * float(np.max(rho, initial=0.0))):
                 raise ValueError(f"{j_name} must be finite with |{j_name}| <= {rho_name} (f(+-1) >= 0)")
             flux[k] = np.clip(j, -rho, rho)
         self.__dict__.update(J=flux, J1=flux[0], J2=flux[1])
@@ -128,9 +127,9 @@ def step(state: KineticState, field: ChemoField, p: ModelParams) -> KineticState
     q = (state.q1, state.q2)
     # a contiguous copy: numpy runs a strided (2, w) view at a third of the speed
     rho = state.rho[:, a:b].copy()
-    # |J| <= rho, so the right-moving half (rho + J)/2 is nonnegative
+    # |J| <= rho, so the right-moving half (rho + J)/2, rounded toward zero,
+    # lies in [0, rho]
     right = whole_quanta((rho + state.J[:, a:b]) * 0.5, q)
-    right = np.minimum(np.maximum(right, 0.0), rho)
     left = rho - right
     to_right, to_left = np.zeros(rho.shape), np.zeros(rho.shape)
     to_right[:, 1:] = right[:, :-1]
@@ -139,20 +138,21 @@ def step(state: KineticState, field: ChemoField, p: ModelParams) -> KineticState
     # empty cell, which adds +0.0
     to_right[:, -1] += right[:, -1]
     to_left[:, 0] += left[:, 0]
-    new_rho, new_j = np.zeros(state.rho.shape), np.zeros(state.rho.shape)
-    rho = np.add(to_right, to_left, out=new_rho[:, a:b])
+    rho = to_right + to_left
     j = to_right - to_left
-    # relaxation toward chi dS rho, in the order of the per-species formula
     beta = [2.0 * psi * state.dx / state.epsilon for psi in (p.psi1, p.psi2)]
     if not all(map(math.isfinite, beta)):
         raise ValueError(
             f"epsilon = {state.epsilon!r} makes the relaxation rate 2 psi dx / epsilon not finite"
         )
-    pull = np.array([[beta[0] * p.chi1], [beta[1] * p.chi2]])
-    target = (pull * field.dS * rho + j) / [[1.0 + beta[0]], [1.0 + beta[1]]]
+    # relaxation toward chi dS rho, each species in the order of
+    # (j + beta chi dS rho) / (1 + beta)
+    target = np.multiply.outer((beta[0] * p.chi1, beta[1] * p.chi2), field.dS) * rho + j
+    for row, rate in zip(target, beta):
+        row /= 1.0 + rate
     j += 2.0 * whole_quanta(0.5 * (target - j), q)
-    np.minimum(np.maximum(j, -rho, out=j), rho, out=new_j[:, a:b])
-    return state._successor(state.time + state.dx, window=_occupied_span(rho, a), rho=new_rho, J=new_j)
+    np.minimum(np.maximum(j, -rho, out=j), rho, out=j)
+    return state._successor(state.time + state.dx, a, rho=rho, J=j)
 
 
 def well_prepared_state(
@@ -179,22 +179,13 @@ def well_prepared_state(
     )
 
 
-@dataclass
-class KineticRunResult:
-    snapshots: list[tuple[float, KineticState]]
-    final: KineticState
-    dt: float
-    n_steps: int
-    elapsed: float
-
-
 def run(
     initial: KineticState,
     p: ModelParams,
     T: float,
     kernel: PointyKernel = PointyKernel(),
     snapshot_times: tuple[float, ...] = (),
-) -> KineticRunResult:
+) -> GridRun:
     """Advance from ``initial.time`` to the absolute time T in steps of
     dt = dx (exact characteristic shifts, no numerical diffusion), with
     the chemo field of every state (see :func:`aggrekin.lattice.march`).
@@ -206,19 +197,11 @@ def run(
     :func:`aggrekin.lattice.check_boundary` if mass reaches the outermost
     cells.  ``kernel`` defaults to the exponential one.
     """
-    dt = initial.dx
-    snapshots, final, n_steps, elapsed = march(
-        initial, T, dt, snapshot_times,
+    return march(
+        initial, T, initial.dx, snapshot_times,
         lambda st: solve_chemo_field(st, p, kernel, st._padded_window()),
         lambda st, field: step(st, field, p),
         lambda st, field: None,
-    )
-    return KineticRunResult(
-        snapshots=snapshots,
-        final=final,
-        dt=dt,
-        n_steps=n_steps,
-        elapsed=elapsed,
     )
 
 
@@ -242,10 +225,7 @@ def limit_experiment(
         raise ValueError("limit experiment requires chi_a (theta1 + theta2) < 1 for both species")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    fv_result = fv_run(
-        initial, kernel, p, T, safety=safety, dt_max=initial.dx, track_peaks=False
-    )
-    ref = fv_result.final
+    ref = fv_run(initial, kernel, p, T, safety=safety, dt_max=initial.dx, track_peaks=False).final
     x = ref.centers
     rows = []
     for eps in eps_list:

@@ -19,7 +19,9 @@ import numpy as np
 
 from .measures import ModelParams
 
-__all__ = ["mass_quantum", "snap", "whole_quanta", "checked_cells", "GridCells", "check_boundary", "march"]
+__all__ = [
+    "mass_quantum", "snap", "whole_quanta", "checked_cells", "GridCells", "check_boundary", "GridRun", "march"
+]
 
 
 def mass_quantum(total: float) -> float:
@@ -153,21 +155,24 @@ class GridCells:
             object.__setattr__(self, "q" + name, q)
         self.__dict__.update(rho=rho, rho1=rho[0], rho2=rho[1])
 
-    def _successor(self, time: float, window: tuple[int, int], **blocks):
-        """This state at ``time`` with the (2, n) arrays ``blocks`` (``rho``,
-        and ``J`` for the kinetic state) and their row views replaced.
+    def _successor(self, time: float, a: int, **blocks):
+        """This state at ``time`` whose (2, n) arrays named in ``blocks``
+        (``rho``, and ``J`` for the kinetic state) hold the (2, w) blocks a
+        step computed from cell ``a`` on, and 0 in every other cell.
 
         A solver step's successor: its cells are already values of this
         state's lattice, so it skips the copy, the checks and the snap of
-        the public constructor, which would return it unchanged.  The step
-        knows the successor's ``window`` and hands it over.
+        the public constructor, which would return it unchanged.  Its
+        window is found on the ``rho`` block.
         """
         new = object.__new__(type(self))
         fields = self.__dict__
         values = {name: fields[name] for name in self.__dataclass_fields__}
         for name, block in blocks.items():
-            values.update({name: block, name + "1": block[0], name + "2": block[1]})
-        new.__dict__.update(values, time=time, window=window)
+            grid = np.zeros((2, self.n_cells))
+            grid[:, a : a + block.shape[1]] = block
+            values.update({name: grid, name + "1": grid[0], name + "2": grid[1]})
+        new.__dict__.update(values, time=time, window=_occupied_span(blocks["rho"], a))
         return new
 
     @property
@@ -230,6 +235,18 @@ def check_boundary(state: GridCells, total: float) -> None:
         )
 
 
+@dataclass
+class GridRun:
+    """A grid solver's run from :func:`march`: its ``(t, state)`` snapshots,
+    final state, step dt, step count and wall time."""
+
+    snapshots: list[tuple[float, GridCells]]
+    final: GridCells
+    dt: float
+    n_steps: int
+    elapsed: float
+
+
 def march(initial: GridCells, T: float, dt: float, snapshot_times, field, advance, record):
     """The step loop of a grid solver's run.
 
@@ -242,7 +259,7 @@ def march(initial: GridCells, T: float, dt: float, snapshot_times, field, advanc
     t in ``snapshot_times``, which must lie in [t0, T], gets the snapshot
     ``(state.time, state)`` of step floor((t - t0) / dt), counted as n is,
     so a time on a step boundary gets that boundary's state and T the final
-    one.  Returns the snapshots, the final state, n and the wall time.
+    one.  Returns the run's :class:`GridRun`.
     """
     t0 = initial.time
     if not T >= t0:
@@ -272,4 +289,4 @@ def march(initial: GridCells, T: float, dt: float, snapshot_times, field, advanc
         record(state, f)
         while len(snapshots) < len(snapshot_steps) and snapshot_steps[len(snapshots)] == k:
             snapshots.append((state.time, state))
-    return snapshots, state, n_steps, _time.perf_counter() - t_start
+    return GridRun(snapshots, state, dt, n_steps, _time.perf_counter() - t_start)

@@ -17,7 +17,7 @@ from aggrekin import fv, kinetic, particles
 from aggrekin.fv import GridState, cfl_dt, extract_peaks, make_flux, species_peaks
 from aggrekin.kernel import exponential_kernel
 from aggrekin.kinetic import KineticState, solve_chemo_field
-from aggrekin.lattice import GridCells, check_boundary, mass_quantum, whole_quanta
+from aggrekin.lattice import GridCells, GridRun, check_boundary, mass_quantum, whole_quanta
 from aggrekin.measures import ModelParams
 from aggrekin.particles import Cluster, ClusterSet
 
@@ -366,6 +366,8 @@ def run_to(solver: str, T: float, snapshot_times, t0: float = 0.0):
 @pytest.mark.parametrize("solver", ["fv", "kinetic"])
 def test_grid_runs_from_a_later_start_end_at_an_absolute_T(solver):
     res = run_to(solver, 1.5, (1.0, 1.2, 1.5), t0=1.0)
+    # both grid runs are march's one record; FV's adds its diagnostics and events
+    assert type(res) is (fv.FvRunResult if solver == "fv" else GridRun) and isinstance(res, GridRun)
     assert res.n_steps == math.floor(0.5 / res.dt + 1e-12) > 0
     # the run and each snapshot end at the last step boundary at or before
     # their time, up to the rounding of the summed step times

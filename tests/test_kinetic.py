@@ -118,6 +118,16 @@ class TestKineticState:
         with pytest.raises(ValueError):
             KineticState(0.0, 0.1, [1.0, 1.0], [1.0, 1.0], [2.0, 0.0], [0.0, 0.0], 0.1)
 
+    def test_flux_bound_scales_with_the_mass(self):
+        # below unit mass the tolerance is relative too: a flux of 1e-10 on
+        # cells of 1e-300 is refused, not clipped to the cell's mass
+        rho = np.zeros(20)
+        rho[8:12] = 1e-300
+        j = np.zeros(20)
+        j[9] = 1e-10
+        with pytest.raises(ValueError, match="J1"):
+            KineticState(0.0, 0.1, rho, rho, j, np.zeros(20), 0.1)
+
     def test_mass_quantization(self):
         st = KineticState(0.0, 0.1, [0.3, 0.4], [0.0, 0.0], [0.1, -0.1], [0.0, 0.0], 0.1)
         assert st.q1 > 0.0
@@ -381,6 +391,49 @@ class TestWindowedStep:
         assert field.span == (a, b)
         assert np.max(np.abs(field.S - s[a:b])) <= 1e-12 * np.max(np.abs(s))
         assert np.max(np.abs(field.dS - ds[a:b])) <= 1e-12 * np.max(np.abs(ds))
+
+
+def whole_grid_run(initial, p, kernel, n_steps):
+    """``run`` written out on the whole grid: each state's field solved on
+    its padded window, the whole-grid step fed that gradient (zeros
+    elsewhere), and every state rebuilt through the public constructor.
+    Returns the states of all n_steps + 1 steps."""
+    states = [initial]
+    for _ in range(n_steps):
+        st = states[-1]
+        a, b = st._padded_window()
+        ds = np.zeros(st.n_cells)
+        ds[a:b] = solve_chemo_field(st, p, kernel, (a, b)).dS
+        rho1, j1, rho2, j2 = whole_grid_step(st, ds, p)
+        states.append(KineticState(st.xmin, st.dx, rho1, rho2, j1, j2, st.epsilon, st.time + st.dx))
+    return states
+
+
+class TestRunMatchesWholeGridRun:
+    """Each step hands its window blocks and window to the next; across
+    250 steps the run equals the whole-grid loop bit for bit."""
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [pytest.param(KERNEL, id="exponential"), pytest.param(regularize(KERNEL, 20), id="regularized")],
+    )
+    def test_limit_data_at_the_smallest_epsilon(self, kernel):
+        # the relaxation-limit sweep's data (2,000 cells of 2e-3) at eps 0.02
+        grid = (-2.0, 2.0, 2e-3)
+        r1 = sample_gaussian_bumps([(1.0, -0.4)], grid, width=200.0)
+        r2 = sample_gaussian_bumps([(1.0, 0.4)], grid, width=200.0)
+        p = kinetic_params(0.45, 0.3)
+        kin = well_prepared_state(GridState(grid[0], grid[2], r1.masses, r2.masses), p, 0.02, kernel)
+        every = tuple(k * grid[2] for k in range(0, 251, 50))
+        res = run(kin, p, T=0.5, kernel=kernel, snapshot_times=every)
+        ref = whole_grid_run(kin, p, kernel, 250)
+        assert res.n_steps == 250
+        assert res.snapshots[-1][1] is res.final
+        for (t, got), want in zip(res.snapshots, ref[::50], strict=True):
+            assert t == want.time
+            assert same_bits(got.rho, want.rho) and same_bits(got.J, want.J)
+            assert got.window == want.window
+        assert ref[-1].window[1] - ref[-1].window[0] < kin.n_cells
 
 
 class TestRun:
