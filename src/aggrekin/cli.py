@@ -20,6 +20,7 @@ from .scenarios import (
     SOLVERS,
     RunReport,
     ScenarioError,
+    check_kinetic_params,
     load_scenario,
     make_kernel,
     preset,
@@ -83,6 +84,7 @@ def _cmd_limit(args) -> int:
     scenario = load_scenario(args.config)
     if scenario.eps_list is None:
         raise ScenarioError("eps_list: required for the limit command")
+    check_kinetic_params(scenario.params)
     kernel = make_kernel(scenario.kernel_spec)
     st0 = initial_grid_state(scenario)
     rows = kin_mod.limit_experiment(

@@ -90,17 +90,17 @@ def cfl_dt(
 
     With unit masses and unit chemosensitivities this is the classical
     bound safety * dx / (|K'|_inf (theta1 + theta2)); for other masses the
-    velocity bound scales with the actual total weighted mass.  A bound of
-    zero, and a step that overflows (subnormal masses) or underflows to 0
-    (a subnormal safety factor), is a ValueError.
+    velocity bound scales with the actual total weighted mass.  No mass,
+    and a step that overflows (subnormal masses, whose bound can underflow
+    to 0) or underflows to 0 (a subnormal safety factor), is a ValueError.
     """
     if not 0.0 < safety < 1.0:
         raise ValueError("safety factor must lie in (0, 1)")
     m1, m2 = total_masses
-    speed = max(p.chi1, p.chi2) * kernel.lipschitz * (p.theta1 * m1 + p.theta2 * m2)
-    if speed <= 0.0:
+    if not (m1 > 0.0 or m2 > 0.0):
         raise ValueError("velocity bound is zero; no CFL restriction applies")
-    dt = safety * dx / speed
+    speed = max(p.chi1, p.chi2) * kernel.lipschitz * (p.theta1 * m1 + p.theta2 * m2)
+    dt = safety * dx / speed if speed > 0.0 else math.inf
     if not 0.0 < dt < math.inf:
         raise ValueError(
             f"CFL step is not finite or not positive: safety {safety!r} * dx {dx!r} / {speed!r} = {dt}"

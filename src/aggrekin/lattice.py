@@ -20,12 +20,14 @@ import numpy as np
 from .measures import ModelParams
 
 __all__ = [
-    "mass_quantum", "snap", "whole_quanta", "checked_cells", "GridCells", "check_boundary", "GridRun", "march"
+    "mass_quantum", "snap", "whole_quanta", "checked_cells", "GridCells", "check_boundary", "GridRun",
+    "check_run_times", "march",
 ]
 
 
 def mass_quantum(total: float) -> float:
-    """Power-of-two quantum q with total/q in [2^51, 2^52).
+    """Power-of-two quantum q with total/q in [2^51, 2^52), and at least
+    2^-1074, of which every float below 2^-1022 is a multiple.
 
     Multiples of q up to ~2 * total are exactly representable, so sums and
     differences of quantized cell masses never round.
@@ -33,7 +35,7 @@ def mass_quantum(total: float) -> float:
     if not total > 0.0:
         return 0.0
     _, exp = math.frexp(total)
-    return math.ldexp(1.0, exp - 52)
+    return max(math.ldexp(1.0, exp - 52), 5e-324)
 
 
 # adding 2^52 to a float in [0, 2^52] rounds it to an integer, ties to even,
@@ -247,27 +249,33 @@ class GridRun:
     elapsed: float
 
 
-def march(initial: GridCells, T: float, dt: float, snapshot_times, field, advance, record):
-    """The step loop of a grid solver's run.
-
-    Takes n = floor((T - t0) / dt) steps from ``initial`` at time t0 to the
-    absolute time T; refuses T < t0, a non-finite (T - t0) / dt and n = 0
-    for T > t0.  Each state, the initial one included, must pass
-    :func:`check_boundary`; its field ``f = field(state)`` is computed once
-    and handed to ``record(state, f)``, which returns nothing, and to
-    ``advance(state, f)``, which returns its successor.  Each requested time
-    t in ``snapshot_times``, which must lie in [t0, T], gets the snapshot
-    ``(state.time, state)`` of step floor((t - t0) / dt), counted as n is,
-    so a time on a step boundary gets that boundary's state and T the final
-    one.  Returns the run's :class:`GridRun`.
-    """
-    t0 = initial.time
+def check_run_times(t0: float, T: float, snapshot_times) -> None:
+    """Refuse a solver's run from ``t0`` to ``T`` unless T >= t0 and every
+    time in ``snapshot_times``, a NaN one included, lies in [t0, T]."""
     if not T >= t0:
         raise ValueError(f"T = {T!r} precedes the initial time {t0!r}")
     if not all(t0 <= t <= T for t in snapshot_times):
         raise ValueError(
             f"snapshot times must lie in [t0, T] = [{t0!r}, {T!r}], got {list(snapshot_times)!r}"
         )
+
+
+def march(initial: GridCells, T: float, dt: float, snapshot_times, field, advance, record):
+    """The step loop of a grid solver's run.
+
+    Takes n = floor((T - t0) / dt) steps from ``initial`` at time t0 to the
+    absolute time T; refuses the times :func:`check_run_times` refuses, a
+    non-finite (T - t0) / dt and n = 0 for T > t0.  Each state, the initial
+    one included, must pass :func:`check_boundary`; its field ``f =
+    field(state)`` is computed once and handed to ``record(state, f)``,
+    which returns nothing, and to ``advance(state, f)``, which returns its
+    successor.  Each requested time t in ``snapshot_times`` gets the
+    snapshot ``(state.time, state)`` of step floor((t - t0) / dt), counted
+    as n is, so a time on a step boundary gets that boundary's state and T
+    the final one.  Returns the run's :class:`GridRun`.
+    """
+    t0 = initial.time
+    check_run_times(t0, T, snapshot_times)
     steps = (T - t0) / dt if dt > 0 else math.nan
     if not math.isfinite(steps):
         raise ValueError(f"(T - t0) / dt = ({T!r} - {t0!r}) / {dt!r} is not a finite step count")

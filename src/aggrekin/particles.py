@@ -36,13 +36,13 @@ from __future__ import annotations
 import math
 import time as _time
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from dataclasses import dataclass, field
+from itertools import accumulate, count
 
 import numpy as np
 
 from .kernel import PointyKernel
-from .lattice import mass_quantum, snap
+from .lattice import check_run_times, mass_quantum, snap
 from .measures import ModelParams
 
 __all__ = [
@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cluster:
     position: float
     m1: float
@@ -101,10 +101,12 @@ def _check_positions(pos: list[float]) -> None:
 class ClusterSet:
     """Ordered aggregates at a common time.
 
-    Positions must be finite and strictly increasing.  Masses are snapped
-    to the per-species quantum so that merge arithmetic is exact.  A NaN or
-    inf position or mass, or a species total that overflows, is rejected
-    with the name of the field.
+    Positions must be finite and strictly increasing.  The set builds its
+    own clusters and leaves the given ones as they are: masses snapped to
+    the per-species quantum so that merge arithmetic is exact, and, unless
+    ``next_id`` is given, a cluster without an id numbered past the largest
+    one.  A NaN or inf position or mass, or a species total that
+    overflows, is rejected with the name of the field.
     """
 
     clusters: list[Cluster]
@@ -124,17 +126,13 @@ class ClusterSet:
                 raise ValueError(f"cluster {name} must be finite, got {vals!r}")
         q1 = mass_quantum(_species_total("m1", m1))
         q2 = mass_quantum(_species_total("m2", m2))
-        for c in self.clusters:
-            c.m1 = snap(c.m1, q1)
-            c.m2 = snap(c.m2, q2)
+        ids = [c.id for c in self.clusters]
         if self.next_id < 0:
-            used = [c.id for c in self.clusters]
-            start = max(used, default=-1) + 1
-            for c in self.clusters:
-                if c.id < 0:
-                    c.id = start
-                    start += 1
-            self.next_id = start
+            fresh = count(max(ids) + 1)
+            ids = [i if i >= 0 else next(fresh) for i in ids]
+            self.next_id = next(fresh)
+        self.clusters = [Cluster(c.position, snap(c.m1, q1), snap(c.m2, q2), i)
+                         for c, i in zip(self.clusters, ids)]
 
     def _moved(self, positions: list[float], time: float) -> "ClusterSet":
         """These clusters at ``positions`` and ``time``: a step's successor,
@@ -163,9 +161,6 @@ class ClusterSet:
         s1 = math.fsum(c.m1 * c.position for c in self.clusters)
         s2 = math.fsum(c.m2 * c.position for c in self.clusters)
         return (p.theta1 / p.chi1) * s1 + (p.theta2 / p.chi2) * s2
-
-    def copy(self) -> "ClusterSet":
-        return ClusterSet([replace(c) for c in self.clusters], self.time, self.next_id)
 
 
 @dataclass(frozen=True)
@@ -334,7 +329,7 @@ def _resolve(
     z = [c.position for c in cs.clusters]
     all_pos = tuple(z)
     in_group = set(i for g in groups for i in g)
-    out = [Cluster(c.position, c.m1, c.m2, c.id) for i, c in enumerate(cs.clusters) if i not in in_group]
+    out = [c for i, c in enumerate(cs.clusters) if i not in in_group]
     events: list[Event] = []
     next_id = cs.next_id
     for g in groups:
@@ -671,24 +666,20 @@ def run(
     gap_tol: float = 1e-9,
     snapshot_times: tuple[float, ...] = (),
 ) -> ParticleRunResult:
-    """Advance repeatedly until time T or a single remaining aggregate.
+    """Advance repeatedly from ``initial`` itself, so a set that
+    :func:`advance` returned keeps its step record, until time T or a
+    single remaining aggregate.
 
     Emits a ``final_collapse`` event when the population first reduces to
     one cluster.  Trajectories are sampled at t0 + k T/200 from each
     step's interpolant; ``snapshot_times`` are hit exactly (the step is
-    shortened to land on them) and reported in ``snapshots``, one entry
-    per requested time, each of which must lie in [``initial.time``, T].
-    T must be positive and not precede ``initial.time``; ``dt_max`` bounds
-    every step.  ``elapsed`` is the wall time of the run.
+    shortened to land on them) and reported in ``snapshots``, one set per
+    requested time.  T must be positive and pass :func:`check_run_times`;
+    ``dt_max`` bounds every step.  ``elapsed`` is the wall time of the run.
     """
     if not T > 0:
         raise ValueError("T must be positive")
-    if not T >= initial.time:
-        raise ValueError(f"T = {T!r} precedes the initial time {initial.time!r}")
-    if not all(initial.time <= t <= T for t in snapshot_times):
-        raise ValueError(
-            f"snapshot times must lie in [t0, T] = [{initial.time!r}, {T!r}], got {list(snapshot_times)!r}"
-        )
+    check_run_times(initial.time, T, snapshot_times)
     budget = 50 * T / dt_max if dt_max > 0 else math.nan
     if not math.isfinite(budget):
         raise ValueError(
@@ -697,12 +688,12 @@ def run(
     sample_dt = T / 200.0
     pending = sorted(snapshot_times)
     t_start = _time.perf_counter()
-    cs = initial.copy()
+    cs = initial
     events: list[Event] = []
     samples = [_sample(cs, cs.time)]
     snapshots: list[tuple[float, ClusterSet]] = []
     while pending and pending[0] == cs.time:
-        snapshots.append((pending.pop(0), cs.copy()))
+        snapshots.append((pending.pop(0), cs))
     t0, k_sample = cs.time, 1
     n_advances = n_rejected = 0
     root_iterations: list[int] = []
@@ -724,7 +715,7 @@ def run(
             root_iterations += [located] * len(evs)
             located = 0
         while pending and cs.time >= pending[0] - 1e-12:
-            snapshots.append((pending.pop(0), cs.copy()))
+            snapshots.append((pending.pop(0), cs))
         while (t := t0 + k_sample * sample_dt) <= cs.time + 1e-15 and t <= T:
             samples.append(_sample(cs, t))
             k_sample += 1
@@ -735,7 +726,7 @@ def run(
             root_iterations.append(0)
             break
     while pending:
-        snapshots.append((pending.pop(0), cs.copy()))
+        snapshots.append((pending.pop(0), cs))
     samples.append(_sample(cs, cs.time))
     elapsed = _time.perf_counter() - t_start
     return ParticleRunResult(

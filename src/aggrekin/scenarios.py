@@ -506,12 +506,15 @@ def _run_fv(s: Scenario, kernel, write) -> tuple[list[dict], dict, dict]:
     return events, conservation, {"dt": res.dt, "n_steps": res.n_steps}
 
 
+def check_kinetic_params(p: ModelParams) -> None:
+    """Refuse ``p`` outside the kinetic model with a ScenarioError naming params."""
+    if not kin_mod.check_positivity_condition(p):
+        raise ScenarioError("params: kinetic runs require chi_a * (theta1 + theta2) < 1 for both species")
+
+
 def _run_kinetic(s: Scenario, kernel, write) -> tuple[list[dict], dict, dict]:
     st0 = initial_grid_state(s)
-    if not kin_mod.check_positivity_condition(s.params):
-        raise ScenarioError(
-            "params: kinetic runs require chi_a * (theta1 + theta2) < 1 for both species"
-        )
+    check_kinetic_params(s.params)
     kin0 = kin_mod.well_prepared_state(st0, s.params, s.epsilon, kernel)
     res = kin_mod.run(kin0, s.params, s.T, kernel=kernel, snapshot_times=s.snapshot_times)
     for i, (_, st) in enumerate(res.snapshots):
@@ -531,6 +534,13 @@ def _run_compare(s: Scenario, kernel, write) -> tuple[list[dict], dict, dict]:
     extra = {"particles": p_extra, "fv": f_extra, "event_agreement": _match_events(p_events, f_events)}
     return p_events, {"particles": p_cons, "fv": f_cons}, extra
 
+
+# every solver's collision kinds, with the class in which compare pairs a particle
+# event with an FV one: a glue or cross is a contact, a final collapse has no class
+_COLLISION_CLASS = {
+    "glue": "contact", "cross": "contact", "contact": "contact",
+    "merge_same_species": "merge", "final_collapse": None,
+}
 
 _RUNS = {"particles": _run_particles, "fv": _run_fv, "kinetic": _run_kinetic, "compare": _run_compare}
 
@@ -552,11 +562,7 @@ def run_scenario(s: Scenario, out_root: str | None = None) -> RunReport:
         files.append(name)
 
     events, conservation, extra = _RUNS[s.solver](s, make_kernel(s.kernel_spec), write)
-    collision_times = sorted(
-        e["time"]
-        for e in events
-        if e["kind"] in ("glue", "cross", "merge_same_species", "contact", "final_collapse")
-    )
+    collision_times = sorted(e["time"] for e in events if e["kind"] in _COLLISION_CLASS)
     report = RunReport(
         scenario=scenario_to_dict(s),
         solver=s.solver,
@@ -573,38 +579,19 @@ def run_scenario(s: Scenario, out_root: str | None = None) -> RunReport:
 
 
 def _match_events(p_events: list[dict], f_events: list[dict]) -> list[dict]:
-    """Pair particle events with finite-volume peak events by kind and order.
+    """Pair particle events with finite-volume peak events by class and order.
 
-    Particle glue/cross events correspond to FV contacts; same-species
-    merges correspond on both sides.
+    One pointer walks the FV events: each particle event of a class (see
+    ``_COLLISION_CLASS``) pairs with the next FV event of its class, and
+    the FV events it passes over stay unpaired.
     """
-    def normalize(kind: str) -> str | None:
-        if kind in ("glue", "cross", "contact"):
-            return "contact"
-        if kind == "merge_same_species":
-            return "merge"
-        return None
-
-    p_seq = [(normalize(e["kind"]), e) for e in p_events if normalize(e["kind"])]
-    f_seq = [(normalize(e["kind"]), e) for e in f_events if normalize(e["kind"])]
+    fv = iter(f_events)
     matches = []
-    j = 0
-    for kind, pe in p_seq:
-        while j < len(f_seq) and f_seq[j][0] != kind:
-            j += 1
-        if j >= len(f_seq):
-            break
-        fe = f_seq[j][1]
-        matches.append(
-            {
-                "kind": kind,
-                "particle_kind": pe["kind"],
-                "t_particles": pe["time"],
-                "t_fv": fe["time"],
-                "dt": abs(pe["time"] - fe["time"]),
-            }
-        )
-        j += 1
+    for pe in p_events:
+        kind = _COLLISION_CLASS.get(pe["kind"])
+        if kind and (fe := next((e for e in fv if _COLLISION_CLASS.get(e["kind"]) == kind), None)):
+            pair = dict(kind=kind, particle_kind=pe["kind"], t_particles=pe["time"], t_fv=fe["time"])
+            matches.append({**pair, "dt": abs(pe["time"] - fe["time"])})
     return matches
 
 

@@ -148,6 +148,18 @@ def whole_quanta_1d(x, q):
     return x
 
 
+def test_a_species_total_below_2_to_the_minus_1023_is_kept():
+    # its quantum is the smallest subnormal, of which every float below 2^-1022 is a multiple
+    assert mass_quantum(1e-320) == 5e-324
+    assert mass_quantum(2.0**-1023) == 5e-324
+    st = GridState(0.0, 0.1, [0, 1e-308, 0, 0], [0, 0, 1.0, 0])
+    assert st.rho1[1] == 1e-308
+    assert st.total_masses() == (1e-308, 1.0)
+    cs = ClusterSet([Cluster(0.0, 1e-310, 0.0), Cluster(1.0, 0.0, 1.0)])
+    assert cs.clusters[0].m1 == 1e-310
+    assert cs.total_masses() == (1e-310, 1.0)
+
+
 class TestWholeQuanta:
     """Every solver rounds a transfer to whole quanta through one helper,
     on a (2, w) block of both species with one quantum per row."""

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -67,6 +68,26 @@ class TestClusterSet:
         cs = ClusterSet([Cluster(0.0, 1.0, 0.0), Cluster(1.0, 0.0, 1.0)])
         assert [c.id for c in cs.clusters] == [0, 1]
         assert cs.next_id == 2
+
+    def test_a_set_leaves_the_clusters_it_is_given_as_they_are(self):
+        c = Cluster(0.1, 0.3, 0.0)
+        a = ClusterSet([c, Cluster(0.5, 0.0, 1.0)])
+        ClusterSet([Cluster(-0.2, 1.0, 0.0), c])
+        assert c.m1 == 0.3
+        assert c.id == -1
+        assert a.total_masses()[0] == 0.30000000000000004
+        assert [x.id for x in a.clusters] == [0, 1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.m1 = 1.0
+
+    def test_a_species_snapped_away_in_one_set_stays_in_the_next(self):
+        # 1e-17 is below half the species-2 quantum of a total of 1.0
+        c = Cluster(0.1, 0.3, 1e-17)
+        a = ClusterSet([c, Cluster(0.5, 0.0, 1.0)])
+        b = ClusterSet([c])
+        assert a.clusters[0].m2 == 0.0
+        assert c.m2 == 1e-17
+        assert b.total_masses()[1] == pytest.approx(1e-17, rel=1e-15)
 
     def test_rejects_nan_position(self):
         with pytest.raises(ValueError, match="position"):
@@ -365,6 +386,14 @@ class TestAdvance:
         res = run(cs, KERNEL, params(), T=0.05, dt_max=1e-2)
         assert res.n_advances == 5
         assert res.elapsed > 0.0
+
+    def test_run_starts_from_the_set_it_is_given(self):
+        # a set that advance returned keeps its step record: the run continues it
+        cs = ClusterSet([Cluster(-0.4, 1.0, 0.0), Cluster(0.4, 0.0, 1.0)])
+        nxt, _ = advance(cs, KERNEL, params(), 1e-2)
+        res = run(nxt, KERNEL, params(), T=0.05, dt_max=1e-2, snapshot_times=(nxt.time, 0.05))
+        assert res.snapshots[0][1] is nxt and nxt.dense is not None
+        assert res.snapshots[1][1] is res.final
 
     # pairs that start inside gap_tol without closing: they are no contact
     # at a plain step's end, and the contacts that do follow change the

@@ -405,6 +405,37 @@ class TestReportManifest:
         assert json.loads((out / "report.json").read_text())["files"] == report.files
 
 
+class TestMatchEvents:
+    """compare's pairing rule on the kinds and times (rounded) of
+    ``aggrekin preset example4 --solver compare --dx 1e-3``."""
+
+    PARTICLES = [
+        ("glue", 0.0457), ("merge_same_species", 1.0368), ("cross", 1.0368), ("glue", 1.6824),
+        ("merge_same_species", 2.774), ("glue", 2.774), ("final_collapse", 2.774),
+    ]
+    FV = [
+        ("contact", 0.05), ("separate", 0.074), ("contact", 0.9113), ("merge_same_species", 1.0293),
+        ("separate", 1.0293), ("contact", 1.0362), ("separate", 1.0645), ("contact", 1.6777),
+        ("merge_same_species", 2.6809),
+    ]
+
+    def test_each_particle_event_pairs_with_the_next_fv_event_of_its_class(self):
+        def events(pairs):
+            return [{"kind": kind, "time": t} for kind, t in pairs]
+
+        # the FV contact at 0.9113, passed over on the way to the merge at
+        # 1.0293, stays unpaired rather than taking the cross at 1.0368
+        matches = scenarios_mod._match_events(events(self.PARTICLES), events(self.FV))
+        assert [(m["kind"], m["particle_kind"], m["t_particles"], m["t_fv"]) for m in matches] == [
+            ("contact", "glue", 0.0457, 0.05),
+            ("merge", "merge_same_species", 1.0368, 1.0293),
+            ("contact", "cross", 1.0368, 1.0362),
+            ("contact", "glue", 1.6824, 1.6777),
+            ("merge", "merge_same_species", 2.774, 2.6809),
+        ]
+        assert [m["dt"] for m in matches] == [abs(m["t_particles"] - m["t_fv"]) for m in matches]
+
+
 class TestCrossValidation:
     def test_fv_peaks_track_particle_positions_before_collision(self):
         from aggrekin.fv import run as fv_run, species_peaks
@@ -547,6 +578,20 @@ class TestCli:
         table = (tmp_path / "lim" / "limit.csv").read_text().splitlines()
         assert table[0] == "epsilon,w2_species1,w2_species2"
         assert len(table) == 3
+
+    def test_limit_command_names_params_for_an_inadmissible_chi(self, tmp_path, capsys):
+        path = tmp_path / "lim.json"
+        cfg = {**KINETIC_CONFIG, "params": {"chi1": 10.0, "chi2": 0.3}, "eps_list": [0.5, 0.1]}
+        path.write_text(json.dumps(cfg))
+        assert cli_main(["limit", str(path), "--out", str(tmp_path / "out")]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ScenarioError"
+        assert payload["message"].startswith("params:")
+        # the run command refuses the same document with the same error
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == payload
 
     def test_limit_command_reads_the_cfl_safety(self, tmp_path):
         cfg = {**KINETIC_CONFIG, "eps_list": [0.1], "cfl_safety": 0.01}
