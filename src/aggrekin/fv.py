@@ -27,7 +27,7 @@ import numpy as np
 
 from .expconv import add_near_field, exp_velocity_scan, near_field
 from .kernel import PointyKernel
-from .lattice import GridCells, GridRun, mass_quantum, march, whole_quanta
+from .lattice import GridRun, GridState, mass_quantum, march, whole_quanta
 from .measures import ModelParams
 
 __all__ = [
@@ -44,14 +44,6 @@ __all__ = [
     "species_peaks",
     "run",
 ]
-
-@dataclass(frozen=True)
-class GridState(GridCells):
-    """The finite-volume state: per-cell masses of both species on a
-    uniform grid at ``time``, each snapped to its quantum ``q1``/``q2``
-    (see :class:`aggrekin.lattice.GridCells`)."""
-
-    time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -220,10 +212,10 @@ def extract_peaks(state: GridState) -> list[Peak]:
     return [Peak(centroid, float(np.sum(r1[s:e])), float(np.sum(r2[s:e]))) for s, e, centroid, _ in peaks]
 
 
-def species_peaks(state: GridCells) -> tuple[list[list[float]], list[list[float]]]:
+def species_peaks(state: GridState) -> tuple[list[list[float]], list[list[float]]]:
     """Each species' peaks, found on that species alone, as ``[centroid,
     mass]`` pairs sorted by position: one pass (:func:`_peaks`) over the
-    window and the state's :attr:`GridCells.window_moments`."""
+    window and the state's :attr:`GridState.window_moments`."""
     lo, hi = state.window
     totals, xv, _ = state.window_moments
     runs1, runs2 = _peaks(state.rho[:, lo:hi], totals, xv, _SPECIES_FLOOR)

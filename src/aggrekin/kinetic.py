@@ -26,10 +26,9 @@ import numpy as np
 
 from .csvio import write_csv
 from .expconv import add_near_field, exp_potential_scan, near_field
-from .fv import GridState
 from .fv import run as fv_run
 from .kernel import PointyKernel
-from .lattice import GridCells, GridRun, march, whole_quanta
+from .lattice import GridRun, GridState, march, whole_quanta
 from .measures import DiscreteMeasure, ModelParams, wasserstein2
 
 __all__ = [
@@ -46,8 +45,8 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class KineticState(GridCells):
-    """A grid state (:class:`aggrekin.lattice.GridCells`) plus the signed
+class KineticState(GridState):
+    """A grid state (:class:`aggrekin.lattice.GridState`) plus the signed
     per-cell fluxes of both species, the rows ``J1``, ``J2`` of ``J``.
 
     The flux bound |J| <= rho (equivalently f(+-1) >= 0) is enforced at
@@ -59,7 +58,6 @@ class KineticState(GridCells):
     J1: np.ndarray
     J2: np.ndarray
     epsilon: float
-    time: float = 0.0
 
     def __post_init__(self):
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
@@ -101,7 +99,7 @@ def check_positivity_condition(p: ModelParams) -> bool:
 
 
 def solve_chemo_field(
-    state: GridCells, p: ModelParams, kernel: PointyKernel, span: tuple[int, int] | None = None
+    state: GridState, p: ModelParams, kernel: PointyKernel, span: tuple[int, int] | None = None
 ) -> ChemoField:
     """S = K * (theta1 rho1 + theta2 rho2) and its hatted-kernel gradient on
     the cells ``span`` (default: all), which must cover the state's window:
@@ -175,7 +173,7 @@ def well_prepared_state(
         p.chi1 * field.dS * grid_state.rho1,
         p.chi2 * field.dS * grid_state.rho2,
         epsilon,
-        grid_state.time,
+        time=grid_state.time,
     )
 
 

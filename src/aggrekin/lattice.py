@@ -4,8 +4,8 @@ Each species' masses are snapped to multiples of one power-of-two quantum
 q chosen from the species total, so sums and differences of masses never
 round: per-species totals are conserved to 0 ulp and positivity is exact.
 The finite-volume grid, the kinetic state and the aggregate solver all
-snap through :func:`snap`.  Both grid states are a :class:`GridCells`, and
-both grid solvers' runs step through :func:`march`.
+snap through :func:`snap`.  Both grid solvers' states are a
+:class:`GridState`, and their runs step through :func:`march`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .measures import ModelParams
 
 __all__ = [
-    "mass_quantum", "snap", "whole_quanta", "checked_cells", "GridCells", "check_boundary", "GridRun",
+    "mass_quantum", "snap", "whole_quanta", "checked_cells", "GridState", "check_boundary", "GridRun",
     "check_run_times", "march",
 ]
 
@@ -48,10 +48,10 @@ def snap(values, q: float):
     """``values`` -- a float or an array of them, each in [0, 2^52 q], as
     every mass of a species is under the quantum of its total -- rounded to
     the nearest multiple of ``q``, ties to even.  A species whose quantum
-    is 0 holds no mass, so every value becomes 0.
+    is 0 holds no mass, so every value becomes +0.0, a -0.0 one included.
     """
     if q == 0.0:
-        return values * 0.0
+        return abs(values) * 0.0
     # one scratch array for an array input; every step is exact but the rounding
     x = values / q
     x += _ROUND_TO_INTEGER
@@ -119,19 +119,19 @@ def _cell_centers(xmin: float, dx: float, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GridCells:
-    """Per-cell masses of both species on a uniform grid.
+class GridState:
+    """Per-cell masses of both species on a uniform grid at ``time``.
 
     ``xmin`` is the left edge of the first cell; cell centers sit at
     xmin + (j + 1/2) dx.  Cell values are masses (density times dx), kept
     in one C-contiguous (2, n) array ``rho`` whose rows ``rho1`` and
-    ``rho2`` are the two species.  Each subclass declares ``time`` after
-    its own fields.  On construction each species is snapped to the mass
-    quantum ``q1``/``q2`` of its total; the quanta ride along so subsequent
-    steps stay on the same lattice, and since a step conserves each total
-    to 0 ulp they are the quanta its successor's totals give.  Non-finite
-    input (NaN or inf in ``xmin``, ``dx`` or a cell mass) is rejected with
-    the name of the offending field.
+    ``rho2`` are the two species.  On construction each species is snapped
+    to the mass quantum ``q1``/``q2`` of its total; the quanta ride along so
+    subsequent steps stay on the same lattice, and since a step conserves
+    each total to 0 ulp they are the quanta its successor's totals give.
+    ``time`` is a keyword, so a subclass adds fields after ``rho2``.
+    Non-finite input (NaN or inf in ``xmin``, ``dx`` or a cell mass) is
+    rejected with the name of the offending field.
     """
 
     xmin: float
@@ -140,6 +140,7 @@ class GridCells:
     rho2: np.ndarray
     q1: float = field(init=False)
     q2: float = field(init=False)
+    time: float = field(default=0.0, kw_only=True)
 
     def __post_init__(self):
         r1 = checked_cells("rho1", self.rho1)
@@ -226,7 +227,7 @@ class GridCells:
         return (p.theta1 / p.chi1) * s1 + (p.theta2 / p.chi2) * s2
 
 
-def check_boundary(state: GridCells, total: float) -> None:
+def check_boundary(state: GridState, total: float) -> None:
     """Abort a run whose outermost cells hold more than 1e-9 of the total
     mass: the domain is supposed to be large enough that they stay empty."""
     boundary = state.rho1[0] + state.rho2[0] + state.rho1[-1] + state.rho2[-1]
@@ -242,8 +243,8 @@ class GridRun:
     """A grid solver's run from :func:`march`: its ``(t, state)`` snapshots,
     final state, step dt, step count and wall time."""
 
-    snapshots: list[tuple[float, GridCells]]
-    final: GridCells
+    snapshots: list[tuple[float, GridState]]
+    final: GridState
     dt: float
     n_steps: int
     elapsed: float
@@ -260,7 +261,7 @@ def check_run_times(t0: float, T: float, snapshot_times) -> None:
         )
 
 
-def march(initial: GridCells, T: float, dt: float, snapshot_times, field, advance, record):
+def march(initial: GridState, T: float, dt: float, snapshot_times, field, advance, record):
     """The step loop of a grid solver's run.
 
     Takes n = floor((T - t0) / dt) steps from ``initial`` at time t0 to the

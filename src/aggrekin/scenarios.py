@@ -24,8 +24,9 @@ from . import fv as fv_mod
 from . import kinetic as kin_mod
 from . import particles as part_mod
 from .csvio import write_csv, write_grid_csv
-from .fv import GridState, extract_peaks
+from .fv import extract_peaks
 from .kernel import PointyKernel, exponential_kernel, regularize
+from .lattice import GridState, mass_quantum, snap
 from .measures import ModelParams, bump_mass_unit, sample_gaussian_bumps
 from .particles import Cluster, ClusterSet
 
@@ -52,7 +53,7 @@ SOLVERS = ("fv", "particles", "kinetic", "compare")
 
 SCHEMA = """\
 Scenario JSON schema (all masses in absolute units):
-  name            str, run identifier (defaults to the file stem)
+  name            non-empty str, run identifier (defaults to the file stem)
   params          {chi1, chi2, theta1, theta2, psi1, psi2}; chi required,
                   theta default 1.0, psi default 1.0 (kinetic only)
   kernel          {"kind": "exponential"} or {"kind": "regularized", "n": int >= 1}
@@ -117,6 +118,21 @@ def _numbers(key: str, values) -> tuple[float, ...]:
     return tuple(_number(key, v) for v in values)
 
 
+def _check_cluster_quanta(key: str, masses: list[float]) -> None:
+    """Refuse a positive mass of ``masses``, one species' cluster masses,
+    that snaps to 0 against the species total, naming its entry of ``key``."""
+    try:
+        q = mass_quantum(math.fsum(masses))
+    except OverflowError:
+        raise ScenarioError(f"{key}: the species' total mass overflows") from None
+    for i, m in enumerate(masses):
+        if m > 0 and snap(m, q) == 0.0:
+            raise ScenarioError(
+                f"{key}[{i}]: mass {m!r} is at most half the mass quantum {q!r} of the species total, "
+                "so it rounds to 0"
+            )
+
+
 # the keys a scenario file may leave to their Scenario defaults, in SCHEMA
 # order, each with the parser of its value; output_dir passes through, and
 # Scenario checks that it is a string
@@ -156,6 +172,8 @@ class Scenario:
             raise ScenarioError("cfl_safety: must lie in (0, 1)")
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ScenarioError(f"output_dir: expected a string, got {self.output_dir!r}")
+        if not (isinstance(self.name, str) and self.name):
+            raise ScenarioError(f"name: expected a non-empty string, got {self.name!r}")
         for label, attr in (("species1", "initial1"), ("species2", "initial2")):
             spec = _object(f"initial.{label}", getattr(self, attr), ("bumps", "clusters"))
             forms = [key for key in ("bumps", "clusters") if key in spec]
@@ -181,6 +199,8 @@ class Scenario:
                     raise ScenarioError(f"{key}: negative bump amplitude")
                 if forms[0] == "clusters" and entry[1] < 0:
                     raise ScenarioError(f"{key}: negative cluster mass")
+            if forms[0] == "clusters":
+                _check_cluster_quanta(f"initial.{label}.clusters", [m for _, m in pairs])
             # the initial data is read as the numbers checked here
             setattr(self, attr, {**spec, forms[0]: pairs})
         if self.solver in ("fv", "kinetic", "compare"):
@@ -256,7 +276,7 @@ def scenario_from_dict(d: dict, name: str = "scenario") -> Scenario:
     if d.get("snapshot_times") is None:
         d = {**d, "snapshot_times": [round(i * T / 5.0, 12) for i in range(6)]}
     return Scenario(
-        name=str(d.get("name", name)),
+        name=d.get("name", name),
         params=params,
         kernel_spec=kernel_spec,
         initial1=initial["species1"],
@@ -494,10 +514,8 @@ def _run_fv(s: Scenario, kernel, write) -> tuple[list[dict], dict, dict]:
     conservation["max_velocity"] = float(np.max(d["max_velocity"]))
     peaks_payload = []
     for i, (t, state) in enumerate(res.snapshots):
-        write(f"snapshot_{i:03d}.csv", write_grid_csv, ["x", "rho1_mass", "rho2_mass"],
-              state.centers, state.rho1, state.rho2)
-        peaks = [{"position": q.position, "mass1": q.mass1, "mass2": q.mass2} for q in extract_peaks(state)]
-        peaks_payload.append({"time": t, "peaks": peaks})
+        write(f"snapshot_{i:03d}.csv", write_grid_csv, ["x", "rho1_mass", "rho2_mass"], state)
+        peaks_payload.append({"time": t, "peaks": [asdict(q) for q in extract_peaks(state)]})
     write("diagnostics.csv", write_csv, list(d), zip(*d.values()))
     write("peaks.json", _write_json, peaks_payload)
     events = [asdict(ev) for ev in res.events]

@@ -293,7 +293,7 @@ def random_states(rng, n=120, count=40):
 def scaled_to(st, total):
     """``st`` with each nonempty species scaled to the total ``total``."""
     r1, r2 = ((r * (total / r.sum()) if r.sum() > 0 else r) for r in (st.rho1, st.rho2))
-    return GridState(st.xmin, st.dx, r1, r2, st.time)
+    return GridState(st.xmin, st.dx, r1, r2, time=st.time)
 
 
 class TestWindowedStepBitIdentical:
@@ -450,7 +450,7 @@ def full_grid_run(initial, p, T):
     for k in range(n_steps + 1):
         if k:
             rho1, rho2 = full_grid_step(st, flux, dt)
-            st = GridState(st.xmin, st.dx, rho1, rho2, st.time + dt)
+            st = GridState(st.xmin, st.dx, rho1, rho2, time=st.time + dt)
         tracker.update(st.time, *full_grid_species_peaks(st))
         flux = make_flux(st, KERNEL, p)
         lo, hi = window_of(st.rho1, st.rho2)

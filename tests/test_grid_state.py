@@ -13,11 +13,11 @@ import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as hs
 
-from aggrekin import fv, kinetic, particles
+from aggrekin import fv, kinetic, lattice, particles
 from aggrekin.fv import GridState, cfl_dt, extract_peaks, make_flux, species_peaks
 from aggrekin.kernel import exponential_kernel
 from aggrekin.kinetic import KineticState, solve_chemo_field
-from aggrekin.lattice import GridCells, GridRun, check_boundary, mass_quantum, whole_quanta
+from aggrekin.lattice import GridRun, check_boundary, mass_quantum, whole_quanta
 from aggrekin.measures import ModelParams
 from aggrekin.particles import Cluster, ClusterSet
 
@@ -49,9 +49,19 @@ def boundary_outcome(state, total):
 
 class TestOneGridType:
     def test_both_states_are_the_shared_grid(self):
-        assert issubclass(GridState, GridCells) and issubclass(KineticState, GridCells)
-        for name in ("n_cells", "centers", "total_masses", "window"):
-            assert name not in vars(KineticState) and name not in vars(GridState)
+        assert GridState is lattice.GridState and issubclass(KineticState, GridState)
+        for name in ("n_cells", "centers", "total_masses", "window", "time"):
+            assert name not in vars(KineticState)
+
+    def test_time_is_a_keyword_of_both_states(self):
+        with pytest.raises(TypeError):
+            GridState(0.0, 0.1, [1.0], [0.0], 0.5)
+        with pytest.raises(TypeError):
+            KineticState(0.0, 0.1, [1.0], [0.0], [0.0], [0.0], 0.1, 0.5)
+        gst = GridState(0.0, 0.1, [1.0], [0.0], time=0.5)
+        kst = KineticState(0.0, 0.1, [1.0], [0.0], [0.0], [0.0], 0.1, time=0.5)
+        assert (gst.time, kst.time, GridState(0.0, 0.1, [1.0], [0.0]).time) == (0.5, 0.5, 0.0)
+        assert kinetic.well_prepared_state(gst, ModelParams(chi1=0.4, chi2=0.3), 0.1, KERNEL).time == 0.5
 
     @settings(max_examples=150, deadline=None)
     @given(m1=cells, m2=cells)
@@ -160,6 +170,16 @@ def test_a_species_total_below_2_to_the_minus_1023_is_kept():
     assert cs.total_masses() == (1e-310, 1.0)
 
 
+def test_an_empty_species_given_negative_zeros_holds_positive_zeros():
+    # its quantum is 0, and snapping makes every value +0.0
+    r2 = np.zeros(6)
+    r2[[0, 2, 5]] = -0.0
+    for st in (GridState(0.0, 0.1, np.ones(6), r2), KineticState(0.0, 0.1, np.ones(6), r2, np.zeros(6), r2, 0.1)):
+        assert st.q2 == 0.0 and not np.signbit(st.rho2).any()
+    cs = ClusterSet([Cluster(0.0, 1.0, -0.0), Cluster(1.0, 2.0, -0.0)])
+    assert not any(math.copysign(1.0, c.m2) < 0 for c in cs.clusters)
+
+
 class TestWholeQuanta:
     """Every solver rounds a transfer to whole quanta through one helper,
     on a (2, w) block of both species with one quantum per row."""
@@ -266,7 +286,7 @@ class TestStepSuccessors:
             reject()
         for _ in range(n_steps):
             nxt = fv.step(st, make_flux(st, KERNEL, p), dt)
-            ref = GridState(nxt.xmin, nxt.dx, nxt.rho1, nxt.rho2, nxt.time)
+            ref = GridState(nxt.xmin, nxt.dx, nxt.rho1, nxt.rho2, time=nxt.time)
             assert type(nxt) is GridState
             assert same_bits(nxt.rho1, ref.rho1) and same_bits(nxt.rho2, ref.rho2)
             assert (nxt.q1, nxt.q2, nxt.time) == (ref.q1, ref.q2, ref.time)
@@ -289,7 +309,7 @@ class TestStepSuccessors:
         p = ModelParams(chi1=0.45, chi2=0.3)
         for _ in range(n_steps):
             nxt = kinetic.step(st, solve_chemo_field(st, p, KERNEL, st._padded_window()), p)
-            ref = KineticState(nxt.xmin, nxt.dx, nxt.rho1, nxt.rho2, nxt.J1, nxt.J2, nxt.epsilon, nxt.time)
+            ref = KineticState(nxt.xmin, nxt.dx, nxt.rho1, nxt.rho2, nxt.J1, nxt.J2, nxt.epsilon, time=nxt.time)
             assert type(nxt) is KineticState
             for name in ("rho1", "rho2", "J1", "J2"):
                 assert same_bits(getattr(nxt, name), getattr(ref, name)), name
@@ -369,9 +389,9 @@ def run_to(solver: str, T: float, snapshot_times, t0: float = 0.0):
         cs = ClusterSet([Cluster(-0.1, 1.0, 0.0), Cluster(0.1, 0.0, 1.0)], t0)
         return particles.run(cs, KERNEL, p, T, snapshot_times=snapshot_times)
     if solver == "fv":
-        st = GridState(-1.0, 0.05, rho, rho[::-1].copy(), t0)
+        st = GridState(-1.0, 0.05, rho, rho[::-1].copy(), time=t0)
         return fv.run(st, KERNEL, p, T, snapshot_times=snapshot_times, track_peaks=False)
-    st = KineticState(-1.0, 0.05, rho, rho[::-1].copy(), np.zeros(40), np.zeros(40), 0.1, t0)
+    st = KineticState(-1.0, 0.05, rho, rho[::-1].copy(), np.zeros(40), np.zeros(40), 0.1, time=t0)
     return kinetic.run(st, p, T, snapshot_times=snapshot_times)
 
 

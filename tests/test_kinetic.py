@@ -407,7 +407,7 @@ def whole_grid_run(initial, p, kernel, n_steps):
         ds = np.zeros(st.n_cells)
         ds[a:b] = solve_chemo_field(st, p, kernel, (a, b)).dS
         rho1, j1, rho2, j2 = whole_grid_step(st, ds, p)
-        states.append(KineticState(st.xmin, st.dx, rho1, rho2, j1, j2, st.epsilon, st.time + st.dx))
+        states.append(KineticState(st.xmin, st.dx, rho1, rho2, j1, j2, st.epsilon, time=st.time + st.dx))
     return states
 
 

@@ -277,6 +277,21 @@ class TestAdvance:
         remote = max(first.all_positions, key=lambda x: abs(x - first.positions[0]))
         assert remote == pytest.approx(x_remote, abs=5e-4)
 
+    @pytest.mark.parametrize(
+        "species, kinds",
+        [((1, 1, 1), ["merge_same_species"]), ((1, 2, 1), ["merge_same_species", "glue"])],
+    )
+    def test_three_clusters_touch_in_one_contact_group(self, species, kinds):
+        # symmetric clusters reach both gaps at once: one group of three,
+        # whose species-1 members merge and, with species 2 between them, glue
+        cs = ClusterSet([Cluster(x, float(s == 1), float(s == 2)) for x, s in zip((-0.1, 0.0, 0.1), species)])
+        res = run(cs, KERNEL, params(), T=0.1)
+        assert [e.kind for e in res.events] == kinds + ["final_collapse"]
+        assert all(e.participants == (0, 1, 2) for e in res.events[:-1])
+        assert res.events[0].time == pytest.approx(0.010784, abs=1e-6)
+        drift = [a - b for a, b in zip(res.final.total_masses(), cs.total_masses())]
+        assert drift == [0.0, 0.0]
+
     def test_cross_species_contact_without_sync_crosses(self):
         m0 = M0
         cs = ClusterSet(

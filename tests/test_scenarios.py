@@ -111,6 +111,28 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="species1"):
             load_scenario(path)
 
+    @pytest.mark.parametrize(
+        "species, clusters, index",
+        [
+            ("species1", [[0.0, 1e-17], [0.5, 1.0]], 0),
+            # half a quantum of the total 1 + 2^-52 ties to the even multiple 0
+            ("species2", [[0.0, 1.0], [0.5, 2.0**-52]], 1),
+        ],
+    )
+    def test_a_cluster_mass_that_rounds_to_zero_is_named(self, tmp_path, capsys, species, clusters, index):
+        path = quick_particle_config(tmp_path)
+        data = json.loads(path.read_text())
+        data["initial"][species]["clusters"] = clusters
+        path.write_text(json.dumps(data))
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ScenarioError"
+        key = f"initial.{species}.clusters[{index}]:"
+        assert payload["message"].startswith(key) and "rounds to 0" in payload["message"]
+        # an explicit 0 carries no mass to lose, and loads
+        data["initial"][species]["clusters"][index][1] = 0.0
+        scenario_from_dict(data)
+
     def test_bad_cfl_safety_rejected(self, tmp_path):
         path = quick_particle_config(tmp_path)
         data = json.loads(path.read_text())
@@ -761,7 +783,10 @@ class TestWronglyTypedValues:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("epsilon", [0.1]), ("T", "x"), ("params", {"chi1": [0.4], "chi2": 0.3}), ("output_dir", 5)],
+        [
+            ("epsilon", [0.1]), ("T", "x"), ("params", {"chi1": [0.4], "chi2": 0.3}), ("output_dir", 5),
+            ("name", ["a", 1]), ("name", ""),
+        ],
     )
     def test_cli_reports_the_key(self, tmp_path, capsys, key, value):
         path = tmp_path / "bad.json"
