@@ -26,7 +26,7 @@ import numpy as np
 
 from .csvio import write_csv
 from .expconv import add_near_field, exp_potential_scan, near_field
-from .fv import run as fv_run
+from .fv import FluxField, make_flux, run as fv_run
 from .kernel import PointyKernel
 from .lattice import GridRun, GridState, march, whole_quanta
 from .measures import DiscreteMeasure, ModelParams, wasserstein2
@@ -80,12 +80,10 @@ class KineticState(GridState):
 
 @dataclass(frozen=True)
 class ChemoField:
-    """Chemoattractant values and gradient at the centres of the cells
-    ``span`` = [a, b): every cell, or the padded window that a step reads."""
+    """Chemoattractant values and gradient at the centres of every cell."""
 
     S: np.ndarray
     dS: np.ndarray
-    span: tuple[int, int]
 
 
 def check_positivity_condition(p: ModelParams) -> bool:
@@ -98,30 +96,28 @@ def check_positivity_condition(p: ModelParams) -> bool:
     return p.chi1 * theta < 1.0 and p.chi2 * theta < 1.0
 
 
-def solve_chemo_field(
-    state: GridState, p: ModelParams, kernel: PointyKernel, span: tuple[int, int] | None = None
-) -> ChemoField:
+def solve_chemo_field(state: GridState, p: ModelParams, kernel: PointyKernel) -> ChemoField:
     """S = K * (theta1 rho1 + theta2 rho2) and its hatted-kernel gradient on
-    the cells ``span`` (default: all), which must cover the state's window:
-    the exponential scan plus the kernel's near-field stencils, O(N) for
-    every kernel."""
-    a, b = (0, state.n_cells) if span is None else span
-    w = p.theta1 * state.rho1[a:b] + p.theta2 * state.rho2[a:b]
+    every cell: the exponential scan plus the kernel's near-field stencils,
+    O(N) for every kernel.  No step reads it; it is the field of the
+    snapshot files and of well-prepared data."""
+    w = p.theta1 * state.rho1 + p.theta2 * state.rho2
     fields = zip(exp_potential_scan(w, state.dx), near_field(kernel, state.dx))
-    return ChemoField(*(add_near_field(f, w, c) for f, c in fields), (a, b))
+    return ChemoField(*(add_near_field(f, w, c) for f, c in fields))
 
 
-def step(state: KineticState, field: ChemoField, p: ModelParams) -> KineticState:
+def step(state: KineticState, flux: FluxField, p: ModelParams) -> KineticState:
     """One transport + relaxation step of dt = dx (unit speeds) for both
-    species on the state's padded window [a, b), which ``field`` must span.
+    species on the state's padded window [a, b), which ``flux``, the
+    :func:`aggrekin.fv.make_flux` field whose velocity is dS, must span.
 
     Transport, the exact lattice shift of quantized parcels of f(+-1),
     moves mass one cell at most, so every cell outside stays 0.  Outgoing
     mass at a domain end is retained in the boundary cell (the run driver
     monitors that the boundary stays empty)."""
     a, b = state._padded_window()
-    if field.span != (a, b):
-        raise ValueError(f"chemo field spans cells {field.span}, but the state's padded window is {(a, b)}")
+    if flux.span != (a, b):
+        raise ValueError(f"flux spans cells {flux.span}, but the state's padded window is {(a, b)}")
     q = (state.q1, state.q2)
     # a contiguous copy: numpy runs a strided (2, w) view at a third of the speed
     rho = state.rho[:, a:b].copy()
@@ -145,7 +141,7 @@ def step(state: KineticState, field: ChemoField, p: ModelParams) -> KineticState
         )
     # relaxation toward chi dS rho, each species in the order of
     # (j + beta chi dS rho) / (1 + beta)
-    target = np.multiply.outer((beta[0] * p.chi1, beta[1] * p.chi2), field.dS) * rho + j
+    target = np.multiply.outer((beta[0] * p.chi1, beta[1] * p.chi2), flux.velocity) * rho + j
     for row, rate in zip(target, beta):
         row /= 1.0 + rate
     j += 2.0 * whole_quanta(0.5 * (target - j), q)
@@ -185,19 +181,19 @@ def run(
     snapshot_times: tuple[float, ...] = (),
 ) -> GridRun:
     """Advance from ``initial.time`` to the absolute time T in steps of
-    dt = dx (exact characteristic shifts, no numerical diffusion), with
-    the chemo field of every state (see :func:`aggrekin.lattice.march`).
+    dt = dx (exact characteristic shifts, no numerical diffusion), each
+    step reading the :func:`aggrekin.fv.make_flux` field of its state (see
+    :func:`aggrekin.lattice.march`).
 
     Snapshots are ``(t, state)`` pairs, one per requested time, at the step
-    boundary that :func:`aggrekin.lattice.march` maps it to.  The run
-    solves each field on the padded window only; a scenario run solves a
-    snapshot's field on every cell when it writes the snapshot.  Aborts through
-    :func:`aggrekin.lattice.check_boundary` if mass reaches the outermost
-    cells.  ``kernel`` defaults to the exponential one.
+    boundary that :func:`aggrekin.lattice.march` maps it to.  The run solves
+    no S; a scenario run solves a snapshot's S and dS on every cell when it
+    writes the snapshot.  Aborts through :func:`aggrekin.lattice.check_boundary`
+    if mass reaches the outermost cells.  ``kernel`` defaults to the exponential one.
     """
     return march(
         initial, T, initial.dx, snapshot_times,
-        lambda st: solve_chemo_field(st, p, kernel, st._padded_window()),
+        lambda st: make_flux(st, kernel, p),
         lambda st, field: step(st, field, p),
         lambda st, field: None,
     )

@@ -53,7 +53,7 @@ SOLVERS = ("fv", "particles", "kinetic", "compare")
 
 SCHEMA = """\
 Scenario JSON schema (all masses in absolute units):
-  name            non-empty str, run identifier (defaults to the file stem)
+  name            non-empty str, run identifier and directory name (defaults to the file stem)
   params          {chi1, chi2, theta1, theta2, psi1, psi2}; chi required,
                   theta default 1.0, psi default 1.0 (kinetic only)
   kernel          {"kind": "exponential"} or {"kind": "regularized", "n": int >= 1}
@@ -172,8 +172,11 @@ class Scenario:
             raise ScenarioError("cfl_safety: must lie in (0, 1)")
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ScenarioError(f"output_dir: expected a string, got {self.output_dir!r}")
-        if not (isinstance(self.name, str) and self.name):
-            raise ScenarioError(f"name: expected a non-empty string, got {self.name!r}")
+        # the run directory is <output root>/<name>: one plain path component
+        if not (isinstance(self.name, str) and self.name not in ("", ".", "..") and not {"/", "\\"} & set(self.name)):
+            raise ScenarioError(
+                f"name: expected a non-empty string with no '/' or '\\' that is not '.' or '..', got {self.name!r}"
+            )
         for label, attr in (("species1", "initial1"), ("species2", "initial2")):
             spec = _object(f"initial.{label}", getattr(self, attr), ("bumps", "clusters"))
             forms = [key for key in ("bumps", "clusters") if key in spec]

@@ -16,7 +16,7 @@ from hypothesis import strategies as hs
 from aggrekin import fv, kinetic, lattice, particles
 from aggrekin.fv import GridState, cfl_dt, extract_peaks, make_flux, species_peaks
 from aggrekin.kernel import exponential_kernel
-from aggrekin.kinetic import KineticState, solve_chemo_field
+from aggrekin.kinetic import KineticState
 from aggrekin.lattice import GridRun, check_boundary, mass_quantum, whole_quanta
 from aggrekin.measures import ModelParams
 from aggrekin.particles import Cluster, ClusterSet
@@ -126,7 +126,7 @@ class TestOneBlockPerState:
                 assert "not finite" in str(exc)
             else:
                 states.append(fv.step(gst, make_flux(gst, KERNEL, p), dt))
-        nxt = kinetic.step(kst, solve_chemo_field(kst, p, KERNEL, kst._padded_window()), p)
+        nxt = kinetic.step(kst, make_flux(kst, KERNEL, p), p)
         for st in states + [nxt]:
             assert_row_views(st.rho, st.rho1, st.rho2)
             assert_reads_like_its_rows(st, p)
@@ -308,7 +308,7 @@ class TestStepSuccessors:
         st = KineticState(gst.xmin, gst.dx, rho1, rho2, u * rho1, -u * rho2, epsilon)
         p = ModelParams(chi1=0.45, chi2=0.3)
         for _ in range(n_steps):
-            nxt = kinetic.step(st, solve_chemo_field(st, p, KERNEL, st._padded_window()), p)
+            nxt = kinetic.step(st, make_flux(st, KERNEL, p), p)
             ref = KineticState(nxt.xmin, nxt.dx, nxt.rho1, nxt.rho2, nxt.J1, nxt.J2, nxt.epsilon, time=nxt.time)
             assert type(nxt) is KineticState
             for name in ("rho1", "rho2", "J1", "J2"):

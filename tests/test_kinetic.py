@@ -5,11 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
+from aggrekin import kinetic
 from aggrekin.expconv import exp_potential_scan
-from aggrekin.fv import GridState
+from aggrekin.fv import FluxField, GridState, make_flux
 from aggrekin.kernel import exponential_kernel, regularize
 from aggrekin.kinetic import (
-    ChemoField,
     KineticState,
     check_positivity_condition,
     limit_experiment,
@@ -27,6 +27,11 @@ KERNEL = exponential_kernel()
 
 def kinetic_params(chi1=0.4, chi2=0.4):
     return ModelParams(chi1=chi1, chi2=chi2)
+
+
+def given_flux(velocity, span, p):
+    """The field a step reads, with a given velocity on the cells ``span``."""
+    return FluxField(p.chi1, p.chi2, span, velocity, float(np.abs(velocity).max(initial=0.0)))
 
 
 def left_to_right_sum(values):
@@ -180,8 +185,8 @@ class TestStep:
     def test_zero_state_stays_zero(self):
         st = KineticState(0.0, 0.1, np.zeros(8), np.zeros(8), np.zeros(8), np.zeros(8), 0.5)
         a, b = st._padded_window()
-        field = ChemoField(np.zeros(b - a), np.zeros(b - a), (a, b))
-        out = step(st, field, kinetic_params())
+        p = kinetic_params()
+        out = step(st, given_flux(np.zeros(b - a), (a, b), p), p)
         assert np.all(out.rho1 == 0.0) and np.all(out.J1 == 0.0)
 
     def test_relaxation_is_geometric_on_uniform_interior(self):
@@ -193,9 +198,8 @@ class TestStep:
         j0 = np.full(n, 0.1)
         st = KineticState(0.0, dx, rho, np.zeros(n), j0, np.zeros(n), eps)
         ds = np.full(n, 0.2)
-        field = ChemoField(np.zeros(n), ds, (0, n))
         p = kinetic_params(chi1=0.4)
-        out = step(st, field, p)
+        out = step(st, given_flux(ds, (0, n), p), p)
         beta = 2.0 * p.psi1 * dt / eps
         inner = slice(2, -2)
         target = p.chi1 * ds[inner] * rho[inner]
@@ -208,9 +212,8 @@ class TestStep:
         rho = np.full(n, 0.5)
         st = KineticState(0.0, dx, rho, np.zeros(n), np.zeros(n), np.zeros(n), 1e-12)
         ds = np.full(n, 0.3)
-        field = ChemoField(np.zeros(n), ds, (0, n))
         p = kinetic_params(chi1=0.4)
-        out = step(st, field, p)
+        out = step(st, given_flux(ds, (0, n), p), p)
         inner = slice(2, -2)
         assert np.max(np.abs(out.J1[inner] - p.chi1 * 0.3 * 0.5)) <= 1e-9
 
@@ -228,8 +231,7 @@ class TestStep:
         m1 = left_to_right_sum(st.rho1)
         m2 = left_to_right_sum(st.rho2)
         for _ in range(60):
-            field = solve_chemo_field(st, p, KERNEL, st._padded_window())
-            st = step(st, field, p)
+            st = step(st, make_flux(st, KERNEL, p), p)
         assert left_to_right_sum(st.rho1) - m1 == 0.0
         assert left_to_right_sum(st.rho2) - m2 == 0.0
 
@@ -246,8 +248,7 @@ class TestStep:
         p = kinetic_params(0.45, 0.3)
         assert check_positivity_condition(p)
         for _ in range(40):
-            field = solve_chemo_field(st, p, KERNEL, st._padded_window())
-            st = step(st, field, p)
+            st = step(st, make_flux(st, KERNEL, p), p)
             assert np.all(np.abs(st.J1) <= st.rho1)
             assert np.all(np.abs(st.J2) <= st.rho2)
 
@@ -261,11 +262,11 @@ class TestStep:
         st0 = GridState(xmin, dx, r1.masses, r2.masses)
         kin = well_prepared_state(st0, p, 1e-6, KERNEL)
         a, b = kin._padded_window()
-        field = solve_chemo_field(kin, p, KERNEL, (a, b))
-        assert np.max(np.abs(p.chi1 * field.dS)) < 1.0
-        new = step(kin, field, p)
+        flux = make_flux(kin, KERNEL, p)
+        assert np.max(np.abs(p.chi1 * flux.velocity)) < 1.0
+        new = step(kin, flux, p)
         for chi, j, rho in ((p.chi1, new.J1[a:b], new.rho1[a:b]), (p.chi2, new.J2[a:b], new.rho2[a:b])):
-            target = chi * field.dS * rho
+            target = chi * flux.velocity * rho
             err = np.max(np.abs(j - target)) / np.max(np.abs(target))
             assert err <= 1e-6
 
@@ -340,7 +341,7 @@ class TestWindowedStep:
         assert (a == 0, b == n) == (place in ("left", "whole"), place in ("right", "whole"))
         ds = np.array(data.draw(hs.lists(hs.floats(-3.0, 3.0), min_size=b - a, max_size=b - a), label="ds"))
         p = ModelParams(chi1=0.45, chi2=0.3, psi2=0.5)
-        nxt = step(st, ChemoField(np.zeros(b - a), ds, (a, b)), p)
+        nxt = step(st, given_flux(ds, (a, b), p), p)
         ds_grid = np.zeros(n)
         ds_grid[a:b] = ds
         ref = whole_grid_step(st, ds_grid, p)
@@ -355,10 +356,10 @@ class TestWindowedStep:
         rho[10:20] = 0.1
         st = KineticState(-1.0, 0.05, rho, rho, np.zeros(40), np.zeros(40), 0.1)
         p = kinetic_params()
-        for span in (None, (8, 21), (9, 22)):
+        for span in ((0, 40), (8, 21), (9, 22)):
             with pytest.raises(ValueError, match=r"spans cells .*\(9, 21\)"):
-                step(st, solve_chemo_field(st, p, KERNEL, span), p)
-        assert step(st, solve_chemo_field(st, p, KERNEL, (9, 21)), p).window == (9, 21)
+                step(st, given_flux(np.zeros(span[1] - span[0]), span, p), p)
+        assert step(st, make_flux(st, KERNEL, p), p).window == (9, 21)
 
     @pytest.mark.parametrize(
         "kernel, masses",
@@ -373,7 +374,7 @@ class TestWindowedStep:
         ],
     )
     def test_window_field_is_the_whole_grid_sum(self, kernel, masses):
-        # the window's field against the direct sum over every cell of the grid
+        # the window's velocity against the direct sum over every cell of the grid
         grid = (-2.0, 2.0, 1e-2)
         if masses == "bumps":
             r1 = sample_gaussian_bumps([(1.0, -0.4)], grid, width=50.0).masses
@@ -388,16 +389,15 @@ class TestWindowedStep:
         p = kinetic_params(0.45, 0.3)
         a, b = st._padded_window()
         assert b - a < st.n_cells
-        field = solve_chemo_field(st, p, kernel, (a, b))
-        s, ds = direct_potential(st.centers, p.theta1 * st.rho1 + p.theta2 * st.rho2, kernel)
-        assert field.span == (a, b)
-        assert np.max(np.abs(field.S - s[a:b])) <= 1e-12 * np.max(np.abs(s))
-        assert np.max(np.abs(field.dS - ds[a:b])) <= 1e-12 * np.max(np.abs(ds))
+        flux = make_flux(st, kernel, p)
+        _, ds = direct_potential(st.centers, p.theta1 * st.rho1 + p.theta2 * st.rho2, kernel)
+        assert flux.span == (a, b)
+        assert np.max(np.abs(flux.velocity - ds[a:b])) <= 1e-12 * np.max(np.abs(ds))
 
 
 def whole_grid_run(initial, p, kernel, n_steps):
-    """``run`` written out on the whole grid: each state's field solved on
-    its padded window, the whole-grid step fed that gradient (zeros
+    """``run`` written out on the whole grid: each state's ``make_flux``
+    velocity on its padded window, the whole-grid step fed that gradient (zeros
     elsewhere), and every state rebuilt through the public constructor.
     Returns the states of all n_steps + 1 steps."""
     states = [initial]
@@ -405,7 +405,7 @@ def whole_grid_run(initial, p, kernel, n_steps):
         st = states[-1]
         a, b = st._padded_window()
         ds = np.zeros(st.n_cells)
-        ds[a:b] = solve_chemo_field(st, p, kernel, (a, b)).dS
+        ds[a:b] = make_flux(st, kernel, p).velocity
         rho1, j1, rho2, j2 = whole_grid_step(st, ds, p)
         states.append(KineticState(st.xmin, st.dx, rho1, rho2, j1, j2, st.epsilon, time=st.time + st.dx))
     return states
@@ -471,6 +471,25 @@ class TestRun:
         res = run(kin, p, T=0.2, snapshot_times=times)
         assert [round(t, 9) for t, _ in res.snapshots] == list(times)
         assert res.snapshots[-1][1] is res.final
+
+    def test_solves_no_potential(self, monkeypatch):
+        # every step reads the make_flux velocity; S is solved only for
+        # well-prepared data and the snapshot files, outside the run
+        p = kinetic_params(0.45, 0.3)
+        grid = (-2.0, 2.0, 4e-3)
+        r1 = sample_gaussian_bumps([(1.0, -0.4)], grid, width=200.0)
+        r2 = sample_gaussian_bumps([(1.0, 0.4)], grid, width=200.0)
+        kin = well_prepared_state(GridState(grid[0], grid[2], r1.masses, r2.masses), p, 0.1, KERNEL)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return exp_potential_scan(*args)
+
+        monkeypatch.setattr(kinetic, "exp_potential_scan", counted)
+        res = run(kin, p, T=0.2, snapshot_times=(0.0, 0.1, 0.2))
+        assert res.n_steps == 50
+        assert calls == []
 
     def test_step_longer_than_horizon_is_rejected(self):
         # dt = dx = 4e-3 > T: the run would take no step and stay at t = 0

@@ -786,6 +786,8 @@ class TestWronglyTypedValues:
         [
             ("epsilon", [0.1]), ("T", "x"), ("params", {"chi1": [0.4], "chi2": 0.3}), ("output_dir", 5),
             ("name", ["a", 1]), ("name", ""),
+            # the run directory is <root>/<name>: ".." would write the run beside the root
+            ("name", ".."), ("name", "."), ("name", "a/b"), ("name", "a\\b"),
         ],
     )
     def test_cli_reports_the_key(self, tmp_path, capsys, key, value):
