@@ -18,7 +18,7 @@ from .measures import (
 )
 from .fv import FluxField, GridState, cfl_dt, extract_peaks
 from .particles import Cluster, ClusterSet, Event, glued_selection, sync_condition
-from .kinetic import ChemoField, KineticState, check_positivity_condition, solve_chemo_field
+from .kinetic import KineticState, check_positivity_condition, solve_chemo_field
 
 __all__ = [
     "PointyKernel",
@@ -39,7 +39,6 @@ __all__ = [
     "sync_condition",
     "glued_selection",
     "KineticState",
-    "ChemoField",
     "solve_chemo_field",
     "check_positivity_condition",
 ]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,26 +50,30 @@ __all__ = [
 @dataclass(frozen=True)
 class FluxField:
     """The velocity field of one state: the chi-free a_hat on the state's
-    padded window ``span`` = [a, b), the only cells that can send mass, and
-    ``amax`` = max|velocity|.  Each species moves at chi_a * a_hat, and
-    ``step`` forms the upwind interface transfers from it."""
+    padded window ``span`` = [a, b), the only cells that can send mass.
+    Each species moves at chi_a * a_hat, and ``step`` forms the upwind
+    interface transfers from it."""
 
     chi1: float
     chi2: float
     span: tuple[int, int]
     velocity: np.ndarray
-    amax: float
+
+    @cached_property
+    def amax(self) -> float:
+        """max|velocity|, computed on first read into the instance dict (so no __slots__)."""
+        return float(np.abs(self.velocity).max())
 
 
 def make_flux(state: GridState, kernel: PointyKernel, p: ModelParams) -> FluxField:
     """The field that ``step`` transports ``state`` with: a_hat[j] =
     sum_{i != j} K'(x_j - x_i) w_i, w = theta1 rho1 + theta2 rho2, on the
-    padded window alone, as no mass lies outside.  It is the exponential
-    scan plus the kernel's near-field stencil, O(N) for every kernel."""
+    padded window alone, as no mass lies outside: the exponential scan plus
+    the kernel's near-field stencil, O(N) for every kernel; ``amax`` is lazy."""
     a, b = state._padded_window()
     w = p.theta1 * state.rho1[a:b] + p.theta2 * state.rho2[a:b]
     v = add_near_field(exp_velocity_scan(w, state.dx), w, near_field(kernel, state.dx)[1])
-    return FluxField(p.chi1, p.chi2, (a, b), v, float(np.abs(v).max()))
+    return FluxField(p.chi1, p.chi2, (a, b), v)
 
 
 def cfl_dt(

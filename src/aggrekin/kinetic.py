@@ -33,7 +33,6 @@ from .measures import DiscreteMeasure, ModelParams, wasserstein2
 
 __all__ = [
     "KineticState",
-    "ChemoField",
     "solve_chemo_field",
     "check_positivity_condition",
     "step",
@@ -78,14 +77,6 @@ class KineticState(GridState):
         self.__dict__.update(J=flux, J1=flux[0], J2=flux[1])
 
 
-@dataclass(frozen=True)
-class ChemoField:
-    """Chemoattractant values and gradient at the centres of every cell."""
-
-    S: np.ndarray
-    dS: np.ndarray
-
-
 def check_positivity_condition(p: ModelParams) -> bool:
     """True iff chi_a (theta1 + theta2) < 1 for both species.
 
@@ -96,14 +87,14 @@ def check_positivity_condition(p: ModelParams) -> bool:
     return p.chi1 * theta < 1.0 and p.chi2 * theta < 1.0
 
 
-def solve_chemo_field(state: GridState, p: ModelParams, kernel: PointyKernel) -> ChemoField:
-    """S = K * (theta1 rho1 + theta2 rho2) and its hatted-kernel gradient on
-    every cell: the exponential scan plus the kernel's near-field stencils,
-    O(N) for every kernel.  No step reads it; it is the field of the
-    snapshot files and of well-prepared data."""
+def solve_chemo_field(state: GridState, p: ModelParams, kernel: PointyKernel) -> tuple[np.ndarray, np.ndarray]:
+    """``(S, dS)``: S = K * (theta1 rho1 + theta2 rho2) and its hatted-kernel
+    gradient at the centre of every cell, the exponential scan plus the
+    kernel's near-field stencils, O(N) for every kernel.  No step reads
+    them; they are the field of the snapshot files and of well-prepared data."""
     w = p.theta1 * state.rho1 + p.theta2 * state.rho2
     fields = zip(exp_potential_scan(w, state.dx), near_field(kernel, state.dx))
-    return ChemoField(*(add_near_field(f, w, c) for f, c in fields))
+    return tuple(add_near_field(f, w, c) for f, c in fields)
 
 
 def step(state: KineticState, flux: FluxField, p: ModelParams) -> KineticState:
@@ -155,19 +146,19 @@ def well_prepared_state(
     epsilon: float,
     kernel: PointyKernel,
 ) -> KineticState:
-    """Kinetic state with the equilibrium flux J = chi dS rho.
+    """Kinetic state with the equilibrium flux J = chi dS rho, dS of :func:`solve_chemo_field`.
 
     Starting on the local equilibrium removes the initial layer so limit
     experiments isolate the spatial dynamics.
     """
-    field = solve_chemo_field(grid_state, p, kernel)
+    _, dS = solve_chemo_field(grid_state, p, kernel)
     return KineticState(
         grid_state.xmin,
         grid_state.dx,
         grid_state.rho1,
         grid_state.rho2,
-        p.chi1 * field.dS * grid_state.rho1,
-        p.chi2 * field.dS * grid_state.rho2,
+        p.chi1 * dS * grid_state.rho1,
+        p.chi2 * dS * grid_state.rho2,
         epsilon,
         time=grid_state.time,
     )

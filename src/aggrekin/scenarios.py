@@ -231,6 +231,9 @@ class Scenario:
                 b >= a for a, b in zip(self.eps_list, self.eps_list[1:])
             ):
                 raise ScenarioError("eps_list: must be positive, finite and strictly decreasing")
+        kinetic = self.solver == "kinetic" or self.eps_list is not None
+        if kinetic and not kin_mod.check_positivity_condition(self.params):
+            raise ScenarioError("params: kinetic runs require chi_a * (theta1 + theta2) < 1 for both species")
 
     @property
     def mass_unit(self) -> float:
@@ -527,22 +530,15 @@ def _run_fv(s: Scenario, kernel, write) -> tuple[list[dict], dict, dict]:
     return events, conservation, {"dt": res.dt, "n_steps": res.n_steps}
 
 
-def check_kinetic_params(p: ModelParams) -> None:
-    """Refuse ``p`` outside the kinetic model with a ScenarioError naming params."""
-    if not kin_mod.check_positivity_condition(p):
-        raise ScenarioError("params: kinetic runs require chi_a * (theta1 + theta2) < 1 for both species")
-
-
 def _run_kinetic(s: Scenario, kernel, write) -> tuple[list[dict], dict, dict]:
     st0 = initial_grid_state(s)
-    check_kinetic_params(s.params)
     kin0 = kin_mod.well_prepared_state(st0, s.params, s.epsilon, kernel)
     res = kin_mod.run(kin0, s.params, s.T, kernel=kernel, snapshot_times=s.snapshot_times)
     for i, (_, st) in enumerate(res.snapshots):
         # the chemo field on every cell, solved for this file only
-        fld = kin_mod.solve_chemo_field(st, s.params, kernel)
+        S, dS = kin_mod.solve_chemo_field(st, s.params, kernel)
         write(f"kinetic_{i:03d}.csv", write_csv, ["x", "rho1", "J1", "rho2", "J2", "S", "dS"],
-              zip(st.centers, st.rho1, st.J1, st.rho2, st.J2, fld.S, fld.dS))
+              zip(st.centers, st.rho1, st.J1, st.rho2, st.J2, S, dS))
     extra = {"epsilon": s.epsilon, "dt": res.dt, "n_steps": res.n_steps}
     return [], _conservation(kin0, res.final), extra
 
@@ -569,18 +565,17 @@ _RUNS = {"particles": _run_particles, "fv": _run_fv, "kinetic": _run_kinetic, "c
 def run_scenario(s: Scenario, out_root: str | None = None) -> RunReport:
     """Run a scenario on its solver and write all outputs.
 
-    Every file goes through one ``write(name, writer, *args)``, which calls
+    Every file goes through one ``write(name, writer, *args)``, which queues
     ``writer(out / name, *args)`` and lists ``name`` in the report's
-    ``files``, in write order; the report and ``scenario.json``, written
-    last, end the list.  ``compare`` runs particles and the finite-volume
+    ``files``, in write order; the report and ``scenario.json`` end the
+    list.  ``out`` is made only once the solver returns, so a refused run
+    writes no directory.  ``compare`` runs particles and the finite-volume
     scheme on the same scenario and reports per-event time agreement.
     """
-    out = resolve_output_dir(s, out_root)
-    files = []
+    writes = []
 
     def write(name, writer, *args):
-        writer(out / name, *args)
-        files.append(name)
+        writes.append((name, writer, args))
 
     events, conservation, extra = _RUNS[s.solver](s, make_kernel(s.kernel_spec), write)
     collision_times = sorted(e["time"] for e in events if e["kind"] in _COLLISION_CLASS)
@@ -591,11 +586,14 @@ def run_scenario(s: Scenario, out_root: str | None = None) -> RunReport:
         events=events,
         conservation=conservation,
         collision_times=collision_times,
-        files=files + ["report.json", "scenario.json"],
+        files=[name for name, _, _ in writes] + ["report.json", "scenario.json"],
         extra=extra,
     )
-    _write_json(out / "report.json", report.to_dict())
-    write_scenario(out / "scenario.json", s)
+    write("report.json", _write_json, report.to_dict())
+    write("scenario.json", write_scenario, s)
+    out = resolve_output_dir(s, out_root)
+    for name, writer, args in writes:
+        writer(out / name, *args)
     return report
 
 

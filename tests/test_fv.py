@@ -142,10 +142,9 @@ class TestAssembleVelocity:
             v = make_flux(st, reg, p).velocity
             assert np.max(np.abs(v - direct)) <= 1e-12 * np.max(np.abs(direct))
             s, ds = exp_potential_scan(w, st.dx)
-            field = solve_chemo_field(st, p, KERNEL)
-            assert field.S.tobytes() == s.tobytes() and field.dS.tobytes() == ds.tobytes()
-            field = solve_chemo_field(st, p, reg)
-            for got, want in zip((field.S, field.dS), direct_potential(st.centers, w, reg)):
+            S, dS = solve_chemo_field(st, p, KERNEL)
+            assert S.tobytes() == s.tobytes() and dS.tobytes() == ds.tobytes()
+            for got, want in zip(solve_chemo_field(st, p, reg), direct_potential(st.centers, w, reg)):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_theta_weights_enter_the_sum(self):

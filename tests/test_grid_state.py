@@ -361,7 +361,7 @@ class TestStepSuccessors:
         st = GridState(0.0, 0.1, [0.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0])
         assert st.window == (1, 2)
         p = ModelParams(chi1=1.0, chi2=1.0)
-        nxt = fv.step(st, fv.FluxField(p.chi1, p.chi2, (0, 3), np.full(3, 0.5), 0.5), 0.1)
+        nxt = fv.step(st, fv.FluxField(p.chi1, p.chi2, (0, 3), np.full(3, 0.5)), 0.1)
         assert nxt.window == (1, 3)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as hs
 
 from aggrekin import kinetic
 from aggrekin.expconv import exp_potential_scan
-from aggrekin.fv import FluxField, GridState, make_flux
+from aggrekin.fv import FluxField, GridState, make_flux, run as fv_run
 from aggrekin.kernel import exponential_kernel, regularize
 from aggrekin.kinetic import (
     KineticState,
@@ -31,7 +31,7 @@ def kinetic_params(chi1=0.4, chi2=0.4):
 
 def given_flux(velocity, span, p):
     """The field a step reads, with a given velocity on the cells ``span``."""
-    return FluxField(p.chi1, p.chi2, span, velocity, float(np.abs(velocity).max(initial=0.0)))
+    return FluxField(p.chi1, p.chi2, span, velocity)
 
 
 def left_to_right_sum(values):
@@ -55,14 +55,14 @@ class TestSolveChemoField:
         assert np.max(np.abs(S - expected)) <= 1e-14
         assert S[n // 2] == 0.5
         # the field is scanned, and agrees with the sum as the sum agrees with the Green function
-        field = solve_chemo_field(GridState(xmin, dx, rho1, np.zeros(n)), kinetic_params(), KERNEL)
-        assert np.max(np.abs(field.S - S)) <= 1e-14
+        field_S, _ = solve_chemo_field(GridState(xmin, dx, rho1, np.zeros(n)), kinetic_params(), KERNEL)
+        assert np.max(np.abs(field_S - S)) <= 1e-14
 
     def test_zero_density_gives_zero_field(self):
         for n in (64, 600):
-            field = solve_chemo_field(GridState(0.0, 0.01, np.zeros(n), np.zeros(n)), kinetic_params(), KERNEL)
-            assert np.all(field.S == 0.0)
-            assert np.all(field.dS == 0.0)
+            S, dS = solve_chemo_field(GridState(0.0, 0.01, np.zeros(n), np.zeros(n)), kinetic_params(), KERNEL)
+            assert np.all(S == 0.0)
+            assert np.all(dS == 0.0)
 
     def test_symmetric_density_gives_odd_gradient(self):
         n = 101
@@ -85,9 +85,9 @@ class TestSolveChemoField:
         n = 512
         st = GridState(-0.25, 1e-3, rng.uniform(0, 1, n), rng.uniform(0, 1, n))
         p = ModelParams(chi1=0.3, chi2=0.2, theta1=1.5, theta2=0.5)
-        field = solve_chemo_field(st, p, KERNEL)
+        _, dS = solve_chemo_field(st, p, KERNEL)
         bound = 0.5 * (p.theta1 * st.rho1.sum() + p.theta2 * st.rho2.sum())
-        assert np.max(np.abs(field.dS)) <= bound * (1 + 1e-12)
+        assert np.max(np.abs(dS)) <= bound * (1 + 1e-12)
 
 
 class TestWellPreparedState:
@@ -102,9 +102,9 @@ class TestWellPreparedState:
         r2 = sample_gaussian_bumps([(1.0, 0.4)], grid, width=50.0)
         kin = well_prepared_state(GridState(grid[0], grid[2], r1.masses, r2.masses), p, 0.1, KERNEL)
         assert kin.n_cells <= 512
-        field = solve_chemo_field(kin, p, KERNEL)
-        assert np.array_equal(kin.J1, p.chi1 * field.dS * kin.rho1)
-        assert np.array_equal(kin.J2, p.chi2 * field.dS * kin.rho2)
+        _, dS = solve_chemo_field(kin, p, KERNEL)
+        assert np.array_equal(kin.J1, p.chi1 * dS * kin.rho1)
+        assert np.array_equal(kin.J2, p.chi2 * dS * kin.rho2)
 
 
 class TestPositivityCondition:
@@ -490,6 +490,24 @@ class TestRun:
         res = run(kin, p, T=0.2, snapshot_times=(0.0, 0.1, 0.2))
         assert res.n_steps == 50
         assert calls == []
+
+    def test_reads_no_max_speed(self, monkeypatch):
+        # the kinetic step moves at unit speeds and never computes max|a_hat|;
+        # only the FV step's CFL check and its diagnostics read it
+        p = kinetic_params(0.45, 0.3)
+        grid = (-2.0, 2.0, 4e-3)
+        r1 = sample_gaussian_bumps([(1.0, -0.4)], grid, width=200.0)
+        r2 = sample_gaussian_bumps([(1.0, 0.4)], grid, width=200.0)
+        st0 = GridState(grid[0], grid[2], r1.masses, r2.masses)
+        kin = well_prepared_state(st0, p, 0.1, KERNEL)
+
+        def refused(flux):
+            raise AssertionError("FluxField.amax read")
+
+        monkeypatch.setattr(FluxField, "amax", property(refused))
+        assert run(kin, p, T=0.2).n_steps == 50
+        with pytest.raises(AssertionError, match="amax read"):
+            fv_run(st0, KERNEL, p, T=0.2)
 
     def test_step_longer_than_horizon_is_rejected(self):
         # dt = dx = 4e-3 > T: the run would take no step and stay at t = 0

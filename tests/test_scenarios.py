@@ -16,7 +16,7 @@ from aggrekin.cli import main as cli_main
 from aggrekin.expconv import near_field
 from aggrekin.fv import cfl_dt, extract_peaks
 from aggrekin.kinetic import limit_experiment, write_limit_csv
-from aggrekin.measures import bump_mass_unit
+from aggrekin.measures import ModelParams, bump_mass_unit
 from aggrekin.scenarios import (
     _KNOWN_KEYS,
     _OPTIONAL,
@@ -154,7 +154,8 @@ class TestLoadScenario:
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_particle_settings_are_echoed_for_particle_runs_only(self, tmp_path, solver):
         particle = solver in ("particles", "compare")
-        s = preset("example2", solver=solver)
+        # chi the kinetic model admits, chi_a (theta1 + theta2) < 1
+        s = replace(preset("example2"), solver=solver, params=ModelParams(chi1=0.45, chi2=0.3))
         if particle:
             s = replace(s, dt_max=0.01, gap_tol=1e-8)
         d = scenario_to_dict(s)
@@ -341,12 +342,12 @@ class TestRunScenario:
         contact = [m for m in matches if m["kind"] == "contact"][0]
         assert contact["dt"] < 0.05
 
-    @pytest.mark.filterwarnings("ignore::aggrekin.measures.CoarseGridWarning")
-    def test_kinetic_scenario_requires_positivity(self, tmp_path):
-        s = preset("example1", solver="kinetic", dx=2e-3, T=0.1)
-        s.output_dir = str(tmp_path / "kin")
+    def test_kinetic_scenario_requires_positivity(self):
         with pytest.raises(ScenarioError, match="chi"):
-            run_scenario(s)
+            preset("example1", solver="kinetic", dx=2e-3, T=0.1)
+        # a limit sweep's kinetic runs too, whatever the solver
+        with pytest.raises(ScenarioError, match="chi"):
+            replace(preset("example1"), eps_list=(0.5, 0.1))
 
     def test_kinetic_scenario_runs_with_valid_params(self, tmp_path):
         cfg = {
@@ -519,8 +520,13 @@ class TestCli:
             (lambda d: d.update(events=5), "report.events: expected a list of events, got 5"),
             (lambda d: d.update(events=[1]), "report.events[0]: expected a JSON object, got 1"),
             (lambda d: d.update(mass_unit="m0"), "report.mass_unit: expected a number, got 'm0'"),
+            (lambda d: d.update(bogus=1), "report: RunReport.__init__() got an unexpected keyword argument 'bogus'"),
+            (lambda d: d["events"][0].update(kind=3), "report.events[0].kind: expected a string, got 3"),
         ],
-        ids=["event-without-time", "events-a-number", "event-a-number", "mass-unit-a-string"],
+        ids=[
+            "event-without-time", "events-a-number", "event-a-number", "mass-unit-a-string",
+            "unknown-key", "event-kind-a-number",
+        ],
     )
     def test_malformed_report_is_a_json_error_naming_the_path(
         self, tmp_path, capsys, change, message
@@ -614,6 +620,7 @@ class TestCli:
         # the run command refuses the same document with the same error
         assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
         assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == payload
+        assert not (tmp_path / "out").exists()
 
     def test_limit_command_reads_the_cfl_safety(self, tmp_path):
         cfg = {**KINETIC_CONFIG, "eps_list": [0.1], "cfl_safety": 0.01}
@@ -661,6 +668,28 @@ class TestWronglyTypedValues:
             (("eps_list",), 0.5, "eps_list"),
             (("cfl_safety",), {}, "cfl_safety"),
             pytest.param(("bump_width",), 10**400, "bump_width", id="int-too-large-for-float"),
+            # values of the right type that the scenario refuses, each named by the first
+            # key of its message
+            pytest.param(
+                ("initial", "species1"), {"clusters": [[0.0, 1e308], [0.5, 1e308]]},
+                r"^initial\.species1\.clusters: the species' total mass overflows", id="cluster-total-overflows",
+            ),
+            pytest.param(("initial", "species1"), {}, r"^initial\.species1: exactly one", id="no-initial-form"),
+            pytest.param(
+                ("initial", "species1"), {"bumps": [], "clusters": []}, r"^initial\.species1: exactly one",
+                id="both-initial-forms",
+            ),
+            pytest.param(
+                ("initial", "species1", "bumps"), [[-1.0, 0.0]], r"^initial\.species1\.bumps\[0\]: negative",
+                id="negative-amplitude",
+            ),
+            pytest.param(
+                ("initial", "species1"), {"clusters": [[0.0, 1.0]]}, r"^initial: grid solvers", id="clusters-on-a-grid",
+            ),
+            pytest.param(("grid", "xmax"), -3.0, r"^grid: needs xmax > xmin", id="xmax-below-xmin"),
+            pytest.param(("eps_list",), [0.1, 0.5], r"^eps_list: must be", id="eps_list-increasing"),
+            pytest.param(("params", "chi1"), 0.0, r"^params: chi1 must be strictly positive", id="chi1-zero"),
+            pytest.param(("kernel",), {"kind": "regularized"}, r"^kernel\.n: required", id="regularized-without-n"),
         ],
     )
     def test_key_is_named(self, path, value, key):
@@ -807,8 +836,10 @@ class TestWronglyTypedValues:
             ({"preset": "example1", "solver": "fv", "cfl_safety": 1e-320}, "(T - t0) / dt"),
             ({"preset": "example1", "solver": "particles", "dt_max": 1e-310}, "dt_max must be positive"),
             ({**KINETIC_CONFIG, "epsilon": 5e-324}, "epsilon = 5e-324"),
+            # the particle half runs and returns its files before the FV half refuses
+            ({"preset": "example1", "solver": "compare", "cfl_safety": 5e-324}, "safety 5e-324"),
         ],
-        ids=["cfl_safety-step-0", "cfl_safety-steps-inf", "dt_max", "epsilon"],
+        ids=["cfl_safety-step-0", "cfl_safety-steps-inf", "dt_max", "epsilon", "compare-cfl_safety-step-0"],
     )
     def test_cli_refuses_a_tiny_value_whose_derived_quantity_overflows(
         self, tmp_path, capsys, document, name
@@ -819,6 +850,8 @@ class TestWronglyTypedValues:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "ValueError"
         assert name in payload["message"]
+        # no file is written until the solver returns, so a refused run makes no directory
+        assert not (tmp_path / "out").exists()
 
     # finite bounds and a positive step, but (xmax - xmin) / dx overflows:
     # refused before any cell is sampled
