@@ -5,8 +5,10 @@ The state carries the zeroth and first moments (rho, J) of the two-speed
 distribution per species; f(+-1) = (rho +- J)/2.  One step of dt = dx is
 (i) transport of f(+-1) at speeds +-1, an exact lattice shift, followed
 by (ii) pointwise implicit relaxation of J toward chi * dS * rho with
-rate 2 psi / epsilon.  The splitting is uniformly stable in epsilon, and
-as epsilon -> 0 the flux relaxes onto the aggregation-model limit flux.
+rate 2 psi / epsilon.  The splitting is uniformly stable in epsilon.
+With J on its equilibrium chi dS rho, shifting (rho +- J)/2 by one cell
+is the Lax-Friedrichs scheme at dt = dx, so its epsilon -> 0 limit
+differs from the finite-volume upwind scheme by O(dx).
 
 The chemoattractant solves (1 - d^2/dx^2) S = theta1 rho1 + theta2 rho2
 on the line, i.e. S is the exponential-kernel convolution of the weighted
@@ -172,9 +174,10 @@ def run(
     snapshot_times: tuple[float, ...] = (),
 ) -> GridRun:
     """Advance from ``initial.time`` to the absolute time T in steps of
-    dt = dx (exact characteristic shifts, no numerical diffusion), each
-    step reading the :func:`aggrekin.fv.make_flux` field of its state (see
-    :func:`aggrekin.lattice.march`).
+    dt = dx, each step reading the :func:`aggrekin.fv.make_flux` field of
+    its state (see :func:`aggrekin.lattice.march`).  Each step shifts
+    (rho +- J)/2 by one cell; with J on its equilibrium chi dS rho that is
+    Lax-Friedrichs at dt = dx, whose numerical diffusion is O(dx).
 
     Snapshots are ``(t, state)`` pairs, one per requested time, at the step
     boundary that :func:`aggrekin.lattice.march` maps it to.  The run solves
@@ -204,12 +207,12 @@ def limit_experiment(
     ``initial``'s grid; the finite-volume solver provides the reference on
     the same grid.  Returns (epsilon, W2 species 1, W2 species 2) rows with
     normalized measures.  Requires chi_a (theta1 + theta2) < 1 and a
-    strictly decreasing eps_list.
+    non-empty, strictly decreasing eps_list.
     """
     if not check_positivity_condition(p):
         raise ValueError("limit experiment requires chi_a (theta1 + theta2) < 1 for both species")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("eps_list must be strictly decreasing")
+    if not eps_list or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ValueError("eps_list must be non-empty and strictly decreasing")
     ref = fv_run(initial, kernel, p, T, safety=safety, dt_max=initial.dx, track_peaks=False).final
     x = ref.centers
     rows = []

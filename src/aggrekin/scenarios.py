@@ -4,9 +4,10 @@ A scenario is a JSON document with a fixed key schema (see SCHEMA below).
 Initial data is given per species either as Gaussian bumps
 (amplitude/center pairs, sampled on the grid for the grid solvers and
 converted to point clusters of mass amplitude * m0 for the particle
-solver, m0 = sqrt(pi/width)) or as an explicit cluster list.  Outputs are
-plain CSV/JSON files in a per-run directory; reruns of the same scenario
-produce byte-identical files.
+solver, m0 = sqrt(pi/width)) or as a cluster list of atoms, which every
+solver starts from (a grid solver puts each atom's mass in the cell that
+holds it; see :func:`initial_grid_state`).  Outputs are plain CSV/JSON
+files in a per-run directory; reruns of a scenario give identical bytes.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ Scenario JSON schema (all masses in absolute units):
                   {"clusters": [[position, mass], ...]}  (exactly one form)
   bump_width      float > 0, Gaussian width w in A*exp(-w(x-c)^2) (default 5000)
   solver          "fv" | "particles" | "kinetic" | "compare"
-  grid            {xmin, xmax, dx}; required for fv/kinetic/compare
+  grid            {xmin, xmax, dx}; required for fv/kinetic/compare; a cluster
+                  atom must lie in one of its cells other than the two outer ones
   T               float > 0, final time
   snapshot_times  [float, ...] in [0, T] (default: 6 evenly spaced)
   cfl_safety      float in (0, 1), default 0.9 (grid solvers)
@@ -70,7 +72,7 @@ Scenario JSON schema (all masses in absolute units):
   dt_max          float > 0, default 0.05 (particles): an upper bound on the
                   step, whose length the error control sets
   epsilon         float > 0, kinetic scaling parameter (default 0.1)
-  eps_list        [float, ...] strictly decreasing (limit sweeps only)
+  eps_list        [float, ...] non-empty, strictly decreasing (limit sweeps only)
   output_dir      str, per-run output directory (optional)
 """
 
@@ -177,6 +179,20 @@ class Scenario:
             raise ScenarioError(
                 f"name: expected a non-empty string with no '/' or '\\' that is not '.' or '..', got {self.name!r}"
             )
+        if self.solver in ("fv", "kinetic", "compare") and self.grid is None:
+            raise ScenarioError(f"grid: required for solver {self.solver!r}")
+        if self.grid is not None:
+            for key, value in zip(("xmin", "xmax", "dx"), self.grid):
+                if not math.isfinite(value):
+                    raise ScenarioError(f"grid.{key}: must be finite, got {value!r}")
+            xmin, xmax, dx = self.grid
+            if not (xmax > xmin and dx > 0):
+                raise ScenarioError("grid: needs xmax > xmin and dx > 0")
+            if not math.isfinite((xmax - xmin) / dx):
+                raise ScenarioError(
+                    f"grid: (xmax - xmin) / dx = ({xmax!r} - {xmin!r}) / {dx!r} is not a finite cell count"
+                )
+            n = round((xmax - xmin) / dx)
         for label, attr in (("species1", "initial1"), ("species2", "initial2")):
             spec = _object(f"initial.{label}", getattr(self, attr), ("bumps", "clusters"))
             forms = [key for key in ("bumps", "clusters") if key in spec]
@@ -202,35 +218,20 @@ class Scenario:
                     raise ScenarioError(f"{key}: negative bump amplitude")
                 if forms[0] == "clusters" and entry[1] < 0:
                     raise ScenarioError(f"{key}: negative cluster mass")
+                # initial_grid_state puts an atom in cell floor((x - xmin) / dx), which must be one of 1 .. n - 2
+                if forms[0] == "clusters" and self.grid is not None and not 1 <= (entry[0] - xmin) / dx < n - 1:
+                    raise ScenarioError(f"{key}: the atom lies outside the grid or in one of its two outer cells")
             if forms[0] == "clusters":
                 _check_cluster_quanta(f"initial.{label}.clusters", [m for _, m in pairs])
             # the initial data is read as the numbers checked here
             setattr(self, attr, {**spec, forms[0]: pairs})
-        if self.solver in ("fv", "kinetic", "compare"):
-            if self.grid is None:
-                raise ScenarioError(f"grid: required for solver {self.solver!r}")
-            if "clusters" in self.initial1 or "clusters" in self.initial2:
-                raise ScenarioError(
-                    "initial: grid solvers require Gaussian-bump initial data"
-                )
-        if self.grid is not None:
-            for key, value in zip(("xmin", "xmax", "dx"), self.grid):
-                if not math.isfinite(value):
-                    raise ScenarioError(f"grid.{key}: must be finite, got {value!r}")
-            xmin, xmax, dx = self.grid
-            if not (xmax > xmin and dx > 0):
-                raise ScenarioError("grid: needs xmax > xmin and dx > 0")
-            if not math.isfinite((xmax - xmin) / dx):
-                raise ScenarioError(
-                    f"grid: (xmax - xmin) / dx = ({xmax!r} - {xmin!r}) / {dx!r} is not a finite cell count"
-                )
         if not all(0.0 <= t <= self.T for t in self.snapshot_times):
             raise ScenarioError(f"snapshot_times: must lie in [0, T], got {list(self.snapshot_times)!r}")
         if self.eps_list is not None:
-            if not all(0.0 < e < math.inf for e in self.eps_list) or any(
+            if not self.eps_list or not all(0.0 < e < math.inf for e in self.eps_list) or any(
                 b >= a for a, b in zip(self.eps_list, self.eps_list[1:])
             ):
-                raise ScenarioError("eps_list: must be positive, finite and strictly decreasing")
+                raise ScenarioError("eps_list: must be non-empty, positive, finite and strictly decreasing")
         kinetic = self.solver == "kinetic" or self.eps_list is not None
         if kinetic and not kin_mod.check_positivity_condition(self.params):
             raise ScenarioError("params: kinetic runs require chi_a * (theta1 + theta2) < 1 for both species")
@@ -352,7 +353,7 @@ def _preset_config(name: str, solver: str | None = None, dx: float = 5e-4, T: fl
     theta1 = theta2 = 1 and narrow Gaussian bumps of width 5000 on the
     domain [-2, 2], with the default snapshot times."""
     if name not in _PRESETS:
-        raise ScenarioError(f"unknown preset {name!r}; valid: {', '.join(PRESET_NAMES)}")
+        raise ScenarioError(f"preset: unknown preset {name!r}; valid: {', '.join(PRESET_NAMES)}")
     chi1, chi2, b1, b2, t_default, solver_default = _PRESETS[name]
     return {
         "name": name,
@@ -373,14 +374,23 @@ def preset(name: str, solver: str | None = None, dx: float = 5e-4, T: float | No
 
 
 def initial_grid_state(s: Scenario) -> GridState:
+    """The grid solvers' initial state: a species' bumps sampled by
+    :func:`sample_gaussian_bumps`, or each of its atoms' mass added to the
+    cell floor((x - xmin) / dx), computed in floats, on as many cells, so an
+    atom on a cell edge goes to the cell on its right; ``bump_width`` is not
+    read for atoms.  The scenario has refused, by its key, an atom outside
+    the grid or in one of its two outer cells, which
+    :func:`aggrekin.lattice.check_boundary` keeps empty."""
     if s.grid is None:
         raise ScenarioError("grid: required to sample initial data")
-    rho = []
-    for spec in (s.initial1, s.initial2):
-        if "bumps" not in spec:
-            raise ScenarioError("initial: grid solvers require Gaussian-bump initial data")
-        rho.append(sample_gaussian_bumps(spec["bumps"], s.grid, s.bump_width).masses)
-    return GridState(s.grid[0], s.grid[2], rho[0], rho[1])
+    xmin, xmax, dx = s.grid
+    rho = [
+        sample_gaussian_bumps(spec["bumps"], s.grid, s.bump_width).masses if "bumps" in spec
+        else np.bincount([math.floor((x - xmin) / dx) for x, _ in spec["clusters"]],
+                         [m for _, m in spec["clusters"]], round((xmax - xmin) / dx))
+        for spec in (s.initial1, s.initial2)
+    ]
+    return GridState(xmin, dx, rho[0], rho[1])
 
 
 def initial_cluster_set(s: Scenario) -> ClusterSet:
@@ -388,11 +398,7 @@ def initial_cluster_set(s: Scenario) -> ClusterSet:
     m0 = bump_mass_unit(s.bump_width)
     atoms: dict[float, list[float]] = {}
     for species, spec in ((1, s.initial1), (2, s.initial2)):
-        if "clusters" in spec:
-            pts = [(float(x), float(m)) for x, m in spec["clusters"]]
-        else:
-            pts = [(float(c), float(a) * m0) for a, c in spec["bumps"]]
-        for x, m in pts:
+        for x, m in spec["clusters"] if "clusters" in spec else [(c, a * m0) for a, c in spec["bumps"]]:
             slot = atoms.setdefault(x, [0.0, 0.0])
             slot[species - 1] += m
     clusters = [Cluster(x, m1, m2) for x, (m1, m2) in sorted(atoms.items()) if m1 + m2 > 0]

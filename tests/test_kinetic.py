@@ -549,3 +549,6 @@ class TestLimitExperiment:
             limit_experiment(st0, ModelParams(chi1=10.0, chi2=1.0), [0.5, 0.1], T=0.1)
         with pytest.raises(ValueError):
             limit_experiment(st0, kinetic_params(), [0.1, 0.5], T=0.1)
+        # an empty sweep has no row to write
+        with pytest.raises(ValueError, match="non-empty"):
+            limit_experiment(st0, kinetic_params(), [], T=0.1)

@@ -207,6 +207,33 @@ class TestSyncCondition:
             sync_condition(1.0, 0.0, 1.0, params())
 
 
+class TestSynchronisationThreshold:
+    """The threshold between a temporary and a permanent glue on a
+    three-body family: species-1 atoms A m0 at -0.5 and (M1 - A) m0 at 0.5,
+    species 2's m2 m0 at -0.15.  The pair glued at -0.5 unglues when the far
+    species-1 aggregate arrives iff A < A* = M1 (1 - chi2/chi1) - (theta2/theta1) m2,
+    the synchronising condition |(chi1 - chi2) gamma| <= (chi1 theta2 m2 + chi2
+    theta1 m1)/2 with the far aggregate's pull gamma = theta1 (M1 - A)/2 at
+    zero distance."""
+
+    @pytest.mark.parametrize("chi2, a_star", [(0.5, 3.7), (1.0, 3.4), (2.0, 2.8)])
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+    def test_unglue_before_the_merge_exactly_below_the_threshold(self, chi2, a_star, side):
+        m1_total, m2, chi1 = 6.0, 2.0, 10.0
+        assert m1_total * (1 - chi2 / chi1) - m2 == pytest.approx(a_star)
+        a = a_star + 0.01 * side
+        cs = ClusterSet(
+            [Cluster(-0.5, a * M0, 0.0), Cluster(-0.15, 0.0, m2 * M0), Cluster(0.5, (m1_total - a) * M0, 0.0)]
+        )
+        kinds = [e.kind for e in run(cs, KERNEL, params(chi1, chi2), T=2.5).events]
+        assert kinds[0] == "glue"
+        merge = kinds.index("merge_same_species")
+        if side < 0:
+            assert "unglue" in kinds[:merge]
+        else:
+            assert "unglue" not in kinds
+
+
 class TestGluedSelection:
     def test_equal_sensitivities_give_zero(self):
         assert glued_selection(5.0, 1.0, 2.0, params(chi1=3.0, chi2=3.0)) == 0.0

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from aggrekin import fv as fv_mod
 from aggrekin import kinetic as kinetic_mod
 from aggrekin import particles as part_mod
 from aggrekin import scenarios as scenarios_mod
@@ -237,7 +238,7 @@ class TestPresets:
             assert peak.mass2 == pytest.approx(m2 * M0, rel=0.01, abs=1e-12)
 
     def test_unknown_preset(self):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match=r"^preset: unknown preset 'example9'"):
             preset("example9")
 
     def test_bumps_to_clusters_conversion(self):
@@ -457,6 +458,83 @@ class TestMatchEvents:
             ("merge", "merge_same_species", 2.774, 2.6809),
         ]
         assert [m["dt"] for m in matches] == [abs(m["t_particles"] - m["t_fv"]) for m in matches]
+
+
+def a_family(a, solver="fv", T=2.5):
+    """Atoms of the three-body family on [-2, 2] at dx 2e-3: species 1 holds
+    a m0 at -0.5 and (6 - a) m0 at 0.5, species 2 holds 2 m0 at -0.15;
+    chi = (10, 1)."""
+    return scenario_from_dict({
+        "name": "a-family",
+        "params": {"chi1": 10.0, "chi2": 1.0},
+        "initial": {
+            "species1": {"clusters": [[-0.5, a * M0], [0.5, (6 - a) * M0]]},
+            "species2": {"clusters": [[-0.15, 2 * M0]]},
+        },
+        "solver": solver,
+        "grid": {"xmin": -2.0, "xmax": 2.0, "dx": 2e-3},
+        "T": T,
+    })
+
+
+class TestClusterDataOnGrids:
+    def test_each_atom_goes_in_the_cell_that_holds_it(self):
+        s = scenario_from_dict({
+            "params": {"chi1": 1.0, "chi2": 1.0},
+            "initial": {
+                # -0.5 is the left edge of cell 2; 0.1 and 0.2 share cell 4
+                "species1": {"clusters": [[-0.5, 0.5], [0.1, 0.25], [0.2, 0.125]]},
+                "species2": {"clusters": [[0.7, 1.0]]},
+            },
+            "solver": "fv",
+            "grid": {"xmin": -1.0, "xmax": 1.0, "dx": 0.25},
+            "T": 1.0,
+        })
+        st = initial_grid_state(s)
+        assert st.rho1.tolist() == [0, 0, 0.5, 0, 0.375, 0, 0, 0]
+        assert st.rho2.tolist() == [0, 0, 0, 0, 0, 0, 1.0, 0]
+        assert s.mass_unit == 1.0
+
+    def test_atoms_and_bumps_share_one_grid(self):
+        s = preset("example1", solver="fv", dx=1e-3)
+        s = replace(s, initial1={"clusters": [[-0.5, 4 * M0], [0.5, 2 * M0]]}, bump_width=2000.0)
+        st = initial_grid_state(s)
+        assert st.n_cells == 4000
+        assert np.flatnonzero(st.rho1).tolist() == [1500, 2500]
+        # the bumps of species 2 are sampled at the bump width, which the atoms do not read
+        assert st.rho1.sum() == pytest.approx(6 * M0, rel=1e-15)
+        assert st.rho2.sum() == pytest.approx(2 * bump_mass_unit(2000.0))
+
+    @pytest.mark.parametrize(
+        "a, first_fv_events, particle_kinds",
+        [
+            (2.5, [("contact", 0.8204), ("separate", 1.2208)], ["glue", "unglue"]),
+            (4.0, [("contact", 0.9515), ("merge_same_species", 1.3231)], ["glue"]),
+        ],
+    )
+    def test_fv_on_atoms_follows_the_particle_events(self, a, first_fv_events, particle_kinds):
+        kernel = make_kernel({"kind": "exponential"})
+        s = a_family(a)
+        f_events = fv_mod.run(initial_grid_state(s), kernel, s.params, s.T).events
+        p_events = part_mod.run(initial_cluster_set(s), kernel, s.params, s.T).events
+        assert [e.kind for e in f_events[:2]] == [kind for kind, _ in first_fv_events]
+        assert [e.time for e in f_events[:2]] == pytest.approx([t for _, t in first_fv_events], abs=1e-4)
+        # before the first merge the particles glue, and unglue only where FV separates
+        p_kinds = [e.kind for e in p_events]
+        assert p_kinds[: p_kinds.index("merge_same_species")] == particle_kinds
+        assert ("separate" in [e.kind for e in f_events]) == ("unglue" in particle_kinds)
+        # FV contacts within a few cells' travel ahead of the particle glue
+        assert p_events[0].time - 3 * s.grid[2] < f_events[0].time < p_events[0].time
+
+    def test_compare_runs_both_solvers_from_the_same_atoms(self, tmp_path):
+        report = run_scenario(a_family(2.5, solver="compare", T=1.0), out_root=str(tmp_path))
+        fv_cons, p_cons = report.conservation["fv"], report.conservation["particles"]
+        for key in ("mass1_initial", "mass2_initial"):
+            assert fv_cons[key] == p_cons[key]
+        # each atom sits within half a cell of its cell's centre
+        assert fv_cons["weighted_center_initial"] == pytest.approx(p_cons["weighted_center_initial"], abs=1e-3)
+        [contact] = report.extra["event_agreement"]
+        assert contact["particle_kind"] == "glue" and contact["dt"] < 3 * 2e-3
 
 
 class TestCrossValidation:
@@ -683,23 +761,34 @@ class TestWronglyTypedValues:
                 ("initial", "species1", "bumps"), [[-1.0, 0.0]], r"^initial\.species1\.bumps\[0\]: negative",
                 id="negative-amplitude",
             ),
+            # the grid [-2, 2] at dx 4e-3: an atom beyond it, and one in its last cell (999.75)
             pytest.param(
-                ("initial", "species1"), {"clusters": [[0.0, 1.0]]}, r"^initial: grid solvers", id="clusters-on-a-grid",
+                ("initial", "species1"), {"clusters": [[0.0, 1.0], [-2.5, 1.0]]},
+                r"^initial\.species1\.clusters\[1\]: the atom lies outside the grid", id="cluster-outside-the-grid",
+            ),
+            pytest.param(
+                ("initial", "species2"), {"clusters": [[1.999, 1.0]]},
+                r"^initial\.species2\.clusters\[0\]: .* one of its two outer cells", id="cluster-in-an-outer-cell",
             ),
             pytest.param(("grid", "xmax"), -3.0, r"^grid: needs xmax > xmin", id="xmax-below-xmin"),
             pytest.param(("eps_list",), [0.1, 0.5], r"^eps_list: must be", id="eps_list-increasing"),
+            pytest.param(("eps_list",), [], r"^eps_list: must be non-empty", id="eps_list-empty"),
+            pytest.param(("preset",), 5, r"^preset: unknown preset '5'", id="unknown-preset"),
             pytest.param(("params", "chi1"), 0.0, r"^params: chi1 must be strictly positive", id="chi1-zero"),
             pytest.param(("kernel",), {"kind": "regularized"}, r"^kernel\.n: required", id="regularized-without-n"),
         ],
     )
-    def test_key_is_named(self, path, value, key):
+    def test_key_is_named(self, tmp_path, path, value, key):
         data = json.loads(json.dumps(KINETIC_CONFIG))
         node = data
         for part in path[:-1]:
             node = node[part]
         node[path[-1]] = value
+        # through a scenario file, which alone reads a "preset" key
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
         with pytest.raises(ScenarioError, match=key):
-            scenario_from_dict(data)
+            load_scenario(cfg)
 
     @pytest.mark.parametrize(
         "path, value, key",
