@@ -1,8 +1,10 @@
 """Command line interface: run scenarios, presets, limit sweeps, reports.
 
-Exit code 0 on success; on failure a machine-readable JSON error object is
-printed to stderr and the exit code is nonzero.  The output root can be
-overridden with the AGGREKIN_OUTPUT_ROOT environment variable.
+Every command that solves goes through ``run_scenario``; ``limit`` is
+``run --solver limit``.  Exit code 0 on success; on failure a
+machine-readable JSON error object is printed to stderr and the exit code
+is nonzero.  The output root can be overridden with the
+AGGREKIN_OUTPUT_ROOT environment variable.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import kinetic as kin_mod
 from .scenarios import (
     PRESET_NAMES,
     SCHEMA,
@@ -21,12 +22,10 @@ from .scenarios import (
     RunReport,
     ScenarioError,
     load_scenario,
-    make_kernel,
     preset,
     report_sync_analysis,
     resolve_output_dir,
     run_scenario,
-    initial_grid_state,
 )
 
 __all__ = ["main"]
@@ -49,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_preset = sub.add_parser("preset", help="run one of the canonical example scenarios")
     p_preset.add_argument("name", choices=PRESET_NAMES)
     # every preset has chi1 = 10, outside the kinetic model's chi (theta1 + theta2) < 1
-    p_preset.add_argument("--solver", choices=[s for s in SOLVERS if s != "kinetic"])
+    p_preset.add_argument("--solver", choices=[s for s in SOLVERS if s not in ("kinetic", "limit")])
     p_preset.add_argument("--dx", type=float, default=5e-4, help="grid spacing (default 5e-4)")
     p_preset.add_argument("--t-final", type=float, dest="t_final", help="override final time")
     p_preset.add_argument("--out", help="output root directory")
@@ -57,14 +56,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_limit = sub.add_parser("limit", help="kinetic relaxation-limit sweep over eps_list")
     p_limit.add_argument("config", help="scenario JSON with an eps_list entry")
     p_limit.add_argument("--out", help="output root directory")
+    p_limit.set_defaults(solver="limit")
 
     p_report = sub.add_parser("report", help="print the sync analysis of a finished run")
-    p_report.add_argument("run_dir", help="directory written by 'run' or 'preset'")
+    p_report.add_argument("run_dir", help="directory written by 'run', 'preset' or 'limit'")
     return parser
 
 
 def _cmd_run(args) -> int:
-    """``run`` a scenario file or a ``preset``; both print the same summary."""
+    """``run`` a scenario file, a ``preset`` or a ``limit`` sweep; all print the same summary."""
     if args.command == "preset":
         scenario = preset(args.name, solver=args.solver, dx=args.dx, T=args.t_final)
     else:
@@ -76,24 +76,6 @@ def _cmd_run(args) -> int:
     print(f"{args.command} '{scenario.name}' ({scenario.solver}) -> {out}")
     print(report_sync_analysis(report))
     print(json.dumps({"events": len(report.events), "files": report.files}, sort_keys=True))
-    return 0
-
-
-def _cmd_limit(args) -> int:
-    scenario = load_scenario(args.config)
-    if scenario.eps_list is None:
-        raise ScenarioError("eps_list: required for the limit command")
-    kernel = make_kernel(scenario.kernel_spec)
-    st0 = initial_grid_state(scenario)
-    rows = kin_mod.limit_experiment(
-        st0, scenario.params, list(scenario.eps_list), scenario.T, kernel,
-        safety=scenario.cfl_safety,
-    )
-    out = resolve_output_dir(scenario, args.out)
-    kin_mod.write_limit_csv(out / "limit.csv", rows)
-    print(f"limit sweep '{scenario.name}' -> {out / 'limit.csv'}")
-    for eps, d1, d2 in rows:
-        print(f"  epsilon={eps:<8g} w2_species1={d1:.6g} w2_species2={d2:.6g}")
     return 0
 
 
@@ -112,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {
         "run": _cmd_run,
         "preset": _cmd_run,
-        "limit": _cmd_limit,
+        "limit": _cmd_run,
         "report": _cmd_report,
     }
     try:

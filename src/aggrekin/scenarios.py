@@ -50,7 +50,7 @@ __all__ = [
     "report_sync_analysis",
 ]
 
-SOLVERS = ("fv", "particles", "kinetic", "compare")
+SOLVERS = ("fv", "particles", "kinetic", "compare", "limit")
 
 SCHEMA = """\
 Scenario JSON schema (all masses in absolute units):
@@ -62,8 +62,8 @@ Scenario JSON schema (all masses in absolute units):
                   {"bumps": [[amplitude, center], ...]} or
                   {"clusters": [[position, mass], ...]}  (exactly one form)
   bump_width      float > 0, Gaussian width w in A*exp(-w(x-c)^2) (default 5000)
-  solver          "fv" | "particles" | "kinetic" | "compare"
-  grid            {xmin, xmax, dx}; required for fv/kinetic/compare; a cluster
+  solver          "fv" | "particles" | "kinetic" | "compare" | "limit"
+  grid            {xmin, xmax, dx}; required for fv/kinetic/compare/limit; a cluster
                   atom must lie in one of its cells other than the two outer ones
   T               float > 0, final time
   snapshot_times  [float, ...] in [0, T] (default: 6 evenly spaced)
@@ -72,7 +72,7 @@ Scenario JSON schema (all masses in absolute units):
   dt_max          float > 0, default 0.05 (particles): an upper bound on the
                   step, whose length the error control sets
   epsilon         float > 0, kinetic scaling parameter (default 0.1)
-  eps_list        [float, ...] non-empty, strictly decreasing (limit sweeps only)
+  eps_list        [float, ...] non-empty, strictly decreasing; required for solver "limit"
   output_dir      str, per-run output directory (optional)
 """
 
@@ -179,8 +179,10 @@ class Scenario:
             raise ScenarioError(
                 f"name: expected a non-empty string with no '/' or '\\' that is not '.' or '..', got {self.name!r}"
             )
-        if self.solver in ("fv", "kinetic", "compare") and self.grid is None:
+        if self.solver != "particles" and self.grid is None:
             raise ScenarioError(f"grid: required for solver {self.solver!r}")
+        if self.solver == "limit" and self.eps_list is None:
+            raise ScenarioError("eps_list: required for solver 'limit'")
         if self.grid is not None:
             for key, value in zip(("xmin", "xmax", "dx"), self.grid):
                 if not math.isfinite(value):
@@ -296,12 +298,13 @@ def scenario_from_dict(d: dict, name: str = "scenario") -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Load a scenario from a JSON file or resolve a builtin preset name.
+    """Load a scenario from a JSON file or, when no file has that name,
+    resolve a builtin preset name.
 
     A config may set ``"preset": "<name>"`` to start from that preset's
     document; any other keys (T, solver, grid, ...) replace its entries.
     """
-    if str(path) in PRESET_NAMES:
+    if str(path) in PRESET_NAMES and not Path(path).is_file():
         return preset(str(path))
     path = Path(path)
     if not path.exists():
@@ -380,16 +383,21 @@ def initial_grid_state(s: Scenario) -> GridState:
     atom on a cell edge goes to the cell on its right; ``bump_width`` is not
     read for atoms.  The scenario has refused, by its key, an atom outside
     the grid or in one of its two outer cells, which
-    :func:`aggrekin.lattice.check_boundary` keeps empty."""
+    :func:`aggrekin.lattice.check_boundary` keeps empty.  A grid of more
+    cells than memory holds is refused by ``grid``."""
     if s.grid is None:
         raise ScenarioError("grid: required to sample initial data")
     xmin, xmax, dx = s.grid
-    rho = [
-        sample_gaussian_bumps(spec["bumps"], s.grid, s.bump_width).masses if "bumps" in spec
-        else np.bincount([math.floor((x - xmin) / dx) for x, _ in spec["clusters"]],
-                         [m for _, m in spec["clusters"]], round((xmax - xmin) / dx))
-        for spec in (s.initial1, s.initial2)
-    ]
+    n = round((xmax - xmin) / dx)
+    try:
+        rho = [
+            sample_gaussian_bumps(spec["bumps"], s.grid, s.bump_width).masses if "bumps" in spec
+            else np.bincount([math.floor((x - xmin) / dx) for x, _ in spec["clusters"]],
+                             [m for _, m in spec["clusters"]], n)
+            for spec in (s.initial1, s.initial2)
+        ]
+    except MemoryError:
+        raise ScenarioError(f"grid: {n} cells do not fit in memory") from None
     return GridState(xmin, dx, rho[0], rho[1])
 
 
@@ -549,6 +557,13 @@ def _run_kinetic(s: Scenario, kernel, write) -> tuple[list[dict], dict, dict]:
     return [], _conservation(kin0, res.final), extra
 
 
+def _run_limit(s: Scenario, kernel, write) -> tuple[list[dict], dict, dict]:
+    """The relaxation-limit sweep: each epsilon's W2 distance from the FV reference."""
+    rows = kin_mod.limit_experiment(initial_grid_state(s), s.params, list(s.eps_list), s.T, kernel, s.cfl_safety)
+    write("limit.csv", kin_mod.write_limit_csv, rows)
+    return [], {}, {}
+
+
 def _run_compare(s: Scenario, kernel, write) -> tuple[list[dict], dict, dict]:
     """Particles and then the finite-volume scheme on the same scenario,
     with the per-event time agreement of the two."""
@@ -565,7 +580,8 @@ _COLLISION_CLASS = {
     "merge_same_species": "merge", "final_collapse": None,
 }
 
-_RUNS = {"particles": _run_particles, "fv": _run_fv, "kinetic": _run_kinetic, "compare": _run_compare}
+_RUNS = {"particles": _run_particles, "fv": _run_fv, "kinetic": _run_kinetic, "compare": _run_compare,
+         "limit": _run_limit}
 
 
 def run_scenario(s: Scenario, out_root: str | None = None) -> RunReport:

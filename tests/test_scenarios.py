@@ -67,6 +67,16 @@ class TestLoadScenario:
         assert s.initial1["bumps"] == [[4.0, -0.5], [2.0, 0.5]]
         assert s.initial2["bumps"] == [[2.0, -0.15]]
 
+    def test_a_file_named_like_a_preset_is_read_as_the_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("example1").write_text(json.dumps({"preset": "example2", "name": "mine", "solver": "particles"}))
+        s = load_scenario("example1")
+        assert s.name == "mine" and s.initial1["bumps"] == [[2.0, -0.5], [4.0, 0.5]]
+        # a directory of that name, such as a run directory under "--out .", is no scenario file
+        Path("example1").unlink()
+        Path("example1").mkdir()
+        assert scenario_to_dict(load_scenario("example1")) == scenario_to_dict(preset("example1"))
+
     def test_preset_key_with_overrides_keeps_default_T(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"preset": "example2", "solver": "particles"}))
@@ -156,7 +166,9 @@ class TestLoadScenario:
     def test_particle_settings_are_echoed_for_particle_runs_only(self, tmp_path, solver):
         particle = solver in ("particles", "compare")
         # chi the kinetic model admits, chi_a (theta1 + theta2) < 1
-        s = replace(preset("example2"), solver=solver, params=ModelParams(chi1=0.45, chi2=0.3))
+        # a limit sweep needs its epsilons
+        eps_list = (0.5, 0.1) if solver == "limit" else None
+        s = replace(preset("example2"), solver=solver, params=ModelParams(chi1=0.45, chi2=0.3), eps_list=eps_list)
         if particle:
             s = replace(s, dt_max=0.01, gap_tol=1e-8)
         d = scenario_to_dict(s)
@@ -399,10 +411,11 @@ class TestRunScenario:
 
 class TestReportManifest:
     @pytest.mark.filterwarnings("ignore::aggrekin.measures.CoarseGridWarning")
-    @pytest.mark.parametrize("solver", ["particles", "fv", "kinetic", "compare"])
+    @pytest.mark.parametrize("solver", ["particles", "fv", "kinetic", "compare", "limit"])
     def test_files_lists_every_written_file_once_in_write_order(self, tmp_path, monkeypatch, solver):
-        if solver == "kinetic":
-            s = scenario_from_dict({**KINETIC_CONFIG, "grid": {"xmin": -2.0, "xmax": 2.0, "dx": 1e-2}})
+        if solver in ("kinetic", "limit"):
+            coarse = {"xmin": -2.0, "xmax": 2.0, "dx": 1e-2}
+            s = scenario_from_dict({**KINETIC_CONFIG, "grid": coarse, "solver": solver, "eps_list": [0.5, 0.1]})
         else:
             s = preset("example1", solver=solver, dx=1e-2, T=0.05)
         written = []
@@ -685,6 +698,20 @@ class TestCli:
         assert table[0] == "epsilon,w2_species1,w2_species2"
         assert len(table) == 3
 
+    def test_limit_is_run_with_the_limit_solver(self, tmp_path, capsys):
+        path = tmp_path / "lim.json"
+        path.write_text(json.dumps({**KINETIC_CONFIG, "name": "lim", "eps_list": [0.5, 0.1]}))
+        assert cli_main(["limit", str(path), "--out", str(tmp_path / "a")]) == 0
+        run_dir = tmp_path / "a" / "lim"
+        files = ["limit.csv", "report.json", "scenario.json"]
+        assert sorted(p.name for p in run_dir.iterdir()) == files
+        assert json.loads((run_dir / "report.json").read_text())["files"] == files
+        capsys.readouterr()
+        assert cli_main(["report", str(run_dir)]) == 0
+        assert "(no cross-species events)" in capsys.readouterr().out
+        assert cli_main(["run", str(path), "--solver", "limit", "--out", str(tmp_path / "b")]) == 0
+        assert _tree_bytes(tmp_path / "a") == _tree_bytes(tmp_path / "b")
+
     def test_limit_command_names_params_for_an_inadmissible_chi(self, tmp_path, capsys):
         path = tmp_path / "lim.json"
         cfg = {**KINETIC_CONFIG, "params": {"chi1": 10.0, "chi2": 0.3}, "eps_list": [0.5, 0.1]}
@@ -773,6 +800,7 @@ class TestWronglyTypedValues:
             pytest.param(("grid", "xmax"), -3.0, r"^grid: needs xmax > xmin", id="xmax-below-xmin"),
             pytest.param(("eps_list",), [0.1, 0.5], r"^eps_list: must be", id="eps_list-increasing"),
             pytest.param(("eps_list",), [], r"^eps_list: must be non-empty", id="eps_list-empty"),
+            pytest.param(("solver",), "limit", r"^eps_list: required", id="limit-without-eps_list"),
             pytest.param(("preset",), 5, r"^preset: unknown preset '5'", id="unknown-preset"),
             pytest.param(("params", "chi1"), 0.0, r"^params: chi1 must be strictly positive", id="chi1-zero"),
             pytest.param(("kernel",), {"kind": "regularized"}, r"^kernel\.n: required", id="regularized-without-n"),
@@ -957,6 +985,16 @@ class TestWronglyTypedValues:
         assert payload["error"] == "ScenarioError"
         assert payload["message"].startswith("grid: ")
         assert "not a finite cell count" in payload["message"]
+
+    # a finite count of 1e17 cells, 711 PiB a species: refused when the initial state is allocated
+    def test_cli_refuses_a_grid_that_does_not_fit_in_memory(self, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        grid = {"xmin": -5e16, "xmax": 5e16, "dx": 1.0}
+        path.write_text(json.dumps({"preset": "example1", "solver": "fv", "grid": grid, "T": 0.1}))
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload == {"error": "ScenarioError", "message": "grid: 100000000000000000 cells do not fit in memory"}
+        assert not (tmp_path / "out").exists()
 
 
 def _tree_bytes(root: Path) -> dict[str, bytes]:
