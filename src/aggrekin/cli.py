@@ -16,6 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .scenarios import (
+    _RUNS,
     PRESET_NAMES,
     SCHEMA,
     SOLVERS,
@@ -47,8 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_preset = sub.add_parser("preset", help="run one of the canonical example scenarios")
     p_preset.add_argument("name", choices=PRESET_NAMES)
-    # every preset has chi1 = 10, outside the kinetic model's chi (theta1 + theta2) < 1
-    p_preset.add_argument("--solver", choices=[s for s in SOLVERS if s not in ("kinetic", "limit")])
+    # every preset has chi1 = 10, which the kinetic model refuses; a solver reading epsilon or eps_list runs it
+    kinetic = {"epsilon", "eps_list"}
+    p_preset.add_argument("--solver", choices=[s for s, (_, keys) in _RUNS.items() if kinetic.isdisjoint(keys)])
     p_preset.add_argument("--dx", type=float, default=5e-4, help="grid spacing (default 5e-4)")
     p_preset.add_argument("--t-final", type=float, dest="t_final", help="override final time")
     p_preset.add_argument("--out", help="output root directory")
@@ -91,14 +93,9 @@ def _cmd_report(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "preset": _cmd_run,
-        "limit": _cmd_run,
-        "report": _cmd_report,
-    }
+    handler = _cmd_report if args.command == "report" else _cmd_run
     try:
-        return handlers[args.command](args)
+        return handler(args)
     except (ScenarioError, ValueError, RuntimeError, OSError) as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True),

@@ -68,8 +68,8 @@ class ModelParams:
     """Chemosensitivities chi, coupling weights theta and tumbling rates psi.
 
     The psi rates only enter the kinetic solver.  Kinetic runs additionally
-    require chi_a * (theta1 + theta2) < 1 for both species; that condition
-    is checked by the kinetic module, not here.
+    require chi_a * (theta1 + theta2) < 1 for both species, checked when a
+    scenario loads and by ``kinetic.limit_experiment``, not here or in ``kinetic.run``.
     """
 
     chi1: float

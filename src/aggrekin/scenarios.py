@@ -50,30 +50,31 @@ __all__ = [
     "report_sync_analysis",
 ]
 
-SOLVERS = ("fv", "particles", "kinetic", "compare", "limit")
-
 SCHEMA = """\
 Scenario JSON schema (all masses in absolute units):
+  preset          "example1" .. "example4": start from that builtin preset's document,
+                  whose entries the other keys given replace
   name            non-empty str, run identifier and directory name (defaults to the file stem)
   params          {chi1, chi2, theta1, theta2, psi1, psi2}; chi required,
                   theta default 1.0, psi default 1.0 (kinetic only)
   kernel          {"kind": "exponential"} or {"kind": "regularized", "n": int >= 1}
   initial         {"species1": {...}, "species2": {...}} where each species is
-                  {"bumps": [[amplitude, center], ...]} or
-                  {"clusters": [[position, mass], ...]}  (exactly one form)
-  bump_width      float > 0, Gaussian width w in A*exp(-w(x-c)^2) (default 5000)
+                  {"bumps": [[amplitude, center], ...]} or {"clusters": [[position, mass], ...]}
+                  (exactly one form); the two species together hold positive mass
   solver          "fv" | "particles" | "kinetic" | "compare" | "limit"
-  grid            {xmin, xmax, dx}; required for fv/kinetic/compare/limit; a cluster
-                  atom must lie in one of its cells other than the two outer ones
   T               float > 0, final time
-  snapshot_times  [float, ...] in [0, T] (default: 6 evenly spaced)
-  cfl_safety      float in (0, 1), default 0.9 (grid solvers)
-  gap_tol         float > 0, default 1e-9 (particles)
-  dt_max          float > 0, default 0.05 (particles): an upper bound on the
-                  step, whose length the error control sets
-  epsilon         float > 0, kinetic scaling parameter (default 0.1)
-  eps_list        [float, ...] non-empty, strictly decreasing; required for solver "limit"
+  grid            {xmin, xmax, dx}, at least 3 cells; a cluster atom must lie in a cell other
+                  than the two outer ones, whatever the solver; fv, kinetic, compare, limit
+  bump_width      float > 0, Gaussian width w in A*exp(-w(x-c)^2) (default 5000); all
+  snapshot_times  [float, ...] in [0, T] (default: 6 evenly spaced); fv, particles, kinetic, compare
+  cfl_safety      float in (0, 1), default 0.9; fv, compare, limit
+  gap_tol         float > 0, default 1e-9; particles, compare
+  dt_max          float > 0, default 0.05, a bound on the error-controlled step; particles, compare
+  epsilon         float > 0, kinetic scaling parameter (default 0.1); kinetic
+  eps_list        [float, ...] non-empty, strictly decreasing; limit
   output_dir      str, per-run output directory (optional)
+A key from grid to eps_list is read by the solvers after its last ';', and required by
+them when it has no default; scenario.json records it only for them (grid whenever given).
 """
 
 
@@ -166,6 +167,7 @@ class Scenario:
     def __post_init__(self):
         if self.solver not in SOLVERS:
             raise ScenarioError(f"solver: unknown tag {self.solver!r}; valid: {', '.join(SOLVERS)}")
+        reads = _RUNS[self.solver][1]
         make_kernel(self.kernel_spec)  # a bad kernel spec fails here, by its key
         for key in ("T", "bump_width", "gap_tol", "dt_max", "epsilon"):
             if not 0.0 < getattr(self, key) < math.inf:
@@ -179,10 +181,9 @@ class Scenario:
             raise ScenarioError(
                 f"name: expected a non-empty string with no '/' or '\\' that is not '.' or '..', got {self.name!r}"
             )
-        if self.solver != "particles" and self.grid is None:
-            raise ScenarioError(f"grid: required for solver {self.solver!r}")
-        if self.solver == "limit" and self.eps_list is None:
-            raise ScenarioError("eps_list: required for solver 'limit'")
+        for key in reads:
+            if getattr(self, key) is None:
+                raise ScenarioError(f"{key}: required for solver {self.solver!r}")
         if self.grid is not None:
             for key, value in zip(("xmin", "xmax", "dx"), self.grid):
                 if not math.isfinite(value):
@@ -195,6 +196,9 @@ class Scenario:
                     f"grid: (xmax - xmin) / dx = ({xmax!r} - {xmin!r}) / {dx!r} is not a finite cell count"
                 )
             n = round((xmax - xmin) / dx)
+            if n < 3:
+                raise ScenarioError(f"grid: {n} cells, but a run needs at least 3, as the two outer ones stay empty")
+        positive = False
         for label, attr in (("species1", "initial1"), ("species2", "initial2")):
             spec = _object(f"initial.{label}", getattr(self, attr), ("bumps", "clusters"))
             forms = [key for key in ("bumps", "clusters") if key in spec]
@@ -203,6 +207,7 @@ class Scenario:
                     f"initial.{label}: exactly one of 'bumps' or 'clusters' is required"
                 )
             entries = spec[forms[0]]
+            mass = forms[0] == "clusters"  # the index of an entry's mass: a bump's amplitude, an atom's mass
             if not isinstance(entries, (list, tuple)):
                 raise ScenarioError(
                     f"initial.{label}.{forms[0]}: expected a list of [value, value] pairs, got {entries!r}"
@@ -216,10 +221,8 @@ class Scenario:
                 pairs.append(list(entry))
                 if not all(map(math.isfinite, entry)):
                     raise ScenarioError(f"{key}: entries must be finite, got {entry!r}")
-                if forms[0] == "bumps" and entry[0] < 0:
-                    raise ScenarioError(f"{key}: negative bump amplitude")
-                if forms[0] == "clusters" and entry[1] < 0:
-                    raise ScenarioError(f"{key}: negative cluster mass")
+                if entry[mass] < 0:
+                    raise ScenarioError(f"{key}: negative {'cluster mass' if mass else 'bump amplitude'}")
                 # initial_grid_state puts an atom in cell floor((x - xmin) / dx), which must be one of 1 .. n - 2
                 if forms[0] == "clusters" and self.grid is not None and not 1 <= (entry[0] - xmin) / dx < n - 1:
                     raise ScenarioError(f"{key}: the atom lies outside the grid or in one of its two outer cells")
@@ -227,6 +230,9 @@ class Scenario:
                 _check_cluster_quanta(f"initial.{label}.clusters", [m for _, m in pairs])
             # the initial data is read as the numbers checked here
             setattr(self, attr, {**spec, forms[0]: pairs})
+            positive = positive or any(pair[mass] > 0 for pair in pairs)
+        if not positive:
+            raise ScenarioError("initial: neither species holds positive mass")
         if not all(0.0 <= t <= self.T for t in self.snapshot_times):
             raise ScenarioError(f"snapshot_times: must lie in [0, T], got {list(self.snapshot_times)!r}")
         if self.eps_list is not None:
@@ -234,7 +240,7 @@ class Scenario:
                 b >= a for a, b in zip(self.eps_list, self.eps_list[1:])
             ):
                 raise ScenarioError("eps_list: must be non-empty, positive, finite and strictly decreasing")
-        kinetic = self.solver == "kinetic" or self.eps_list is not None
+        kinetic = "epsilon" in reads or self.eps_list is not None
         if kinetic and not kin_mod.check_positivity_condition(self.params):
             raise ScenarioError("params: kinetic runs require chi_a * (theta1 + theta2) < 1 for both species")
 
@@ -247,6 +253,7 @@ class Scenario:
 
 
 def scenario_to_dict(s: Scenario) -> dict:
+    """The document that ``scenario.json`` records (see ``_RUNS``)."""
     d = {
         "name": s.name,
         "params": asdict(s.params),
@@ -257,16 +264,18 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
     if s.grid is not None:
         d["grid"] = {"xmin": s.grid[0], "xmax": s.grid[1], "dx": s.grid[2]}
-    # only particle runs read gap_tol and dt_max
-    particle_only = () if s.solver in ("particles", "compare") else ("gap_tol", "dt_max")
+    reads = _RUNS[s.solver][1]
     for key, parse in _OPTIONAL.items():
         value = getattr(s, key)
-        if value is not None and key not in particle_only:
+        if key in reads or (key == "output_dir" and value is not None):
             d[key] = list(value) if parse is _numbers else value
     return d
 
 
 def scenario_from_dict(d: dict, name: str = "scenario") -> Scenario:
+    """The scenario of document ``d``, started from the preset document that its ``preset`` names."""
+    if "preset" in _object("", d):
+        d = {**_preset_config(str(d["preset"])), **d}
     _object("", d, _KNOWN_KEYS, ("params", "initial", "solver", "T"))
     prm = _object("params", d["params"], _PARAM_KEYS, ("chi1", "chi2"))
     values = {key: _number(f"params.{key}", prm[key]) for key in _PARAM_KEYS if key in prm}
@@ -298,12 +307,8 @@ def scenario_from_dict(d: dict, name: str = "scenario") -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Load a scenario from a JSON file or, when no file has that name,
-    resolve a builtin preset name.
-
-    A config may set ``"preset": "<name>"`` to start from that preset's
-    document; any other keys (T, solver, grid, ...) replace its entries.
-    """
+    """Load a scenario from a JSON file (see :func:`scenario_from_dict`) or,
+    when no file has that name, resolve a builtin preset name."""
     if str(path) in PRESET_NAMES and not Path(path).is_file():
         return preset(str(path))
     path = Path(path)
@@ -314,8 +319,6 @@ def load_scenario(path) -> Scenario:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"invalid JSON in {path}: {exc}") from exc
-    if "preset" in _object("", data):
-        data = {**_preset_config(str(data.pop("preset"))), **data}
     return scenario_from_dict(data, name=path.stem)
 
 
@@ -580,8 +583,19 @@ _COLLISION_CLASS = {
     "merge_same_species": "merge", "final_collapse": None,
 }
 
-_RUNS = {"particles": _run_particles, "fv": _run_fv, "kinetic": _run_kinetic, "compare": _run_compare,
-         "limit": _run_limit}
+# each solver's runner and the keys it reads besides the six structured ones: a key it reads that is None
+# is required, scenario.json records no other key but a given grid and output_dir, and a solver that
+# reads epsilon or eps_list runs the kinetic model
+_FV_KEYS = ("grid", "bump_width", "snapshot_times", "cfl_safety")
+_PARTICLE_KEYS = ("bump_width", "snapshot_times", "gap_tol", "dt_max")
+_RUNS = {
+    "fv": (_run_fv, _FV_KEYS),
+    "particles": (_run_particles, _PARTICLE_KEYS),
+    "kinetic": (_run_kinetic, ("grid", "bump_width", "snapshot_times", "epsilon")),
+    "compare": (_run_compare, tuple(dict.fromkeys(_FV_KEYS + _PARTICLE_KEYS))),
+    "limit": (_run_limit, ("grid", "bump_width", "cfl_safety", "eps_list")),
+}
+SOLVERS = tuple(_RUNS)
 
 
 def run_scenario(s: Scenario, out_root: str | None = None) -> RunReport:
@@ -599,7 +613,7 @@ def run_scenario(s: Scenario, out_root: str | None = None) -> RunReport:
     def write(name, writer, *args):
         writes.append((name, writer, args))
 
-    events, conservation, extra = _RUNS[s.solver](s, make_kernel(s.kernel_spec), write)
+    events, conservation, extra = _RUNS[s.solver][0](s, make_kernel(s.kernel_spec), write)
     collision_times = sorted(e["time"] for e in events if e["kind"] in _COLLISION_CLASS)
     report = RunReport(
         scenario=scenario_to_dict(s),

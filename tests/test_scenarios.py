@@ -179,8 +179,53 @@ class TestLoadScenario:
         write_scenario(path, s)
         assert load_scenario(path) == s
 
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_scenario_json_holds_the_keys_its_solver_reads(self, solver):
+        reads = {
+            "fv": {"grid", "bump_width", "snapshot_times", "cfl_safety"},
+            "particles": {"bump_width", "snapshot_times", "gap_tol", "dt_max"},
+            "kinetic": {"grid", "bump_width", "snapshot_times", "epsilon"},
+            "compare": {"grid", "bump_width", "snapshot_times", "cfl_safety", "gap_tol", "dt_max"},
+            "limit": {"grid", "bump_width", "cfl_safety", "eps_list"},
+        }[solver]
+        # every optional key set, and chi the kinetic model admits
+        s = replace(
+            preset("example2"), solver=solver, params=ModelParams(chi1=0.45, chi2=0.3), eps_list=(0.5, 0.1),
+            cfl_safety=0.5, gap_tol=1e-8, dt_max=0.01, epsilon=0.2,
+        )
+        structured = {"name", "params", "kernel", "initial", "solver", "T"}
+        assert set(scenario_to_dict(s)) == structured | {"grid"} | reads
+        assert set(scenario_to_dict(replace(s, output_dir="out"))) == structured | {"grid", "output_dir"} | reads
+        # a given grid is echoed whatever the solver, since its atoms are checked against it
+        assert "grid" in scenario_to_dict(replace(s, solver="particles"))
+
+    def test_schema_names_the_solvers_that_read_each_key(self):
+        entries, key = {}, None
+        for line in SCHEMA.splitlines()[1:]:
+            if line.startswith("  ") and not line.startswith("   "):
+                key, line = line.split(maxsplit=1)
+            elif not line.startswith("   "):
+                break
+            entries[key] = f"{entries.get(key, '')} {line.strip()}".strip()
+        assert entries["solver"].replace('"', "").split(" | ") == list(SOLVERS)
+        # each key from grid to eps_list ends with the solvers that read it, or "all"
+        keys = list(entries)
+        for key in keys[keys.index("grid") : keys.index("eps_list") + 1]:
+            named = [word.strip() for word in entries[key].rsplit(";", 1)[1].split(",")]
+            readers = [s for s in SOLVERS if key in scenarios_mod._RUNS[s][1]]
+            assert named == (["all"] if readers == list(SOLVERS) else readers), key
+
+    def test_a_preset_document_reads_alike_as_a_dict_and_as_a_file(self, tmp_path):
+        doc = {"preset": "example3", "solver": "fv", "T": 0.5, "cfl_safety": 0.5}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        s = scenario_from_dict(doc)
+        assert s == load_scenario(path)
+        assert (s.name, s.solver, s.T, s.cfl_safety) == ("example3", "fv", 0.5, 0.5)
+        assert s.initial2 == preset("example3").initial2
+
     def test_every_schema_key_is_structured_or_has_a_parser(self):
-        structured = {"name", "params", "kernel", "initial", "solver", "grid", "T"}
+        structured = {"preset", "name", "params", "kernel", "initial", "solver", "grid", "T"}
         assert not structured & set(_OPTIONAL)
         assert structured | set(_OPTIONAL) == _KNOWN_KEYS
         # the optional keys are parsed and echoed in SCHEMA order
@@ -649,6 +694,10 @@ class TestCli:
 
     def test_preset_does_not_offer_kinetic(self, capsys):
         # every preset has chi1 = 10, which no kinetic run accepts
+        parser = _build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        solver = next(a for a in commands.choices["preset"]._actions if a.dest == "solver")
+        assert list(solver.choices) == ["fv", "particles", "compare"]
         with pytest.raises(SystemExit) as exc:
             cli_main(["preset", "example1", "--solver", "kinetic"])
         assert exc.value.code == 2
@@ -802,6 +851,13 @@ class TestWronglyTypedValues:
             pytest.param(("eps_list",), [], r"^eps_list: must be non-empty", id="eps_list-empty"),
             pytest.param(("solver",), "limit", r"^eps_list: required", id="limit-without-eps_list"),
             pytest.param(("preset",), 5, r"^preset: unknown preset '5'", id="unknown-preset"),
+            # the grid [-2, 2] at dx 2 has 2 cells, both outer ones, and at dx 10 none
+            pytest.param(("grid", "dx"), 2.0, r"^grid: 2 cells, but a run needs at least 3", id="grid-of-2-cells"),
+            pytest.param(("grid", "dx"), 10.0, r"^grid: 0 cells, but a run needs at least 3", id="grid-of-0-cells"),
+            pytest.param(
+                ("initial",), {"species1": {"bumps": [[0.0, 0.0]]}, "species2": {"clusters": [[0.0, 0.0]]}},
+                r"^initial: neither species holds positive mass", id="no-mass",
+            ),
             pytest.param(("params", "chi1"), 0.0, r"^params: chi1 must be strictly positive", id="chi1-zero"),
             pytest.param(("kernel",), {"kind": "regularized"}, r"^kernel\.n: required", id="regularized-without-n"),
         ],
@@ -812,11 +868,13 @@ class TestWronglyTypedValues:
         for part in path[:-1]:
             node = node[part]
         node[path[-1]] = value
-        # through a scenario file, which alone reads a "preset" key
+        # through a scenario file and as a dict alike
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(data))
         with pytest.raises(ScenarioError, match=key):
             load_scenario(cfg)
+        with pytest.raises(ScenarioError, match=key):
+            scenario_from_dict(data)
 
     @pytest.mark.parametrize(
         "path, value, key",
