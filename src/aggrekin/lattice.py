@@ -289,7 +289,7 @@ def march(initial: GridState, T: float, dt: float, snapshot_times, field, advanc
     state = initial
     check_boundary(state, total)
     if T > t0 and n_steps == 0:
-        raise ValueError(f"the step dt = {dt!r} is longer than the run from {t0!r} to T = {T!r}")
+        raise ValueError(f"T: the step dt = {dt!r} is longer than the run from {t0!r} to T = {T!r}")
     for k in range(n_steps + 1):
         if k:
             state = advance(state, f)

@@ -22,6 +22,7 @@ __all__ = [
     "DiscreteMeasure",
     "ModelParams",
     "bump_mass_unit",
+    "check_bump_covered",
     "wasserstein2",
     "sample_gaussian_bumps",
 ]
@@ -119,6 +120,15 @@ def wasserstein2(a: DiscreteMeasure, b: DiscreteMeasure) -> float:
     return float(np.sqrt(np.sum(dz * diff * diff)))
 
 
+def check_bump_covered(center: float, xmin: float, xmax: float, width: float) -> None:
+    """Refuse a bump exp(-width (x - center)^2) unless [xmin, xmax] holds it to a 1e-12 relative mass truncation."""
+    margin = min(center - xmin, xmax - center)
+    if margin <= 0 or math.erfc(math.sqrt(width) * margin) > 1e-12:
+        raise ValueError(
+            f"grid [{xmin}, {xmax}] does not cover the bump at {center} to 1e-12 relative mass truncation"
+        )
+
+
 def sample_gaussian_bumps(
     bumps: list[tuple[float, float]],
     grid: tuple[float, float, float],
@@ -126,32 +136,27 @@ def sample_gaussian_bumps(
 ) -> DiscreteMeasure:
     """Sample a sum of Gaussian bumps A * exp(-width * (x - c)^2) on a grid.
 
-    ``grid`` is (xmin, xmax, dx); atoms sit at cell centers and carry the
-    midpoint-rule cell mass (cell-center density times dx).  The grid must
-    cover every bump support down to a 1e-12 relative mass truncation.
+    ``grid`` is (xmin, xmax, dx); atoms sit at its read-only cell centers with the
+    midpoint-rule cell mass (cell-center density times dx).  The grid must cover
+    every bump to a 1e-12 relative mass truncation (:func:`check_bump_covered`).
     Warns with :class:`CoarseGridWarning` when there are bumps and fewer
     than 8 cells per bump standard deviation.
     """
+    from .lattice import _cell_centers  # lattice imports this module for ModelParams
     xmin, xmax, dx = (float(v) for v in grid)
     if dx <= 0 or xmax <= xmin:
         raise ValueError("grid must satisfy xmax > xmin and dx > 0")
     n = int(round((xmax - xmin) / dx))
     if n < 1:
         raise ValueError("grid has no cells")
-    centers = xmin + (np.arange(n) + 0.5) * dx
+    centers = _cell_centers(xmin, dx, n)
 
-    sqrt_w = math.sqrt(width)
     sigma = 1.0 / math.sqrt(2.0 * width)
     masses = np.zeros(n)
     for amplitude, center in bumps:
         if amplitude < 0:
             raise ValueError("bump amplitudes must be nonnegative")
-        margin = min(center - xmin, xmax - center)
-        if margin <= 0 or math.erfc(sqrt_w * margin) > 1e-12:
-            raise ValueError(
-                f"grid [{xmin}, {xmax}] does not cover the bump at {center} "
-                "to 1e-12 relative mass truncation"
-            )
+        check_bump_covered(center, xmin, xmax, width)
         masses += amplitude * np.exp(-width * (centers - center) ** 2) * dx
     if bumps and dx > sigma / 8.0:
         warnings.warn(

@@ -28,7 +28,7 @@ from .csvio import write_csv, write_grid_csv
 from .fv import extract_peaks
 from .kernel import PointyKernel, exponential_kernel, regularize
 from .lattice import GridState, mass_quantum, snap
-from .measures import ModelParams, bump_mass_unit, sample_gaussian_bumps
+from .measures import ModelParams, bump_mass_unit, check_bump_covered, sample_gaussian_bumps
 from .particles import Cluster, ClusterSet
 
 __all__ = [
@@ -63,8 +63,8 @@ Scenario JSON schema (all masses in absolute units):
                   (exactly one form); the two species together hold positive mass
   solver          "fv" | "particles" | "kinetic" | "compare" | "limit"
   T               float > 0, final time
-  grid            {xmin, xmax, dx}, at least 3 cells; a cluster atom must lie in a cell other
-                  than the two outer ones, whatever the solver; fv, kinetic, compare, limit
+  grid            {xmin, xmax, dx}, at least 3 cells, holding each bump to 1e-12 relative mass and
+                  each atom off its two outer cells, whatever the solver; fv, kinetic, compare, limit
   bump_width      float > 0, Gaussian width w in A*exp(-w(x-c)^2) (default 5000); all
   snapshot_times  [float, ...] in [0, T] (default: 6 evenly spaced); fv, particles, kinetic, compare
   cfl_safety      float in (0, 1), default 0.9; fv, compare, limit
@@ -226,6 +226,11 @@ class Scenario:
                 # initial_grid_state puts an atom in cell floor((x - xmin) / dx), which must be one of 1 .. n - 2
                 if forms[0] == "clusters" and self.grid is not None and not 1 <= (entry[0] - xmin) / dx < n - 1:
                     raise ScenarioError(f"{key}: the atom lies outside the grid or in one of its two outer cells")
+                if forms[0] == "bumps" and self.grid is not None:
+                    try:
+                        check_bump_covered(entry[1], xmin, xmax, self.bump_width)
+                    except ValueError as exc:
+                        raise ScenarioError(f"{key}: {exc}") from None
             if forms[0] == "clusters":
                 _check_cluster_quanta(f"initial.{label}.clusters", [m for _, m in pairs])
             # the initial data is read as the numbers checked here
@@ -384,10 +389,10 @@ def initial_grid_state(s: Scenario) -> GridState:
     :func:`sample_gaussian_bumps`, or each of its atoms' mass added to the
     cell floor((x - xmin) / dx), computed in floats, on as many cells, so an
     atom on a cell edge goes to the cell on its right; ``bump_width`` is not
-    read for atoms.  The scenario has refused, by its key, an atom outside
-    the grid or in one of its two outer cells, which
-    :func:`aggrekin.lattice.check_boundary` keeps empty.  A grid of more
-    cells than memory holds is refused by ``grid``."""
+    read for atoms.  The scenario has refused, by its key, a bump the grid
+    does not cover and an atom outside it or in one of its two outer cells,
+    which :func:`aggrekin.lattice.check_boundary` keeps empty.  A grid of
+    more cells than memory holds is refused by ``grid``."""
     if s.grid is None:
         raise ScenarioError("grid: required to sample initial data")
     xmin, xmax, dx = s.grid

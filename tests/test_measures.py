@@ -206,7 +206,7 @@ class TestGaussianBumps:
             sample_gaussian_bumps([(1.0, 0.0)], (-1.0, 1.0, 0.01))
 
     def test_uncovered_bump_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^grid \[-1\.0, 1\.0\] does not cover the bump at 0\.99 to 1e-12"):
             sample_gaussian_bumps([(1.0, 0.99)], (-1.0, 1.0, 1e-4))
 
     def test_mass_unit_value(self):

@@ -1054,6 +1054,56 @@ class TestWronglyTypedValues:
         assert payload == {"error": "ScenarioError", "message": "grid: 100000000000000000 cells do not fit in memory"}
         assert not (tmp_path / "out").exists()
 
+    # a bump at 50 on the preset grid [-2, 2]: refused by its key when the scenario loads,
+    # as an atom off the grid is, whatever the solver, the particle one included
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_cli_refuses_a_bump_the_grid_does_not_cover(self, tmp_path, capsys, solver):
+        document = {
+            "preset": "example1", "solver": solver, "T": 0.1, "params": {"chi1": 0.45, "chi2": 0.3},
+            "initial": {"species1": {"bumps": [[1.0, 50.0]]}, "species2": {"bumps": []}},
+        }
+        if solver == "limit":
+            document["eps_list"] = [0.5, 0.1]
+        with pytest.raises(ScenarioError, match=r"^initial\.species1\.bumps\[0\]: grid \[-2\.0, 2\.0\] does not"):
+            scenario_from_dict(document)
+        path = tmp_path / "bump.json"
+        path.write_text(json.dumps(document))
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ScenarioError"
+        assert payload["message"].startswith("initial.species1.bumps[0]:")
+        assert not (tmp_path / "out").exists()
+
+    # at width 5000 the grid [-2, 2] truncates a bump at 1.9 to 1.5e-23 of its mass, one at 1.95 to 5.7e-7
+    @pytest.mark.parametrize("solver", ["particles", "fv"])
+    def test_a_bump_loads_when_the_grid_covers_it_to_1e_12(self, solver):
+        def load(c1, c2):
+            initial = {"species1": {"bumps": [[1.0, c1]]}, "species2": {"bumps": [[1.0, c2]]}}
+            return scenario_from_dict({"preset": "example1", "solver": solver, "initial": initial})
+
+        assert load(-1.9, 1.9).initial1 == {"bumps": [[1.0, -1.9]]}
+        with pytest.raises(ScenarioError, match=r"^initial\.species1\.bumps\[0\]: .* at -1\.95 to 1e-12"):
+            load(-1.95, 1.9)
+        with pytest.raises(ScenarioError, match=r"^initial\.species2\.bumps\[0\]: .* at 1\.95 to 1e-12"):
+            load(-1.9, 1.95)
+
+    # a 3-cell grid at dx 4/3 and T = 0.1: the kinetic step dt = dx and the FV step, from the
+    # little mass the bumps sample onto such cells, each outlast the run, which T names
+    @pytest.mark.filterwarnings("ignore::aggrekin.measures.CoarseGridWarning")
+    @pytest.mark.parametrize("solver, dt", [("kinetic", "1.3333333333333333"), ("fv", "1.44")])
+    def test_cli_refuses_a_run_shorter_than_one_step_by_T(self, tmp_path, capsys, solver, dt):
+        path = tmp_path / "short.json"
+        grid = {"xmin": -2.0, "xmax": 2.0, "dx": 4.0 / 3.0}
+        path.write_text(json.dumps({
+            "preset": "example1", "solver": solver, "T": 0.1, "params": {"chi1": 0.45, "chi2": 0.3}, "grid": grid,
+        }))
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith(f"T: the step dt = {dt}")
+        assert payload["message"].endswith("is longer than the run from 0.0 to T = 0.1")
+        assert not (tmp_path / "out").exists()
+
 
 def _tree_bytes(root: Path) -> dict[str, bytes]:
     files = sorted(p for p in root.rglob("*") if p.is_file())
